@@ -198,10 +198,12 @@ fn near_clique_alpha_at(c: &mut Criterion, n: usize, models: &[DelayModel], samp
                         g,
                         &params,
                         7,
-                        delay,
-                        sync,
-                        FaultModel::None,
-                        ChurnModel::None,
+                        Engine::Async {
+                            delay,
+                            sync,
+                            fault: FaultModel::None,
+                            churn: ChurnModel::None,
+                        },
                         &plan,
                     );
                     overhead.set(run.overhead);

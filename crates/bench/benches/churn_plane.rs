@@ -207,10 +207,7 @@ fn bench_near_clique_churn(c: &mut Criterion) {
                         g,
                         &params,
                         7,
-                        delay,
-                        sync,
-                        FaultModel::None,
-                        churn,
+                        Engine::Async { delay, sync, fault: FaultModel::None, churn },
                         &plan,
                     );
                     overhead.set(run.overhead);

@@ -180,10 +180,7 @@ fn bench_near_clique_drop(c: &mut Criterion) {
                         g,
                         &params,
                         7,
-                        delay,
-                        sync,
-                        fault,
-                        ChurnModel::None,
+                        Engine::Async { delay, sync, fault, churn: ChurnModel::None },
                         &plan,
                     );
                     overhead.set(run.overhead);

@@ -86,7 +86,7 @@ use crate::sched::{
     EventWheel, FaultModel, FaultPlane, PhasePlan, SyncModel,
 };
 use crate::session::{
-    Driver, Observer, RoundDelta, RunLimits, RunReport, SyncOverhead, Termination,
+    Driver, Engine, Observer, RoundDelta, RunLimits, RunReport, SyncOverhead, Termination,
 };
 
 #[derive(Clone)]
@@ -101,15 +101,14 @@ struct AsyncSlot<P: Protocol> {
 }
 
 /// The event-driven asynchronous engine: an executor core gated by a
-/// pluggable synchronizer over seeded link delays. Construct through
-/// [`crate::Session`] with [`Engine::Async`](crate::Engine::Async), or
-/// directly via [`AsyncNetwork::build_with`].
+/// pluggable synchronizer over seeded link delays. Built through
+/// [`crate::Session`] with [`Engine::Async`].
 ///
 /// Clonable (for `P: Clone`) so the interleaving explorer
 /// ([`crate::explore`]) can fork the complete engine state at a choice
 /// point and walk every branch.
 #[derive(Clone)]
-pub struct AsyncNetwork<P: Protocol> {
+pub(crate) struct AsyncNetwork<P: Protocol> {
     nodes: Vec<AsyncSlot<P>>,
     /// CSR route table shared with the synchronous engine.
     topo: Topology,
@@ -209,7 +208,7 @@ impl<P: Protocol> AsyncNetwork<P> {
     /// churn model is malformed, on a hashed ID collision, or if the
     /// graph exceeds the plane's `u32` port space.
     #[allow(clippy::too_many_arguments)]
-    pub fn build_with<F>(
+    pub(crate) fn build_with<F>(
         graph: &Graph,
         seed: u64,
         delay: DelayModel,
@@ -297,52 +296,40 @@ impl<P: Protocol> AsyncNetwork<P> {
         self.rec.as_deref_mut().map(|sink| sink.finish(wheel_hw, queue_hw))
     }
 
-    /// The configured per-message delay bound.
-    #[must_use]
-    pub fn max_delay(&self) -> u64 {
-        self.delays.delay_model().bound()
-    }
-
-    /// The configured link-delay model.
-    #[must_use]
-    pub fn delay_model(&self) -> DelayModel {
-        self.delays.delay_model()
-    }
-
-    /// The configured synchronizer.
-    #[must_use]
-    pub fn sync_model(&self) -> SyncModel {
-        self.sync.model()
-    }
-
-    /// The configured fault model.
-    #[must_use]
-    pub fn fault_model(&self) -> FaultModel {
-        self.faults.model()
-    }
-
-    /// The configured churn model.
-    #[must_use]
-    pub fn churn_model(&self) -> ChurnModel {
-        self.churn.model()
+    /// The configured engine: delay, synchronizer, fault and churn
+    /// models.
+    pub(crate) fn engine(&self) -> Engine {
+        Engine::Async {
+            delay: self.delays.delay_model(),
+            sync: self.sync.model(),
+            fault: self.faults.model(),
+            churn: self.churn.model(),
+        }
     }
 
     /// Accumulated payload-side metrics.
-    #[must_use]
-    pub fn metrics(&self) -> &Metrics {
+    pub(crate) fn metrics(&self) -> &Metrics {
         &self.metrics
     }
 
     /// Accumulated synchronizer overhead.
-    #[must_use]
-    pub fn overhead(&self) -> &SyncOverhead {
+    pub(crate) fn overhead(&self) -> &SyncOverhead {
         &self.overhead
     }
 
-    /// Pre-reserves the per-pulse histories for a bounded run.
-    pub fn reserve_rounds(&mut self, rounds: usize) {
-        self.metrics.reserve_rounds(rounds);
-        self.per_pulse.reserve(rounds);
+    /// Runs `f` on node `v`'s protocol with a context at `round`, its
+    /// sends landing in the node's ports of the flat payload queues —
+    /// the one place this engine hands a protocol its [`Context`].
+    fn with_ctx<R>(
+        &mut self,
+        v: usize,
+        round: u64,
+        f: impl FnOnce(&mut P, &mut Context<'_, P::Msg>) -> R,
+    ) -> R {
+        let node = &mut self.nodes[v];
+        let outbox = OutboxHandle::Flat { queues: &mut self.queues, base: self.topo.offsets[v] };
+        let mut ctx = Context::new(&node.endpoint, round, outbox, &mut node.rng);
+        f(&mut node.protocol, &mut ctx)
     }
 
     /// Schedules `msg` from node `from`'s local `port`, arriving after a
@@ -409,19 +396,14 @@ impl<P: Protocol> AsyncNetwork<P> {
             if self.faults.sampler.crashed_at(to, self.nodes[to].pulse) {
                 continue;
             }
-            let node = &mut self.nodes[to];
-            let base = self.topo.offsets[to];
-            let mut ctx = Context {
-                endpoint: &node.endpoint,
-                round: node.pulse,
-                outbox: OutboxHandle::Flat { queues: &mut self.queues, base },
-                rng: &mut node.rng,
-            };
-            if down {
-                node.protocol.on_peer_down(&mut ctx, back as usize);
-            } else {
-                node.protocol.on_peer_up(&mut ctx, back as usize);
-            }
+            let back = back as usize;
+            self.with_ctx(to, self.nodes[to].pulse, |p, ctx| {
+                if down {
+                    p.on_peer_down(ctx, back);
+                } else {
+                    p.on_peer_up(ctx, back);
+                }
+            });
         }
     }
 
@@ -466,15 +448,7 @@ impl<P: Protocol> AsyncNetwork<P> {
             // The joiner's protocol initializes at the joining pulse;
             // whatever it queues drains in this same pulse entry, right
             // after this hook returns.
-            let node = &mut self.nodes[v];
-            let base = self.topo.offsets[v];
-            let mut ctx = Context {
-                endpoint: &node.endpoint,
-                round: pulse,
-                outbox: OutboxHandle::Flat { queues: &mut self.queues, base },
-                rng: &mut node.rng,
-            };
-            node.protocol.init(&mut ctx);
+            self.with_ctx(v, pulse, |p, ctx| p.init(ctx));
         }
         self.churn.timeline.push(EpochInfo { epoch, pulse, members: self.churn.overlay.members });
         self.notify_members(v, absent);
@@ -497,19 +471,14 @@ impl<P: Protocol> AsyncNetwork<P> {
             {
                 continue;
             }
-            let node = &mut self.nodes[to];
-            let base = self.topo.offsets[to];
-            let mut ctx = Context {
-                endpoint: &node.endpoint,
-                round: node.pulse,
-                outbox: OutboxHandle::Flat { queues: &mut self.queues, base },
-                rng: &mut node.rng,
-            };
-            if left {
-                node.protocol.on_leave(&mut ctx, back as usize);
-            } else {
-                node.protocol.on_join(&mut ctx, back as usize);
-            }
+            let back = back as usize;
+            self.with_ctx(to, self.nodes[to].pulse, |p, ctx| {
+                if left {
+                    p.on_leave(ctx, back);
+                } else {
+                    p.on_join(ctx, back);
+                }
+            });
         }
     }
 
@@ -526,15 +495,7 @@ impl<P: Protocol> AsyncNetwork<P> {
             {
                 continue;
             }
-            let node = &mut self.nodes[w];
-            let base = self.topo.offsets[w];
-            let mut ctx = Context {
-                endpoint: &node.endpoint,
-                round: node.pulse,
-                outbox: OutboxHandle::Flat { queues: &mut self.queues, base },
-                rng: &mut node.rng,
-            };
-            node.protocol.init(&mut ctx);
+            self.with_ctx(w, self.nodes[w].pulse, |p, ctx| p.init(ctx));
         }
     }
 
@@ -652,15 +613,11 @@ impl<P: Protocol> AsyncNetwork<P> {
             self.inbox_buf.windows(2).all(|w| w[0].0 != w[1].0),
             "one payload per port per pulse"
         );
-        let node = &mut self.nodes[v];
-        let base = self.topo.offsets[v];
-        let mut ctx = Context {
-            endpoint: &node.endpoint,
-            round: pulse,
-            outbox: OutboxHandle::Flat { queues: &mut self.queues, base },
-            rng: &mut node.rng,
-        };
-        node.protocol.step(&mut ctx, &self.inbox_buf);
+        // The scratch buffer is lent out for the step and handed back
+        // with its capacity intact — no allocation either way.
+        let inbox = std::mem::take(&mut self.inbox_buf);
+        self.with_ctx(v, pulse, |p, ctx| p.step(ctx, &inbox));
+        self.inbox_buf = inbox;
         self.inbox_buf.len() as u32
     }
 
@@ -797,7 +754,7 @@ impl<P: Protocol> AsyncNetwork<P> {
     ///
     /// Returns `true` while execution should continue (some node resumed,
     /// or queued messages remain to be delivered).
-    pub fn barrier(&mut self, obs: &mut dyn Observer) -> bool {
+    pub(crate) fn barrier(&mut self, obs: &mut dyn Observer) -> bool {
         let round = self.executed;
         let mut resumed = false;
         for v in 0..self.nodes.len() {
@@ -815,15 +772,7 @@ impl<P: Protocol> AsyncNetwork<P> {
                 // planned reconfiguration, so the run is not degraded.
                 continue;
             }
-            let node = &mut self.nodes[v];
-            let base = self.topo.offsets[v];
-            let mut ctx = Context {
-                endpoint: &node.endpoint,
-                round,
-                outbox: OutboxHandle::Flat { queues: &mut self.queues, base },
-                rng: &mut node.rng,
-            };
-            resumed |= node.protocol.on_quiescent(&mut ctx);
+            resumed |= self.with_ctx(v, round, |p, ctx| p.on_quiescent(ctx));
         }
         if !resumed && self.queues.queued() == 0 {
             return false;
@@ -852,7 +801,7 @@ impl<P: Protocol> AsyncNetwork<P> {
     /// run, whatever the barriers said: a crashed phase cannot quiesce
     /// in the ordinary sense, and the report carries the count of
     /// application payloads the crash cost.
-    pub fn run_phases(&mut self, plan: &PhasePlan, obs: &mut dyn Observer) -> RunReport {
+    pub(crate) fn run_phases(&mut self, plan: &PhasePlan, obs: &mut dyn Observer) -> RunReport {
         self.reserve_rounds(plan.total_pulses() as usize);
         // Run `init` (and the entry into the first phase) before the
         // first transition barrier, exactly like the synchronous loop.
@@ -879,6 +828,16 @@ impl<P: Protocol> AsyncNetwork<P> {
         }
         // Intermediate phases ran report-free; the run's metrics are
         // cloned into a report exactly once, here.
+        self.report(live)
+    }
+
+    /// The one [`RunReport`] builder behind [`Driver::drive`] and
+    /// [`AsyncNetwork::run_phases`]. `live` says whether the protocol
+    /// still wanted to resume when the drive ended: a plain drive always
+    /// ends live (pulses never quiesce), a phased run ends quiescent when
+    /// its retiring barrier finds every node finished. A crash anywhere
+    /// in the run overrides both with [`Termination::Degraded`].
+    fn report(&mut self, live: bool) -> RunReport {
         RunReport {
             termination: if self.faults.crash_seen {
                 Termination::Degraded { lost: self.faults.lost }
@@ -920,18 +879,7 @@ impl<P: Protocol> Driver for AsyncNetwork<P> {
     /// completes.
     fn drive(&mut self, limits: RunLimits, obs: &mut dyn Observer) -> RunReport {
         self.drive_pulses(limits.max_rounds, obs);
-        RunReport {
-            termination: if self.faults.crash_seen {
-                Termination::Degraded { lost: self.faults.lost }
-            } else {
-                Termination::RoundLimit
-            },
-            rounds: self.executed,
-            metrics: self.metrics.clone(),
-            overhead: self.overhead,
-            epochs: self.churn.timeline.clone(),
-            profile: self.snapshot_profile(),
-        }
+        self.report(true)
     }
 
     fn node_count(&self) -> usize {
@@ -950,17 +898,135 @@ impl<P: Protocol> Driver for AsyncNetwork<P> {
         self.queues.queued()
     }
 
+    /// Pre-reserves the per-pulse histories for a bounded run.
     fn reserve_rounds(&mut self, rounds: usize) {
-        AsyncNetwork::reserve_rounds(self, rounds);
+        self.metrics.reserve_rounds(rounds);
+        self.per_pulse.reserve(rounds);
     }
 }
 
+/// The drive loop, in three steps: [`AsyncNetwork::begin_segment`]
+/// (entry sweep), [`AsyncNetwork::step_event`] (one event-loop
+/// iteration) and [`AsyncNetwork::settle`] (post-loop bookkeeping). A
+/// sampled drive runs them back to back in [`AsyncNetwork::drive_pulses`];
+/// the interleaving explorer ([`crate::explore`]) calls the very same
+/// steps one at a time, forking the cloned state at every delay choice
+/// point — an explored branch passes through the same code a sampled run
+/// does, and the only difference is who pulls the next event.
 impl<P: Protocol> AsyncNetwork<P> {
     /// The report-free pulse engine behind [`Driver::drive`] and
     /// [`AsyncNetwork::run_phases`]: executes up to `max_rounds` further
     /// pulses and streams their deltas to `obs`. Callers that drive in
     /// stages (phased runs) use this directly so the run's [`Metrics`]
     /// are cloned into a [`RunReport`] once, not once per stage.
+    fn drive_pulses(&mut self, max_rounds: u64, obs: &mut dyn Observer) {
+        let previous = self.executed;
+        if max_rounds == 0 {
+            // Lazy init even on a zero-budget drive, so outputs at budget
+            // 0 match the synchronous engines'.
+            self.initialize();
+        } else {
+            self.begin_segment(max_rounds, obs);
+            while self.step_event(obs) {}
+            self.settle();
+        }
+
+        // Streaming mode keeps no per-pulse ledger, so there is nothing
+        // to replay: observers see barriers and faults only.
+        if self.metrics_mode == MetricsMode::Full {
+            for pulse in previous + 1..=self.executed {
+                obs.on_round(pulse, &self.per_pulse[(pulse - 1) as usize]);
+            }
+        }
+    }
+
+    /// Runs every present node's `init` hook, once per run. A scheduled
+    /// late joiner initializes at its joining pulse instead.
+    fn initialize(&mut self) {
+        if self.initialized {
+            return;
+        }
+        self.initialized = true;
+        for v in 0..self.nodes.len() {
+            if self.churn.overlay.present[v] {
+                self.with_ctx(v, 0, |p, ctx| p.init(ctx));
+            }
+        }
+    }
+
+    /// The entry step: lazy `init`, budget arming, and the pulse-1 (or
+    /// resume) sweep, up to but excluding the event loop; the fault and
+    /// churn events the sweep logged stream to `obs`.
+    pub(crate) fn begin_segment(&mut self, max_rounds: u64, obs: &mut dyn Observer) {
+        debug_assert!(max_rounds > 0, "a drive segment needs a pulse budget");
+        self.initialize();
+        self.budget = self.executed.saturating_add(max_rounds);
+        // Pulse 1 is entered at time 0. On a resume every node sits
+        // exactly at the previous budget with no event in flight, so all
+        // of them re-enter their next pulse at the current virtual time.
+        let resume = std::mem::replace(&mut self.started, true);
+        let now = self.overhead.virtual_time;
+        debug_assert!(resume || now == 0, "nothing runs before pulse 1");
+        for v in 0..self.nodes.len() {
+            if resume {
+                debug_assert!(self.nodes[v].done, "paused nodes sit at the budget");
+                self.nodes[v].done = false;
+                self.nodes[v].pulse += 1;
+            }
+            self.begin_pulse(now, v);
+            self.try_execute(now, v);
+        }
+        self.drain_ready(now);
+        self.flush_logs(obs);
+    }
+
+    /// One event-loop iteration: pop the next event, handle it, drain
+    /// the ready cascade, and stream the logged fault and churn events
+    /// to `obs`. Returns `false` when the wheel is empty (the segment is
+    /// over — completed if every node is done, deadlocked otherwise).
+    pub(crate) fn step_event(&mut self, obs: &mut dyn Observer) -> bool {
+        let Some((now, event)) = self.events.pop_next() else {
+            return false;
+        };
+        self.handle(now, event);
+        if let Some(sink) = self.rec.as_deref_mut() {
+            sink.sample_wheel(self.events.pending());
+        }
+        self.drain_ready(now);
+        self.flush_logs(obs);
+        true
+    }
+
+    /// The post-loop bookkeeping of a completed segment: commit the
+    /// budget as executed and rebuild the per-round history. Only valid
+    /// once every node is done ([`AsyncNetwork::explore_all_done`]) —
+    /// the explorer reports a deadlock instead of settling otherwise.
+    pub(crate) fn settle(&mut self) {
+        debug_assert_eq!(self.inboxes.queued(), 0, "all staged payloads were consumed");
+        debug_assert!(
+            self.nodes.iter().all(|s| s.done),
+            "all nodes must finish their pulse budget"
+        );
+        self.executed = self.budget;
+        self.metrics.rounds = self.executed;
+        if self.metrics_mode == MetricsMode::Full {
+            self.per_pulse.resize(self.executed as usize, RoundDelta::default());
+            // Rebuild the per-round history from the single per-pulse
+            // ledger, so it cannot drift from what observers saw.
+            self.metrics.messages_per_round.clear();
+            self.metrics.messages_per_round.extend(self.per_pulse.iter().map(|d| d.messages));
+        }
+    }
+
+    /// Streams the buffered fault events, then the buffered churn events,
+    /// to `obs` in occurrence order. Explored branches pass `&mut ()`:
+    /// they have no observer, and a stale log would leak into the state
+    /// fingerprint.
+    fn flush_logs(&mut self, obs: &mut dyn Observer) {
+        self.flush_faults(obs);
+        self.flush_churn(obs);
+    }
+
     /// Streams buffered fault events to the observer, in occurrence
     /// order. The log is drained in place and reused — no steady-state
     /// allocation once its capacity is warm.
@@ -996,180 +1062,11 @@ impl<P: Protocol> AsyncNetwork<P> {
         }
         self.churn.log.clear();
     }
-
-    fn drive_pulses(&mut self, max_rounds: u64, obs: &mut dyn Observer) {
-        let previous = self.executed;
-        if !self.initialized {
-            // Lazy init on the first drive — even a zero-budget one, so
-            // outputs at budget 0 match the synchronous engines'.
-            self.initialized = true;
-            for v in 0..self.nodes.len() {
-                if !self.churn.overlay.present[v] {
-                    // A scheduled late joiner initializes at its joining
-                    // pulse, not here.
-                    continue;
-                }
-                let node = &mut self.nodes[v];
-                let base = self.topo.offsets[v];
-                let mut ctx = Context {
-                    endpoint: &node.endpoint,
-                    round: 0,
-                    outbox: OutboxHandle::Flat { queues: &mut self.queues, base },
-                    rng: &mut node.rng,
-                };
-                node.protocol.init(&mut ctx);
-            }
-        }
-        if max_rounds > 0 {
-            self.budget = self.executed.saturating_add(max_rounds);
-            if !self.started {
-                self.started = true;
-                for v in 0..self.nodes.len() {
-                    self.begin_pulse(0, v);
-                    self.try_execute(0, v);
-                }
-                self.drain_ready(0);
-            } else {
-                // Resume: every node sits exactly at the previous budget
-                // with no event in flight, so all of them re-enter their
-                // next pulse at the current virtual time.
-                let now = self.overhead.virtual_time;
-                for v in 0..self.nodes.len() {
-                    debug_assert!(self.nodes[v].done, "paused nodes sit at the budget");
-                    self.nodes[v].done = false;
-                    self.nodes[v].pulse += 1;
-                    self.begin_pulse(now, v);
-                    self.try_execute(now, v);
-                }
-                self.drain_ready(now);
-            }
-
-            self.flush_faults(obs);
-            self.flush_churn(obs);
-            while let Some((now, event)) = self.events.pop_next() {
-                self.handle(now, event);
-                if let Some(sink) = self.rec.as_deref_mut() {
-                    sink.sample_wheel(self.events.pending());
-                }
-                self.drain_ready(now);
-                self.flush_faults(obs);
-                self.flush_churn(obs);
-            }
-            debug_assert_eq!(self.inboxes.queued(), 0, "all staged payloads were consumed");
-            debug_assert!(
-                self.nodes.iter().all(|s| s.done),
-                "all nodes must finish their pulse budget"
-            );
-            self.executed = self.budget;
-            self.metrics.rounds = self.executed;
-            if self.metrics_mode == MetricsMode::Full {
-                self.per_pulse.resize(self.executed as usize, RoundDelta::default());
-                // Rebuild the per-round history from the single per-pulse
-                // ledger, so it cannot drift from what observers saw.
-                self.metrics.messages_per_round.clear();
-                self.metrics.messages_per_round.extend(self.per_pulse.iter().map(|d| d.messages));
-            }
-        }
-
-        // Streaming mode keeps no per-pulse ledger, so there is nothing
-        // to replay: observers see barriers and faults only.
-        if self.metrics_mode == MetricsMode::Full {
-            for pulse in previous + 1..=self.executed {
-                obs.on_round(pulse, &self.per_pulse[(pulse - 1) as usize]);
-            }
-        }
-    }
 }
 
-/// Explorer hooks: the interleaving explorer ([`crate::explore`]) drives
-/// the engine one event at a time through these, forking the cloned
-/// state at every delay choice point. They mirror [`drive_pulses`]'s
-/// three sections exactly — entry sweep, event loop body, post-loop
-/// bookkeeping — so an explored branch passes through the same code a
-/// sampled run does; the only difference is who pulls the next event.
-///
-/// [`drive_pulses`]: AsyncNetwork::drive_pulses
+/// Read access for the interleaving explorer's invariants and
+/// fingerprints.
 impl<P: Protocol> AsyncNetwork<P> {
-    /// The drive's entry: lazy `init`, budget arming, and the pulse-1
-    /// (or resume) sweep, up to but excluding the event loop. The fault
-    /// log is cleared instead of streamed — explored branches have no
-    /// observer, and a stale log would leak into the state fingerprint.
-    pub(crate) fn explore_begin(&mut self, max_rounds: u64) {
-        debug_assert!(max_rounds > 0, "an exploration segment needs a pulse budget");
-        if !self.initialized {
-            self.initialized = true;
-            for v in 0..self.nodes.len() {
-                if !self.churn.overlay.present[v] {
-                    // A scheduled late joiner initializes at its joining
-                    // pulse, not here.
-                    continue;
-                }
-                let node = &mut self.nodes[v];
-                let base = self.topo.offsets[v];
-                let mut ctx = Context {
-                    endpoint: &node.endpoint,
-                    round: 0,
-                    outbox: OutboxHandle::Flat { queues: &mut self.queues, base },
-                    rng: &mut node.rng,
-                };
-                node.protocol.init(&mut ctx);
-            }
-        }
-        self.budget = self.executed.saturating_add(max_rounds);
-        if !self.started {
-            self.started = true;
-            for v in 0..self.nodes.len() {
-                self.begin_pulse(0, v);
-                self.try_execute(0, v);
-            }
-            self.drain_ready(0);
-        } else {
-            let now = self.overhead.virtual_time;
-            for v in 0..self.nodes.len() {
-                debug_assert!(self.nodes[v].done, "paused nodes sit at the budget");
-                self.nodes[v].done = false;
-                self.nodes[v].pulse += 1;
-                self.begin_pulse(now, v);
-                self.try_execute(now, v);
-            }
-            self.drain_ready(now);
-        }
-        self.faults.log.clear();
-        self.churn.log.clear();
-    }
-
-    /// One event-loop iteration: pop the next event, handle it, drain
-    /// the ready cascade. Returns `false` when the wheel is empty (the
-    /// segment is over — completed if every node is done, deadlocked
-    /// otherwise).
-    pub(crate) fn explore_event(&mut self) -> bool {
-        let Some((now, event)) = self.events.pop_next() else {
-            return false;
-        };
-        self.handle(now, event);
-        self.drain_ready(now);
-        self.faults.log.clear();
-        self.churn.log.clear();
-        true
-    }
-
-    /// The post-loop bookkeeping of a completed segment: commit the
-    /// budget as executed and rebuild the per-round history. Only valid
-    /// once every node is done ([`AsyncNetwork::explore_all_done`]) —
-    /// the explorer reports a deadlock instead of settling otherwise.
-    pub(crate) fn explore_settle(&mut self) {
-        debug_assert_eq!(self.inboxes.queued(), 0, "all staged payloads were consumed");
-        debug_assert!(
-            self.nodes.iter().all(|s| s.done),
-            "settling requires every node at the budget"
-        );
-        self.executed = self.budget;
-        self.per_pulse.resize(self.executed as usize, RoundDelta::default());
-        self.metrics.rounds = self.executed;
-        self.metrics.messages_per_round.clear();
-        self.metrics.messages_per_round.extend(self.per_pulse.iter().map(|d| d.messages));
-    }
-
     /// The pulse node `v` currently waits to execute (1-based).
     pub(crate) fn node_pulse(&self, v: usize) -> u64 {
         self.nodes[v].pulse

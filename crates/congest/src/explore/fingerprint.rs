@@ -51,7 +51,7 @@
 //! independent 64-bit hashes disagreeing on equality is overwhelming
 //! evidence of a real collision, not a hash artifact.
 //!
-//! [`AsyncNetwork::explore_hash`]: crate::AsyncNetwork
+//! [`AsyncNetwork::explore_hash`]: crate::asynch::AsyncNetwork
 //! [`FaultModel::None`]: crate::FaultModel::None
 //! [`FaultModel::Drop`]: crate::FaultModel::Drop
 //! [`ExploreReport::fingerprint_collisions`]: crate::explore::ExploreReport::fingerprint_collisions

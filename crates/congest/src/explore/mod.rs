@@ -378,8 +378,9 @@ impl<'g> Explore<'g> {
 ///
 /// # Panics
 ///
-/// Panics where [`AsyncNetwork::build_with`] does (malformed delay or
-/// fault model, ID collision, port-space overflow).
+/// Panics where building [`Engine::Async`](crate::Engine::Async) through
+/// [`Session`] does (malformed delay or fault model, ID collision,
+/// port-space overflow).
 pub fn record_run<P, F>(
     graph: &Graph,
     seed: u64,
@@ -892,13 +893,13 @@ mod tests {
         let mut b = build(9);
         a.delays_mut().begin_step(&[]);
         b.delays_mut().begin_step(&[]);
-        a.explore_begin(1);
-        b.explore_begin(1);
+        a.begin_segment(1, &mut ());
+        b.begin_segment(1, &mut ());
         assert_eq!(fingerprint(&a), fingerprint(&b));
         while a.pending_events() > 0 {
             a.delays_mut().begin_step(&[]);
             b.delays_mut().begin_step(&[]);
-            assert!(a.explore_event() && b.explore_event());
+            assert!(a.step_event(&mut ()) && b.step_event(&mut ()));
             assert_eq!(fingerprint(&a), fingerprint(&b), "fingerprints diverged mid-drive");
         }
         // Distinct protocol state (different source node) → different
@@ -918,8 +919,8 @@ mod tests {
         *d.delays_mut() = DelaySource::script(2);
         c.delays_mut().begin_step(&[]);
         d.delays_mut().begin_step(&[]);
-        c.explore_begin(1);
-        d.explore_begin(1);
+        c.begin_segment(1, &mut ());
+        d.begin_segment(1, &mut ());
         assert_ne!(fingerprint(&c), fingerprint(&d), "distinct protocol states must differ");
     }
 

@@ -14,11 +14,13 @@
 //!
 //! The unit of branching is a **step**:
 //!
-//! * the *entry step* — `AsyncNetwork::explore_begin`: protocol `init`s,
+//! * the *entry step* — `AsyncNetwork::begin_segment`: protocol `init`s,
 //!   the pulse-entry sweep, its sends' delay draws;
-//! * an *event step* — `AsyncNetwork::explore_event`: pop the next wheel
+//! * an *event step* — `AsyncNetwork::step_event`: pop the next wheel
 //!   event, handle it (which may send more messages and draw more
 //!   delays), drain the ready cascade.
+//!
+//! These are the same steps a sampled drive runs back to back.
 //!
 //! Within one step, the *number* of draws is choice-independent: a
 //! chosen delay only decides **when** an already-composed message
@@ -124,7 +126,7 @@ where
     /// Branches over the entry step of segment `seg`.
     fn enter_segment(&mut self, net: AsyncNetwork<P>, seg: usize, depth: usize) {
         let pulses = self.segments[seg];
-        self.branch_step(net, depth, &|n| n.explore_begin(pulses), &|this, n, d| {
+        self.branch_step(net, depth, &|n| n.begin_segment(pulses, &mut ()), &|this, n, d| {
             this.after_step(n, seg, d);
         });
     }
@@ -136,7 +138,7 @@ where
             net,
             depth,
             &|n| {
-                let progressed = n.explore_event();
+                let progressed = n.step_event(&mut ());
                 debug_assert!(progressed, "branch_event requires a pending event");
             },
             &|this, n, d| {
@@ -236,7 +238,7 @@ where
             );
             return;
         }
-        net.explore_settle();
+        net.settle();
         let last = seg + 1 == self.segments.len();
         if self.phased {
             // Mirror `run_phases`: every phase closes with a barrier; a

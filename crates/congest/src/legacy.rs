@@ -7,7 +7,7 @@
 //! `ports` vectors every round. It exists for two reasons:
 //!
 //! 1. **Equivalence**: `crates/core`'s `engine_equivalence` suite pins the
-//!    flat plane ([`crate::Network`]) to this engine bit-for-bit — same
+//!    flat plane (`Engine::Flat`) to this engine bit-for-bit — same
 //!    labels, same metrics, same termination — on every workload family.
 //! 2. **Benchmarking**: `crates/bench/benches/delivery_plane.rs` measures
 //!    the old→new speedup against it (the `BENCH_protocol.json`
@@ -51,18 +51,14 @@ impl<P: Protocol> LegacySlot<P> {
         round: Round,
         f: impl FnOnce(&mut P, &mut Context<'_, P::Msg>) -> R,
     ) -> R {
-        let mut ctx = Context {
-            endpoint: &self.endpoint,
-            round,
-            outbox: OutboxHandle::Owned(&mut self.outbox),
-            rng: &mut self.rng,
-        };
+        let outbox = OutboxHandle::Owned(&mut self.outbox);
+        let mut ctx = Context::new(&self.endpoint, round, outbox, &mut self.rng);
         f(&mut self.protocol, &mut ctx)
     }
 }
 
 /// The original (seed) synchronous engine. See the module docs.
-pub struct LegacyNetwork<P: Protocol> {
+pub(crate) struct LegacyNetwork<P: Protocol> {
     mode: Mode,
     nodes: Vec<LegacySlot<P>>,
     links: Vec<Vec<(usize, usize)>>,
@@ -73,9 +69,9 @@ pub struct LegacyNetwork<P: Protocol> {
 
 impl<P: Protocol> LegacyNetwork<P> {
     /// Builds the legacy engine over `graph` with the same ID assignment
-    /// and RNG streams as [`crate::NetworkBuilder`], so outputs are
-    /// directly comparable.
-    pub fn build_with<F>(
+    /// and RNG streams as the flat engine, so outputs are directly
+    /// comparable.
+    pub(crate) fn build_with<F>(
         graph: &Graph,
         mode: Mode,
         seed: u64,
@@ -118,76 +114,6 @@ impl<P: Protocol> LegacyNetwork<P> {
             .collect();
 
         Self { mode, nodes, links, metrics: Metrics::default(), round: 0, initialized: false }
-    }
-
-    /// Accumulated metrics.
-    #[must_use]
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    /// The endpoint facts of node `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    #[must_use]
-    pub fn endpoint(&self, index: usize) -> &Endpoint {
-        &self.nodes[index].endpoint
-    }
-
-    /// Collects every node's output, indexed by node.
-    #[must_use]
-    pub fn outputs(&self) -> Vec<P::Output> {
-        self.nodes.iter().map(|s| s.protocol.output()).collect()
-    }
-
-    /// Runs until quiescence or the round limit (identical semantics to
-    /// [`crate::Network::run`]).
-    pub fn run(&mut self, limits: RunLimits) -> RunReport {
-        self.run_observed(limits, &mut ())
-    }
-
-    /// Like [`LegacyNetwork::run`], streaming per-round deltas and
-    /// barriers to `obs`.
-    pub fn run_observed(&mut self, limits: RunLimits, obs: &mut dyn Observer) -> RunReport {
-        if !self.initialized {
-            self.initialized = true;
-            for slot in &mut self.nodes {
-                slot.with_ctx(0, |p, ctx| p.init(ctx));
-            }
-        }
-
-        let mut executed: u64 = 0;
-        let termination = loop {
-            if self.is_quiescent() {
-                let mut resumed = false;
-                for slot in &mut self.nodes {
-                    resumed |= slot.with_ctx(self.round, |p, ctx| p.on_quiescent(ctx));
-                }
-                if !resumed && self.all_outboxes_empty() {
-                    break Termination::Quiescent;
-                }
-                self.metrics.barriers += 1;
-                obs.on_barrier(self.round);
-                continue;
-            }
-            if executed >= limits.max_rounds {
-                break Termination::RoundLimit;
-            }
-            let delta = self.execute_round();
-            executed += 1;
-            obs.on_round(self.round, &delta);
-        };
-
-        RunReport {
-            termination,
-            rounds: self.metrics.rounds,
-            metrics: self.metrics.clone(),
-            overhead: SyncOverhead::default(),
-            epochs: Vec::new(),
-            profile: None,
-        }
     }
 
     fn all_outboxes_empty(&self) -> bool {
@@ -250,51 +176,68 @@ impl<P: Protocol> LegacyNetwork<P> {
         }
         delta
     }
-
-    /// Number of nodes.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Read access to node `index`'s protocol state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    #[must_use]
-    pub fn protocol(&self, index: usize) -> &P {
-        &self.nodes[index].protocol
-    }
-
-    /// Total messages queued across all outboxes. O(n).
-    #[must_use]
-    pub fn queued_messages(&self) -> u64 {
-        self.nodes.iter().map(|s| s.outbox.queued() as u64).sum()
-    }
 }
 
 impl<P: Protocol> Driver for LegacyNetwork<P> {
     type P = P;
 
+    /// Runs until quiescence or the round limit (the flat engine's
+    /// semantics).
     fn drive(&mut self, limits: RunLimits, obs: &mut dyn Observer) -> RunReport {
-        self.run_observed(limits, obs)
+        if !self.initialized {
+            self.initialized = true;
+            for slot in &mut self.nodes {
+                slot.with_ctx(0, |p, ctx| p.init(ctx));
+            }
+        }
+
+        let mut executed: u64 = 0;
+        let termination = loop {
+            if self.is_quiescent() {
+                let mut resumed = false;
+                for slot in &mut self.nodes {
+                    resumed |= slot.with_ctx(self.round, |p, ctx| p.on_quiescent(ctx));
+                }
+                if !resumed && self.all_outboxes_empty() {
+                    break Termination::Quiescent;
+                }
+                self.metrics.barriers += 1;
+                obs.on_barrier(self.round);
+                continue;
+            }
+            if executed >= limits.max_rounds {
+                break Termination::RoundLimit;
+            }
+            let delta = self.execute_round();
+            executed += 1;
+            obs.on_round(self.round, &delta);
+        };
+
+        RunReport {
+            termination,
+            rounds: self.metrics.rounds,
+            metrics: self.metrics.clone(),
+            overhead: SyncOverhead::default(),
+            epochs: Vec::new(),
+            profile: None,
+        }
     }
 
     fn node_count(&self) -> usize {
-        LegacyNetwork::node_count(self)
+        self.nodes.len()
     }
 
     fn endpoint(&self, index: usize) -> &Endpoint {
-        LegacyNetwork::endpoint(self, index)
+        &self.nodes[index].endpoint
     }
 
     fn protocol(&self, index: usize) -> &P {
-        LegacyNetwork::protocol(self, index)
+        &self.nodes[index].protocol
     }
 
+    /// O(n).
     fn queued_messages(&self) -> u64 {
-        LegacyNetwork::queued_messages(self)
+        self.nodes.iter().map(|s| s.outbox.queued() as u64).sum()
     }
 }
 

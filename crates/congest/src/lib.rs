@@ -26,6 +26,10 @@
 //! | [`Engine::Legacy`] | synchronous rounds | the preserved seed engine (test-only fixture, behind the `legacy-engine` feature) |
 //! | [`Engine::Async`] | event-driven, pluggable synchronizer | flat-plane queues + [`EventWheel`] event plane + [`DelayModel`]s + [`SyncModel`]s |
 //!
+//! The engines themselves are crate-private: [`Session`] is the only way
+//! to build one, and [`SessionDriver`] (through the [`Driver`] trait) the
+//! only way to drive it.
+//!
 //! The asynchronous engine's scheduling is a subsystem of its own
 //! ([`sched`]): four seeded link-[`DelayModel`]s (uniform, per-link,
 //! heavy-tailed, adversarial-within-bound), per-phase [`PhasePlan`]
@@ -44,7 +48,7 @@
 //! handoff hooks, and an opt-in epoch-restart policy (see
 //! [`sched::churn`]).
 //!
-//! All three implement [`Driver`] (drive rounds → read outputs /
+//! All three sit behind [`Driver`] (drive rounds → read outputs /
 //! metrics / termination), report through one [`RunReport`], and stream
 //! to [`Observer`]s. Per-node outputs — and the payload-side
 //! [`Metrics`] — are bit-identical across engines for the same seed.
@@ -117,13 +121,13 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod asynch;
+mod asynch;
 pub mod explore;
 #[cfg(feature = "legacy-engine")]
-pub mod legacy;
+mod legacy;
 pub mod message;
 pub mod metrics;
-pub mod network;
+mod network;
 pub mod obs;
 mod plane;
 pub mod protocol;
@@ -131,19 +135,16 @@ pub mod rng;
 pub mod sched;
 pub mod session;
 
-pub use asynch::AsyncNetwork;
 pub use explore::{DelayTrace, Explore, ExploreReport, Violation};
-#[cfg(feature = "legacy-engine")]
-pub use legacy::LegacyNetwork;
 pub use message::{bits_for_count, Message, ID_BITS, TAG_BITS};
 pub use metrics::Metrics;
-pub use network::{IdAssignment, Mode, Network, NetworkBuilder};
+pub use network::{IdAssignment, Mode};
 pub use obs::{
     CtrlTag, Hist, MetricsMode, Recorder, RunProfile, TraceConfig, TraceEvent, TraceRecord,
     TraceSink,
 };
 pub use plane::Topology;
-pub use protocol::{Context, Endpoint, Outbox, Port, Protocol, Round};
+pub use protocol::{Context, Endpoint, Port, Protocol, Round};
 pub use sched::{
     ChurnEvent, ChurnModel, ChurnPolicy, DelayModel, EpochInfo, EventWheel, FaultEvent, FaultModel,
     PhaseBudget, PhasePlan, SyncModel, TraceHandle,

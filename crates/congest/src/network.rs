@@ -1,8 +1,10 @@
 //! The synchronous network: topology, round loop, delivery rules — built
 //! on a flat, zero-allocation message plane.
 //!
-//! [`Network`] instantiates one [`Protocol`] state machine per node of a
-//! [`graphs::Graph`] and executes synchronous rounds:
+//! [`Network`] — the engine behind [`Engine::Flat`](crate::Engine::Flat),
+//! built only through [`crate::Session`] — instantiates one [`Protocol`]
+//! state machine per node of a [`graphs::Graph`] and executes
+//! synchronous rounds:
 //!
 //! 1. **Deliver** — for every directed edge with queued messages, dequeue
 //!    from the sender's per-port FIFO: exactly one in [`Mode::Congest`]
@@ -36,7 +38,7 @@
 //!
 //! # Parallelism and determinism
 //!
-//! [`NetworkBuilder::parallel`] splits nodes into equal shards, one OS
+//! `Engine::Flat { shards }` splits nodes into equal shards, one OS
 //! thread each. A round is one thread scope: each thread drains its own
 //! senders' queues (phase A), routes messages into per-destination-shard
 //! transfer buffers, then — after one barrier — collects the buffers
@@ -46,7 +48,7 @@
 //! canonical inbox order (port-sorted, per-port FIFO) regardless of
 //! thread count; metrics are merged with commutative aggregates and each
 //! node owns its RNG stream. Together these make runs **bit-identical**
-//! across any `parallel(k)` — the contract `crates/core`'s
+//! across any shard count — the contract `crates/core`'s
 //! `engine_equivalence` suite enforces.
 //!
 //! To benchmark the plane, see `crates/bench/benches/delivery_plane.rs`
@@ -55,7 +57,6 @@
 
 use std::sync::{Arc, Barrier, Mutex};
 
-use graphs::{EdgeStream, Graph};
 use rand::rngs::StdRng;
 
 use crate::message::Message;
@@ -65,7 +66,7 @@ use crate::plane::{Entry, Shard, Topology};
 use crate::protocol::{Context, Endpoint, OutboxHandle, Protocol, Round};
 use crate::rng::{node_rng, splitmix64};
 use crate::session::{
-    Driver, Observer, RoundDelta, RunLimits, RunReport, SyncOverhead, Termination,
+    Driver, Observer, RoundDelta, RunLimits, RunReport, Source, SyncOverhead, Termination,
 };
 
 /// Bandwidth regime for message delivery.
@@ -105,164 +106,6 @@ struct NodeSlices<'a, P: Protocol> {
     rngs: &'a mut [StdRng],
 }
 
-/// Configures and constructs a [`Network`] — the flat engine's
-/// low-level constructor.
-///
-/// Most code should start at [`crate::Session`] instead, which wraps
-/// this builder behind the engine-agnostic surface (and can swap in the
-/// legacy or asynchronous engine without touching the call site).
-#[derive(Clone, Debug)]
-pub struct NetworkBuilder {
-    mode: Mode,
-    seed: u64,
-    ids: IdAssignment,
-    threads: usize,
-}
-
-impl Default for NetworkBuilder {
-    fn default() -> Self {
-        Self { mode: Mode::Congest, seed: 0, ids: IdAssignment::Hashed, threads: 1 }
-    }
-}
-
-impl NetworkBuilder {
-    /// Starts a builder with defaults: CONGEST mode, seed 0, hashed IDs,
-    /// sequential stepping.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Selects the bandwidth regime.
-    #[must_use]
-    pub fn mode(mut self, mode: Mode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Sets the master seed; node RNG streams and hashed IDs derive from
-    /// it.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Selects the ID assignment scheme.
-    #[must_use]
-    pub fn ids(mut self, ids: IdAssignment) -> Self {
-        self.ids = ids;
-        self
-    }
-
-    /// Shards the network over `threads` OS threads (1 = sequential).
-    /// Results are bit-identical regardless of thread count.
-    #[must_use]
-    pub fn parallel(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Builds the network over `graph`, creating each node's protocol via
-    /// `factory` (called with the node's [`Endpoint`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if hashed ID assignment produces a collision (probability
-    /// ≈ n²/2⁶⁴; retry with another seed) or if the graph exceeds the
-    /// plane's `u32` port space.
-    pub fn build_with<P, F>(self, graph: &Graph, factory: F) -> Network<P>
-    where
-        P: Protocol,
-        F: FnMut(&Endpoint) -> P,
-    {
-        let n = graph.node_count();
-        let chunk = n.div_ceil(self.threads);
-        let topo = Topology::build(graph, chunk, self.threads);
-        self.finish(topo, chunk, factory)
-    }
-
-    /// Builds the network directly from a restartable [`EdgeStream`] —
-    /// the scale-tier path: the CSR route table is constructed in two
-    /// counted passes over the stream and neighbor identifiers are read
-    /// back out of it, so no [`Graph`] (and no intermediate edge list)
-    /// is ever allocated. For the same instance the result is
-    /// bit-identical to [`NetworkBuilder::build_with`] on the
-    /// materialized graph.
-    ///
-    /// # Panics
-    ///
-    /// Panics on hashed ID collision, if the stream exceeds the plane's
-    /// `u32` port space, or if the stream violates the [`EdgeStream`]
-    /// contract (sorted, unique, replayable).
-    pub fn build_from_stream<P, F>(self, stream: &mut dyn EdgeStream, factory: F) -> Network<P>
-    where
-        P: Protocol,
-        F: FnMut(&Endpoint) -> P,
-    {
-        let n = stream.node_count();
-        let chunk = n.div_ceil(self.threads);
-        let topo = Topology::build_from_stream(stream, chunk, self.threads);
-        self.finish(topo, chunk, factory)
-    }
-
-    /// Shared tail of both build paths: shards, transfer cells, and the
-    /// structure-of-arrays node state, with every node's neighbor ids
-    /// carved out of one shared arena in CSR slot order.
-    fn finish<P, F>(self, topo: Topology, chunk: usize, mut factory: F) -> Network<P>
-    where
-        P: Protocol,
-        F: FnMut(&Endpoint) -> P,
-    {
-        let n = topo.node_count();
-        let ids = assign_ids(self.ids, self.seed, n);
-        let s_count = self.threads;
-
-        let shards: Vec<Shard<P::Msg>> = (0..s_count)
-            .map(|t| {
-                let lo = (t * chunk).min(n);
-                let hi = ((t + 1) * chunk).min(n);
-                Shard::new(lo, hi, topo.offsets[lo], topo.offsets[hi], s_count)
-            })
-            .collect();
-        let transfer: Vec<Mutex<Vec<Entry<P::Msg>>>> =
-            (0..s_count * s_count).map(|_| Mutex::new(Vec::new())).collect();
-
-        // One allocation holds all 2m neighbor ids; the route table
-        // already lists each slot's destination node in CSR order, so
-        // this works identically for the graph and stream paths.
-        let arena: Arc<[u64]> =
-            topo.route.iter().map(|r| ids[r.dest_node as usize]).collect::<Vec<u64>>().into();
-
-        let mut endpoints = Vec::with_capacity(n);
-        let mut protocols = Vec::with_capacity(n);
-        let mut rngs = Vec::with_capacity(n);
-        for (u, &id) in ids.iter().enumerate().take(n) {
-            let endpoint =
-                Endpoint::from_arena(u, id, arena.clone(), topo.offsets[u], topo.offsets[u + 1]);
-            protocols.push(factory(&endpoint));
-            endpoints.push(endpoint);
-            rngs.push(node_rng(self.seed, u));
-        }
-
-        Network {
-            mode: self.mode,
-            endpoints,
-            protocols,
-            rngs,
-            shards,
-            transfer,
-            topo,
-            chunk,
-            metrics: Metrics::default(),
-            round: 0,
-            initialized: false,
-            rec: None,
-            metrics_mode: MetricsMode::Full,
-        }
-    }
-}
-
 pub(crate) fn assign_ids(ids: IdAssignment, seed: u64, n: usize) -> Vec<u64> {
     match ids {
         IdAssignment::Sequential => (0..n as u64).collect(),
@@ -280,7 +123,7 @@ pub(crate) fn assign_ids(ids: IdAssignment, seed: u64, n: usize) -> Vec<u64> {
 }
 
 /// A synchronous network executing one [`Protocol`] instance per node.
-pub struct Network<P: Protocol> {
+pub(crate) struct Network<P: Protocol> {
     mode: Mode,
     /// Per-node read-only facts (parallel to `protocols` / `rngs`).
     endpoints: Vec<Endpoint>,
@@ -311,55 +154,86 @@ pub struct Network<P: Protocol> {
 }
 
 impl<P: Protocol> Network<P> {
-    /// Number of nodes.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.endpoints.len()
-    }
-
-    /// Read access to node `index`'s protocol state.
+    /// Builds the flat engine over `source` (a graph, or a restartable
+    /// edge stream whose CSR route table is compiled in two counted
+    /// passes without materializing a `Graph`), sharded over `shards` OS
+    /// threads (clamped to at least one), creating each node's protocol
+    /// via `factory`. Both sources give bit-identical engines for the
+    /// same instance.
     ///
     /// # Panics
     ///
-    /// Panics if `index` is out of range.
-    #[must_use]
-    pub fn protocol(&self, index: usize) -> &P {
-        &self.protocols[index]
-    }
+    /// Panics on hashed ID collision (probability ≈ n²/2⁶⁴; retry with
+    /// another seed), if the topology exceeds the plane's `u32` port
+    /// space, or if a stream violates the `EdgeStream` contract (sorted,
+    /// unique, replayable).
+    pub(crate) fn build<F>(
+        source: Source<'_>,
+        mode: Mode,
+        seed: u64,
+        ids: IdAssignment,
+        shards: usize,
+        mut factory: F,
+    ) -> Self
+    where
+        F: FnMut(&Endpoint) -> P,
+    {
+        let s_count = shards.max(1);
+        let (topo, chunk) = match source {
+            Source::Graph(graph) => {
+                let chunk = graph.node_count().div_ceil(s_count);
+                (Topology::build(graph, chunk, s_count), chunk)
+            }
+            Source::Stream(stream) => {
+                let chunk = stream.node_count().div_ceil(s_count);
+                (Topology::build_from_stream(stream, chunk, s_count), chunk)
+            }
+        };
+        let n = topo.node_count();
+        let ids = assign_ids(ids, seed, n);
 
-    /// The endpoint facts of node `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    #[must_use]
-    pub fn endpoint(&self, index: usize) -> &Endpoint {
-        &self.endpoints[index]
-    }
+        let shards: Vec<Shard<P::Msg>> = (0..s_count)
+            .map(|t| {
+                let lo = (t * chunk).min(n);
+                let hi = ((t + 1) * chunk).min(n);
+                Shard::new(lo, hi, topo.offsets[lo], topo.offsets[hi], s_count)
+            })
+            .collect();
+        let transfer: Vec<Mutex<Vec<Entry<P::Msg>>>> =
+            (0..s_count * s_count).map(|_| Mutex::new(Vec::new())).collect();
 
-    /// Accumulated metrics.
-    #[must_use]
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
+        // One allocation holds all 2m neighbor ids; the route table
+        // already lists each slot's destination node in CSR order, so
+        // this works identically for the graph and stream paths.
+        let arena: Arc<[u64]> =
+            topo.route.iter().map(|r| ids[r.dest_node as usize]).collect::<Vec<u64>>().into();
 
-    /// Collects every node's output, indexed by node.
-    #[must_use]
-    pub fn outputs(&self) -> Vec<P::Output> {
-        self.protocols.iter().map(Protocol::output).collect()
-    }
+        let mut endpoints = Vec::with_capacity(n);
+        let mut protocols = Vec::with_capacity(n);
+        let mut rngs = Vec::with_capacity(n);
+        for (u, &id) in ids.iter().enumerate().take(n) {
+            let endpoint =
+                Endpoint::from_arena(u, id, arena.clone(), topo.offsets[u], topo.offsets[u + 1]);
+            protocols.push(factory(&endpoint));
+            endpoints.push(endpoint);
+            rngs.push(node_rng(seed, u));
+        }
 
-    /// Pre-reserves the per-round metrics history for `rounds` rounds, so
-    /// a bounded run's steady state performs zero heap allocations (the
-    /// history vector is the only structure that grows with round count).
-    pub fn reserve_rounds(&mut self, rounds: usize) {
-        self.metrics.reserve_rounds(rounds);
-    }
-
-    /// Total messages queued anywhere in the plane. O(threads).
-    #[must_use]
-    pub fn queued_messages(&self) -> u64 {
-        self.shards.iter().map(Shard::queued).sum()
+        Network {
+            mode,
+            endpoints,
+            protocols,
+            rngs,
+            shards,
+            transfer,
+            topo,
+            chunk,
+            metrics: Metrics::default(),
+            round: 0,
+            initialized: false,
+            rec: None,
+            metrics_mode: MetricsMode::Full,
+        }
     }
 
     /// Installs the session's observability configuration: an optional
@@ -384,63 +258,6 @@ impl<P: Protocol> Network<P> {
         self.rec.as_deref_mut().map(|sink| sink.finish(0, queue_hw))
     }
 
-    /// Runs until quiescence or the round limit. May be called again after
-    /// a `RoundLimit` stop to continue the same execution with a larger
-    /// budget.
-    pub fn run(&mut self, limits: RunLimits) -> RunReport {
-        self.run_observed(limits, &mut ())
-    }
-
-    /// Like [`Network::run`], streaming per-round deltas and barriers to
-    /// `obs`. Called from the control thread only, after the parallel
-    /// phases of each round have joined.
-    pub fn run_observed(&mut self, limits: RunLimits, obs: &mut dyn Observer) -> RunReport {
-        if !self.initialized {
-            self.initialized = true;
-            for v in 0..self.endpoints.len() {
-                self.with_node_ctx(v, 0, |p, ctx| p.init(ctx));
-            }
-        }
-
-        let mut executed: u64 = 0;
-        let termination = loop {
-            if self.is_quiescent() {
-                // Offer the barrier; count it only if someone resumes.
-                let mut resumed = false;
-                let round = self.round;
-                for v in 0..self.endpoints.len() {
-                    resumed |= self.with_node_ctx(v, round, |p, ctx| p.on_quiescent(ctx));
-                }
-                if !resumed && self.all_outboxes_empty() {
-                    break Termination::Quiescent;
-                }
-                self.metrics.barriers += 1;
-                obs.on_barrier(round);
-                continue;
-            }
-            if executed >= limits.max_rounds {
-                break Termination::RoundLimit;
-            }
-            let delta = self.execute_round();
-            executed += 1;
-            emit(
-                &mut self.rec,
-                self.round,
-                TraceEvent::Round { round: self.round, messages: delta.messages, bits: delta.bits },
-            );
-            obs.on_round(self.round, &delta);
-        };
-
-        RunReport {
-            termination,
-            rounds: self.metrics.rounds,
-            metrics: self.metrics.clone(),
-            overhead: SyncOverhead::default(),
-            epochs: Vec::new(),
-            profile: self.snapshot_profile(),
-        }
-    }
-
     fn shard_of(&self, v: usize) -> usize {
         debug_assert!(self.chunk > 0);
         v / self.chunk
@@ -457,12 +274,8 @@ impl<P: Protocol> Network<P> {
         let t = self.shard_of(v);
         let shard = &mut self.shards[t];
         let base = self.topo.offsets[v] - shard.port_lo;
-        let mut ctx = Context {
-            endpoint: &self.endpoints[v],
-            round,
-            outbox: OutboxHandle::Flat { queues: &mut shard.queues, base },
-            rng: &mut self.rngs[v],
-        };
+        let outbox = OutboxHandle::Flat { queues: &mut shard.queues, base };
+        let mut ctx = Context::new(&self.endpoints[v], round, outbox, &mut self.rngs[v]);
         f(&mut self.protocols[v], &mut ctx)
     }
 
@@ -556,8 +369,7 @@ impl<P: Protocol> Network<P> {
     }
 
     /// Number of queue shards (the configured thread count).
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
+    pub(crate) fn shard_count(&self) -> usize {
         self.shards.len()
     }
 }
@@ -565,28 +377,78 @@ impl<P: Protocol> Network<P> {
 impl<P: Protocol> Driver for Network<P> {
     type P = P;
 
+    /// Runs until quiescence or the round limit; resumable after a
+    /// `RoundLimit` stop. Observers are called from the control thread
+    /// only, after the parallel phases of each round have joined.
     fn drive(&mut self, limits: RunLimits, obs: &mut dyn Observer) -> RunReport {
-        self.run_observed(limits, obs)
+        if !self.initialized {
+            self.initialized = true;
+            for v in 0..self.endpoints.len() {
+                self.with_node_ctx(v, 0, |p, ctx| p.init(ctx));
+            }
+        }
+
+        let mut executed: u64 = 0;
+        let termination = loop {
+            if self.is_quiescent() {
+                // Offer the barrier; count it only if someone resumes.
+                let mut resumed = false;
+                let round = self.round;
+                for v in 0..self.endpoints.len() {
+                    resumed |= self.with_node_ctx(v, round, |p, ctx| p.on_quiescent(ctx));
+                }
+                if !resumed && self.all_outboxes_empty() {
+                    break Termination::Quiescent;
+                }
+                self.metrics.barriers += 1;
+                obs.on_barrier(round);
+                continue;
+            }
+            if executed >= limits.max_rounds {
+                break Termination::RoundLimit;
+            }
+            let delta = self.execute_round();
+            executed += 1;
+            emit(
+                &mut self.rec,
+                self.round,
+                TraceEvent::Round { round: self.round, messages: delta.messages, bits: delta.bits },
+            );
+            obs.on_round(self.round, &delta);
+        };
+
+        RunReport {
+            termination,
+            rounds: self.metrics.rounds,
+            metrics: self.metrics.clone(),
+            overhead: SyncOverhead::default(),
+            epochs: Vec::new(),
+            profile: self.snapshot_profile(),
+        }
     }
 
     fn node_count(&self) -> usize {
-        Network::node_count(self)
+        self.endpoints.len()
     }
 
     fn endpoint(&self, index: usize) -> &Endpoint {
-        Network::endpoint(self, index)
+        &self.endpoints[index]
     }
 
     fn protocol(&self, index: usize) -> &P {
-        Network::protocol(self, index)
+        &self.protocols[index]
     }
 
+    /// O(threads).
     fn queued_messages(&self) -> u64 {
-        Network::queued_messages(self)
+        self.shards.iter().map(Shard::queued).sum()
     }
 
+    /// The per-round metrics history is the only structure that grows
+    /// with round count, so reserving it makes a bounded run's steady
+    /// state allocation-free.
     fn reserve_rounds(&mut self, rounds: usize) {
-        Network::reserve_rounds(self, rounds);
+        self.metrics.reserve_rounds(rounds);
     }
 }
 
@@ -646,12 +508,8 @@ fn step_shard<P: Protocol>(
     for (i, protocol) in nodes.protocols.iter_mut().enumerate() {
         let base = topo.offsets[node_lo + i] - port_lo;
         let inbox = &bucket[starts[i] as usize..starts[i + 1] as usize];
-        let mut ctx = Context {
-            endpoint: &nodes.endpoints[i],
-            round,
-            outbox: OutboxHandle::Flat { queues: &mut *queues, base },
-            rng: &mut nodes.rngs[i],
-        };
+        let outbox = OutboxHandle::Flat { queues: &mut *queues, base };
+        let mut ctx = Context::new(&nodes.endpoints[i], round, outbox, &mut nodes.rngs[i]);
         protocol.step(&mut ctx, inbox);
     }
 }
@@ -671,6 +529,7 @@ mod tests {
     use super::*;
     use crate::message::{bits_for_count, Message};
     use crate::protocol::Port;
+    use crate::session::{Engine, Session};
     use graphs::GraphBuilder;
 
     /// Flooding: the source announces; every node records the round it
@@ -733,12 +592,12 @@ mod tests {
     #[test]
     fn flood_computes_bfs_distances() {
         let g = path_graph(6);
-        let mut net = NetworkBuilder::new().seed(1).build_with(&g, |e| Flood {
+        let mut net = Session::on(&g).seed(1).build_with(|e| Flood {
             is_source: e.index == 0,
             heard_at: None,
             forwarded: false,
         });
-        let report = net.run(RunLimits::default());
+        let report = net.drive(RunLimits::default(), &mut ());
         assert_eq!(report.termination, Termination::Quiescent);
         let outputs = net.outputs();
         for (v, d) in outputs.iter().enumerate() {
@@ -799,12 +658,12 @@ mod tests {
     #[test]
     fn congest_pipelines_one_per_round() {
         let g = path_graph(2);
-        let mut net = NetworkBuilder::new().mode(Mode::Congest).build_with(&g, |e| Burst {
+        let mut net = Session::on(&g).mode(Mode::Congest).build_with(|e| Burst {
             k: 5,
             sender: e.index == 0,
             received_rounds: Vec::new(),
         });
-        net.run(RunLimits::default());
+        net.drive(RunLimits::default(), &mut ());
         let rounds = &net.outputs()[1];
         assert_eq!(rounds, &vec![1, 2, 3, 4, 5], "one message per round");
     }
@@ -812,12 +671,12 @@ mod tests {
     #[test]
     fn local_delivers_whole_queue_at_once() {
         let g = path_graph(2);
-        let mut net = NetworkBuilder::new().mode(Mode::Local).build_with(&g, |e| Burst {
+        let mut net = Session::on(&g).mode(Mode::Local).build_with(|e| Burst {
             k: 5,
             sender: e.index == 0,
             received_rounds: Vec::new(),
         });
-        net.run(RunLimits::default());
+        net.drive(RunLimits::default(), &mut ());
         let rounds = &net.outputs()[1];
         assert_eq!(rounds, &vec![1, 1, 1, 1, 1], "all in round 1");
     }
@@ -825,18 +684,18 @@ mod tests {
     #[test]
     fn round_limit_aborts() {
         let g = path_graph(10);
-        let mut net = NetworkBuilder::new().build_with(&g, |e| Flood {
+        let mut net = Session::on(&g).build_with(|e| Flood {
             is_source: e.index == 0,
             heard_at: None,
             forwarded: false,
         });
-        let report = net.run(RunLimits::rounds(3));
+        let report = net.drive(RunLimits::rounds(3), &mut ());
         assert_eq!(report.termination, Termination::RoundLimit);
         assert_eq!(report.metrics.rounds, 3);
         // Distance-9 node has not heard yet.
         assert_eq!(net.outputs()[9], None);
         // Resume with more budget; completes.
-        let report2 = net.run(RunLimits::default());
+        let report2 = net.drive(RunLimits::default(), &mut ());
         assert_eq!(report2.termination, Termination::Quiescent);
         assert_eq!(net.outputs()[9], Some(9));
     }
@@ -850,10 +709,11 @@ mod tests {
         b.add_edge(0, 39).add_edge(5, 30).add_edge(10, 20);
         let g = b.build();
         let build = |threads: usize| {
-            let mut net = NetworkBuilder::new().seed(9).parallel(threads).build_with(&g, |e| {
-                Flood { is_source: e.index == 7, heard_at: None, forwarded: false }
-            });
-            net.run(RunLimits::default());
+            let mut net =
+                Session::on(&g).seed(9).engine(Engine::Flat { shards: threads }).build_with(|e| {
+                    Flood { is_source: e.index == 7, heard_at: None, forwarded: false }
+                });
+            net.drive(RunLimits::default(), &mut ());
             net.outputs()
         };
         assert_eq!(build(1), build(4));
@@ -865,10 +725,11 @@ mod tests {
         let g = path_graph(8);
         let factory =
             |e: &Endpoint| Flood { is_source: e.index == 2, heard_at: None, forwarded: false };
-        let mut from_graph = NetworkBuilder::new().seed(5).parallel(2).build_with(&g, factory);
+        let shards = Engine::Flat { shards: 2 };
+        let mut from_graph = Session::on(&g).seed(5).engine(shards).build_with(factory);
         let mut stream = VecEdgeStream::from_graph(&g);
         let mut from_stream =
-            NetworkBuilder::new().seed(5).parallel(2).build_from_stream(&mut stream, factory);
+            Session::on_stream(&mut stream).seed(5).engine(shards).build_with(factory);
         for v in 0..8 {
             assert_eq!(from_graph.endpoint(v).id, from_stream.endpoint(v).id);
             assert_eq!(
@@ -876,8 +737,8 @@ mod tests {
                 from_stream.endpoint(v).neighbor_ids()
             );
         }
-        let a = from_graph.run(RunLimits::default());
-        let b = from_stream.run(RunLimits::default());
+        let a = from_graph.drive(RunLimits::default(), &mut ());
+        let b = from_stream.drive(RunLimits::default(), &mut ());
         assert_eq!(from_graph.outputs(), from_stream.outputs());
         assert_eq!(a.metrics.messages, b.metrics.messages);
         assert_eq!(a.metrics.total_bits, b.metrics.total_bits);
@@ -886,13 +747,13 @@ mod tests {
     #[test]
     fn hashed_ids_are_distinct_and_stable() {
         let g = path_graph(50);
-        let net = NetworkBuilder::new().seed(3).build_with(&g, |e| Flood {
+        let net = Session::on(&g).seed(3).build_with(|e| Flood {
             is_source: e.index == 0,
             heard_at: None,
             forwarded: false,
         });
         let mut ids: Vec<u64> = (0..50).map(|v| net.endpoint(v).id).collect();
-        let net2 = NetworkBuilder::new().seed(3).build_with(&g, |e| Flood {
+        let net2 = Session::on(&g).seed(3).build_with(|e| Flood {
             is_source: e.index == 0,
             heard_at: None,
             forwarded: false,
@@ -907,7 +768,7 @@ mod tests {
     #[test]
     fn sequential_ids_are_indices() {
         let g = path_graph(4);
-        let net = NetworkBuilder::new().ids(IdAssignment::Sequential).build_with(&g, |e| Flood {
+        let net = Session::on(&g).ids(IdAssignment::Sequential).build_with(|e| Flood {
             is_source: e.index == 0,
             heard_at: None,
             forwarded: false,
@@ -922,12 +783,12 @@ mod tests {
     #[test]
     fn metrics_count_bits() {
         let g = path_graph(2);
-        let mut net = NetworkBuilder::new().build_with(&g, |e| Burst {
+        let mut net = Session::on(&g).build_with(|e| Burst {
             k: 3,
             sender: e.index == 0,
             received_rounds: Vec::new(),
         });
-        let report = net.run(RunLimits::default());
+        let report = net.drive(RunLimits::default(), &mut ());
         assert_eq!(report.metrics.messages, 3);
         assert_eq!(report.metrics.total_bits, 3 * 21);
         assert_eq!(report.metrics.max_message_bits, 21);
@@ -977,9 +838,8 @@ mod tests {
     #[test]
     fn quiescence_barrier_advances_phases() {
         let g = path_graph(3);
-        let mut net =
-            NetworkBuilder::new().build_with(&g, |_| TwoPhase { phase: 0, heard: Vec::new() });
-        let report = net.run(RunLimits::default());
+        let mut net = Session::on(&g).build_with(|_| TwoPhase { phase: 0, heard: Vec::new() });
+        let report = net.drive(RunLimits::default(), &mut ());
         assert_eq!(report.termination, Termination::Quiescent);
         assert_eq!(report.metrics.barriers, 1);
         // Node 1 heard phase-0 messages from both sides in round 1 and

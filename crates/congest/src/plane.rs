@@ -1,5 +1,5 @@
 //! The flat message plane: CSR topology, slab-backed port queues, and the
-//! sharded delivery machinery behind [`crate::Network`].
+//! sharded delivery machinery behind [`Engine::Flat`](crate::Engine::Flat).
 //!
 //! # Layout
 //!
@@ -90,7 +90,7 @@ pub struct Topology {
 impl Topology {
     /// Builds the flat tables for `graph`, sharded into `shards` node
     /// ranges (each spanning `ceil(n / shards)` consecutive nodes — the
-    /// same split [`crate::NetworkBuilder::parallel`] uses).
+    /// same split `Engine::Flat { shards }` uses).
     ///
     /// # Panics
     ///

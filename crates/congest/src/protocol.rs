@@ -108,17 +108,17 @@ impl Endpoint {
 /// engine (`LegacyNetwork`, behind the `legacy-engine` feature) still
 /// routes through this type.
 ///
-/// Neither production engine uses it: the synchronous [`crate::Network`]
-/// and the asynchronous executor ([`crate::asynch`]) both keep their
-/// queues in the flat plane's engine-owned slabs (see `crate::plane`) so
-/// that steady-state rounds perform no allocation.
+/// Neither production engine uses it: the synchronous flat engine and
+/// the asynchronous executor both keep their queues in the flat plane's
+/// engine-owned slabs (see `crate::plane`) so that steady-state rounds
+/// perform no allocation.
 ///
 /// Tracks its non-empty ports (sorted) so a delivery sweep costs
 /// `O(active ports)` per round instead of `O(degree)`, and maintains a
 /// running length so [`Outbox::queued`] — and with it quiescence checks —
 /// is O(1) rather than an O(degree) recount.
 #[derive(Clone, Debug)]
-pub struct Outbox<M> {
+pub(crate) struct Outbox<M> {
     queues: Vec<VecDeque<M>>,
     nonempty: Vec<Port>,
     len: usize,
@@ -168,8 +168,7 @@ impl<M> Outbox<M> {
     }
 
     /// Total queued messages. O(1): maintained on push/pop.
-    #[must_use]
-    pub fn queued(&self) -> usize {
+    pub(crate) fn queued(&self) -> usize {
         self.len
     }
 }
@@ -209,10 +208,24 @@ impl<M: Message> OutboxHandle<'_, M> {
 /// private RNG stream for the duration of one `init`/`step` call.
 #[derive(Debug)]
 pub struct Context<'a, M> {
-    pub(crate) endpoint: &'a Endpoint,
-    pub(crate) round: Round,
-    pub(crate) outbox: OutboxHandle<'a, M>,
-    pub(crate) rng: &'a mut StdRng,
+    endpoint: &'a Endpoint,
+    round: Round,
+    outbox: OutboxHandle<'a, M>,
+    rng: &'a mut StdRng,
+}
+
+impl<'a, M> Context<'a, M> {
+    /// The one way an engine hands a node its context: endpoint facts,
+    /// the current round (pulse), where its sends land, and its RNG.
+    #[inline]
+    pub(crate) fn new(
+        endpoint: &'a Endpoint,
+        round: Round,
+        outbox: OutboxHandle<'a, M>,
+        rng: &'a mut StdRng,
+    ) -> Self {
+        Self { endpoint, round, outbox, rng }
+    }
 }
 
 impl<M: Message> Context<'_, M> {
@@ -389,12 +402,7 @@ mod tests {
         let e = endpoint();
         let mut outbox = Outbox::new(e.degree());
         let mut rng = node_rng(1, 0);
-        let mut ctx = Context {
-            endpoint: &e,
-            round: 3,
-            outbox: OutboxHandle::Owned(&mut outbox),
-            rng: &mut rng,
-        };
+        let mut ctx = Context::new(&e, 3, OutboxHandle::Owned(&mut outbox), &mut rng);
         assert_eq!(ctx.id(), 42);
         assert_eq!(ctx.round(), 3);
         assert_eq!(ctx.neighbor_id(2), 11);
@@ -409,12 +417,7 @@ mod tests {
         let e = endpoint();
         let mut outbox = Outbox::new(e.degree());
         let mut rng = node_rng(1, 0);
-        let mut ctx = Context {
-            endpoint: &e,
-            round: 0,
-            outbox: OutboxHandle::Owned(&mut outbox),
-            rng: &mut rng,
-        };
+        let mut ctx = Context::new(&e, 0, OutboxHandle::Owned(&mut outbox), &mut rng);
         ctx.send(3, Ping);
     }
 }

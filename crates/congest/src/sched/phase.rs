@@ -32,8 +32,7 @@ pub struct PhaseBudget {
 
 /// A deterministic per-phase pulse schedule for staged protocols on the
 /// asynchronous engine — drive it with
-/// [`SessionDriver::run_phased`](crate::SessionDriver::run_phased) or
-/// [`AsyncNetwork::run_phases`](crate::AsyncNetwork::run_phases).
+/// [`SessionDriver::run_phased`](crate::SessionDriver::run_phased).
 ///
 /// The first entry covers the phase entered at `init`; each subsequent
 /// entry is entered through the transition barrier that closes its

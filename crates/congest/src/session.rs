@@ -108,7 +108,7 @@ use crate::asynch::AsyncNetwork;
 #[cfg(feature = "legacy-engine")]
 use crate::legacy::LegacyNetwork;
 use crate::metrics::Metrics;
-use crate::network::{IdAssignment, Mode, Network, NetworkBuilder};
+use crate::network::{IdAssignment, Mode, Network};
 use crate::obs::{MetricsMode, RunProfile, TraceConfig, TraceSink};
 use crate::protocol::{Endpoint, Protocol, Round};
 use crate::sched::{
@@ -411,10 +411,9 @@ impl Observer for Chain<'_> {
     }
 }
 
-/// The uniform execution handle implemented by every engine
-/// ([`Network`], [`AsyncNetwork`], and the feature-gated
-/// `LegacyNetwork`) and by
-/// [`SessionDriver`].
+/// The uniform execution handle: [`SessionDriver`] implements it over
+/// whichever [`Engine`] the [`Session`] built (each engine implements it
+/// internally, and this trait is the only way to reach one).
 ///
 /// Lifecycle: building the driver constructs one protocol per node;
 /// `init` runs lazily on the first [`Driver::drive`] call; each `drive`
@@ -468,7 +467,7 @@ pub trait Driver {
 ///
 /// `Session::on(&graph)` starts from defaults (flat engine, one shard,
 /// CONGEST mode, seed 0, hashed IDs, default limits); the chained
-/// setters mirror the old `NetworkBuilder` knobs plus engine selection;
+/// setters pick mode, seed, IDs, engine, limits and observability;
 /// [`Session::build_with`] constructs the selected engine's driver and
 /// [`Session::run_with`] additionally drives it to the configured
 /// limits.
@@ -488,7 +487,7 @@ pub struct Session<'g> {
 }
 
 /// What a [`Session`] builds its topology from.
-enum Source<'g> {
+pub(crate) enum Source<'g> {
     /// A materialized graph — every engine accepts this.
     Graph(&'g Graph),
     /// A restartable edge stream ([`Engine::Flat`] only): the scale-tier
@@ -638,15 +637,8 @@ impl<'g> Session<'g> {
     {
         let inner = match self.engine {
             Engine::Flat { shards } => {
-                let builder = NetworkBuilder::new()
-                    .mode(self.mode)
-                    .seed(self.seed)
-                    .ids(self.ids)
-                    .parallel(shards);
-                let mut net = match self.source {
-                    Source::Graph(graph) => builder.build_with(graph, factory),
-                    Source::Stream(stream) => builder.build_from_stream(stream, factory),
-                };
+                let mut net =
+                    Network::build(self.source, self.mode, self.seed, self.ids, shards, factory);
                 net.configure_obs(self.trace, self.metrics_mode);
                 EngineDriver::Flat(net)
             }
@@ -726,6 +718,27 @@ enum EngineDriver<P: Protocol> {
     Async(AsyncNetwork<P>),
 }
 
+impl<P: Protocol> EngineDriver<P> {
+    /// The selected engine behind the uniform [`Driver`] interface.
+    fn as_driver(&self) -> &dyn Driver<P = P> {
+        match self {
+            EngineDriver::Flat(net) => net,
+            #[cfg(feature = "legacy-engine")]
+            EngineDriver::Legacy(net) => net,
+            EngineDriver::Async(net) => net,
+        }
+    }
+
+    fn as_driver_mut(&mut self) -> &mut dyn Driver<P = P> {
+        match self {
+            EngineDriver::Flat(net) => net,
+            #[cfg(feature = "legacy-engine")]
+            EngineDriver::Legacy(net) => net,
+            EngineDriver::Async(net) => net,
+        }
+    }
+}
+
 /// The driver a [`Session`] builds: the selected engine plus the
 /// session's limits and installed observer, behind the uniform
 /// [`Driver`] interface.
@@ -743,12 +756,7 @@ impl<P: Protocol> SessionDriver<P> {
             EngineDriver::Flat(net) => Engine::Flat { shards: net.shard_count() },
             #[cfg(feature = "legacy-engine")]
             EngineDriver::Legacy(_) => Engine::Legacy,
-            EngineDriver::Async(net) => Engine::Async {
-                delay: net.delay_model(),
-                sync: net.sync_model(),
-                fault: net.fault_model(),
-                churn: net.churn_model(),
-            },
+            EngineDriver::Async(net) => net.engine(),
         }
     }
 
@@ -785,10 +793,8 @@ impl<P: Protocol> SessionDriver<P> {
     /// Executes a staged run under a [`PhasePlan`] (the paper's §4.1
     /// per-phase deterministic budgets), streaming to `obs`.
     ///
-    /// On [`Engine::Async`] this is
-    /// [`AsyncNetwork::run_phases`](crate::AsyncNetwork::run_phases):
-    /// each phase drives its pulse budget, then every node takes its
-    /// scheduled [`Protocol::on_quiescent`]
+    /// On [`Engine::Async`] each phase drives its pulse budget, then
+    /// every node takes its scheduled [`Protocol::on_quiescent`]
     /// transition — how multi-phase protocols complete under
     /// synchronizer α. On the synchronous engines the quiescence barrier
     /// fires natively, so the plan collapses to its overall time bound
@@ -796,16 +802,22 @@ impl<P: Protocol> SessionDriver<P> {
     /// [`SessionDriver::run`] with that budget — the same plan drives
     /// every engine.
     pub fn run_phased(&mut self, plan: &PhasePlan, obs: &mut dyn Observer) -> RunReport {
-        let inner = &mut self.inner;
-        let mut dispatch = |obs: &mut dyn Observer| match inner {
-            EngineDriver::Flat(net) => net.drive(RunLimits::rounds(plan.total_pulses()), obs),
-            #[cfg(feature = "legacy-engine")]
-            EngineDriver::Legacy(net) => net.drive(RunLimits::rounds(plan.total_pulses()), obs),
+        self.with_observers(obs, |inner, obs| match inner {
             EngineDriver::Async(net) => net.run_phases(plan, obs),
-        };
+            sync => sync.as_driver_mut().drive(RunLimits::rounds(plan.total_pulses()), obs),
+        })
+    }
+
+    /// Runs `run` on the engine with `obs` chained after the installed
+    /// observer, if any.
+    fn with_observers(
+        &mut self,
+        obs: &mut dyn Observer,
+        run: impl FnOnce(&mut EngineDriver<P>, &mut dyn Observer) -> RunReport,
+    ) -> RunReport {
         match self.observer.as_deref_mut() {
-            Some(installed) => dispatch(&mut Chain(installed, obs)),
-            None => dispatch(obs),
+            Some(installed) => run(&mut self.inner, &mut Chain(installed, obs)),
+            None => run(&mut self.inner, obs),
         }
     }
 }
@@ -814,62 +826,27 @@ impl<P: Protocol> Driver for SessionDriver<P> {
     type P = P;
 
     fn drive(&mut self, limits: RunLimits, obs: &mut dyn Observer) -> RunReport {
-        let inner = &mut self.inner;
-        let mut dispatch = |obs: &mut dyn Observer| match inner {
-            EngineDriver::Flat(net) => net.drive(limits, obs),
-            #[cfg(feature = "legacy-engine")]
-            EngineDriver::Legacy(net) => net.drive(limits, obs),
-            EngineDriver::Async(net) => net.drive(limits, obs),
-        };
-        match self.observer.as_deref_mut() {
-            Some(installed) => dispatch(&mut Chain(installed, obs)),
-            None => dispatch(obs),
-        }
+        self.with_observers(obs, |inner, obs| inner.as_driver_mut().drive(limits, obs))
     }
 
     fn node_count(&self) -> usize {
-        match &self.inner {
-            EngineDriver::Flat(net) => net.node_count(),
-            #[cfg(feature = "legacy-engine")]
-            EngineDriver::Legacy(net) => net.node_count(),
-            EngineDriver::Async(net) => net.node_count(),
-        }
+        self.inner.as_driver().node_count()
     }
 
     fn endpoint(&self, index: usize) -> &Endpoint {
-        match &self.inner {
-            EngineDriver::Flat(net) => net.endpoint(index),
-            #[cfg(feature = "legacy-engine")]
-            EngineDriver::Legacy(net) => net.endpoint(index),
-            EngineDriver::Async(net) => net.endpoint(index),
-        }
+        self.inner.as_driver().endpoint(index)
     }
 
     fn protocol(&self, index: usize) -> &P {
-        match &self.inner {
-            EngineDriver::Flat(net) => net.protocol(index),
-            #[cfg(feature = "legacy-engine")]
-            EngineDriver::Legacy(net) => net.protocol(index),
-            EngineDriver::Async(net) => net.protocol(index),
-        }
+        self.inner.as_driver().protocol(index)
     }
 
     fn queued_messages(&self) -> u64 {
-        match &self.inner {
-            EngineDriver::Flat(net) => net.queued_messages(),
-            #[cfg(feature = "legacy-engine")]
-            EngineDriver::Legacy(net) => net.queued_messages(),
-            EngineDriver::Async(net) => net.queued_messages(),
-        }
+        self.inner.as_driver().queued_messages()
     }
 
     fn reserve_rounds(&mut self, rounds: usize) {
-        match &mut self.inner {
-            EngineDriver::Flat(net) => net.reserve_rounds(rounds),
-            #[cfg(feature = "legacy-engine")]
-            EngineDriver::Legacy(_) => {}
-            EngineDriver::Async(net) => net.reserve_rounds(rounds),
-        }
+        self.inner.as_driver_mut().reserve_rounds(rounds);
     }
 }
 

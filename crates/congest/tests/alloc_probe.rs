@@ -13,9 +13,18 @@
 //! The probe runs through the unified [`congest::Session`] surface, so
 //! the guarantee covers the production entry path, not just the engine
 //! internals.
+//!
+//! The counters are process-global on purpose: `Engine::Flat` with more
+//! than one shard allocates on its worker threads, and those allocations
+//! must count. libtest runs tests concurrently, so every probe holds
+//! [`serialized`]'s lock for its whole body — one probe's measurement
+//! window never overlaps another probe's allocations, nor the harness's
+//! own bookkeeping between probes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 use congest::{
     ChurnModel, Context, DelayModel, Driver, Engine, FaultModel, Message, Mode, Port, Protocol,
@@ -59,6 +68,26 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Held by every probe for its whole body (see the module docs).
+static PROBE: Mutex<()> = Mutex::new(());
+
+/// Takes the probe lock, then waits until the allocation counter holds
+/// still. When the previous probe releases the lock, the harness records
+/// its result and starts the next test thread (which then blocks on this
+/// lock); those allocations land before this probe opens a window. A
+/// probe that failed while holding the lock poisons it; the next probe
+/// still runs, since a panic leaves the counters consistent.
+fn serialized() -> MutexGuard<'static, ()> {
+    let guard = PROBE.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut quiet_spells = 0;
+    while quiet_spells < 3 {
+        let before = allocations();
+        std::thread::sleep(Duration::from_millis(5));
+        quiet_spells = if allocations() == before { quiet_spells + 1 } else { 0 };
+    }
+    guard
+}
 
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
@@ -125,6 +154,7 @@ fn ring_with_chords(n: usize) -> graphs::Graph {
 }
 
 fn probe(mode: Mode) {
+    let _probe = serialized();
     let g = ring_with_chords(64);
     let mut net = Session::on(&g).mode(mode).seed(5).build_with(|_| Echo);
 
@@ -165,6 +195,7 @@ fn local_rounds_do_not_allocate() {
 /// steady state: chunk recycling must cover queue depths > one chunk.
 #[test]
 fn deep_queues_do_not_allocate() {
+    let _probe = serialized();
     struct Burst;
     impl Protocol for Burst {
         type Msg = Tick;
@@ -229,6 +260,7 @@ fn deep_queues_do_not_allocate() {
 /// wrapper — under **all four** delay models × **both** synchronizers.
 #[test]
 fn async_pulses_do_not_allocate() {
+    let _probe = serialized();
     let g = ring_with_chords(32);
     for delay in [
         DelayModel::Uniform { max_delay: 4 },
@@ -285,6 +317,7 @@ fn async_pulses_do_not_allocate() {
 /// zero-pulse drive, under every fault model × both synchronizers.
 #[test]
 fn faulty_pulses_do_not_allocate() {
+    let _probe = serialized();
     let g = ring_with_chords(32);
     for fault in [
         FaultModel::Drop { p_millis: 100 },
@@ -343,6 +376,7 @@ fn faulty_pulses_do_not_allocate() {
 /// both synchronizers.
 #[test]
 fn churned_pulses_do_not_allocate() {
+    let _probe = serialized();
     let g = ring_with_chords(32);
     let policy = congest::ChurnPolicy::Continue;
     for churn in [
@@ -399,6 +433,7 @@ fn churned_pulses_do_not_allocate() {
 /// into the `RunReport` stays off the heap.
 #[test]
 fn traced_pulses_do_not_allocate() {
+    let _probe = serialized();
     let g = ring_with_chords(32);
     let engines = [
         Engine::Flat { shards: 1 },
@@ -456,6 +491,7 @@ fn traced_pulses_do_not_allocate() {
 /// carries payloads, so every pulse floods the wave/wake machinery.
 #[test]
 fn batched_sparse_pulses_do_not_allocate() {
+    let _probe = serialized();
     /// Each node forwards one token on port 0 every pulse; every other
     /// port stays idle forever.
     struct Trickle;
@@ -519,6 +555,7 @@ fn batched_sparse_pulses_do_not_allocate() {
 /// strictly — and substantially — higher on the same instance.
 #[test]
 fn streamed_build_peak_is_the_final_plane() {
+    let _probe = serialized();
     let n = 10_000;
     let p = 8.0 / (n - 1) as f64;
     let mut stream = GnpStream::new(n, p, 33);

@@ -16,7 +16,7 @@
 //! * [`sample`] — the sampling stage and the §5.2 two-coin refinement.
 //! * [`msg`] / [`component`] / [`protocol`] — the CONGEST state machine:
 //!   message alphabet, per-component bookkeeping, phase logic.
-//! * [`runner`] — one-call execution over a [`congest::Network`].
+//! * [`runner`] — one-call execution through a [`congest::Session`].
 //! * [`mod@reference`] — a centralized executable specification; property
 //!   tests pin the distributed protocol to it.
 //! * [`verify`] — executable forms of the paper's unconditional

@@ -49,7 +49,8 @@ pub struct ReferenceResult {
 }
 
 /// Runs the centralized specification. `ids[i]` is node `i`'s identifier
-/// (use `congest::Network`'s endpoint IDs for cross-validation).
+/// (use the endpoint IDs a [`congest::Driver`] reports —
+/// `driver.endpoint(i).id` — for cross-validation).
 ///
 /// # Panics
 ///

@@ -8,8 +8,7 @@
 //! verification or cross-checking against the centralized reference.
 
 use congest::{
-    ChurnModel, DelayModel, Driver, Engine, FaultModel, Metrics, Observer, PhasePlan, RoundDelta,
-    RunLimits, Session, SyncModel, Termination,
+    Driver, Engine, Metrics, Observer, PhasePlan, RoundDelta, RunLimits, Session, Termination,
 };
 use graphs::{FixedBitSet, Graph};
 
@@ -27,7 +26,7 @@ pub struct RunOptions {
     /// Which engine executes the protocol. All engines are bit-identical
     /// on labels, outputs and payload metrics for the same seed (the flat
     /// engine at any shard count; [`Engine::Async`] under any
-    /// [`DelayModel`], scheduled by a derived [`PhasePlan`]) — the
+    /// [`DelayModel`](congest::DelayModel), scheduled by a derived [`PhasePlan`]) — the
     /// determinism contract `engine_equivalence` enforces.
     pub engine: Engine,
 }
@@ -80,7 +79,7 @@ pub struct NearCliqueRun {
     pub metrics: Metrics,
     /// Synchronizer control-plane overhead — identically zero on the
     /// synchronous engines; on [`Engine::Async`], the configured
-    /// [`SyncModel`]'s control traffic (α's Ack/Safe flood, or the
+    /// [`SyncModel`](congest::SyncModel)'s control traffic (α's Ack/Safe flood, or the
     /// batched variant's coalesced Safe waves) and the virtual
     /// completion time.
     pub overhead: congest::SyncOverhead,
@@ -172,7 +171,7 @@ pub fn run_near_clique(g: &Graph, params: &NearCliqueParams, seed: u64) -> NearC
 /// offline round-bound analysis) and then executes the phased
 /// asynchronous run via [`run_near_clique_phased`]. Labels, outputs and
 /// the payload-side [`Metrics`] equal the synchronous engines' bit for
-/// bit, under every [`DelayModel`].
+/// bit, under every [`DelayModel`](congest::DelayModel).
 #[must_use]
 pub fn run_near_clique_with(
     g: &Graph,
@@ -180,24 +179,42 @@ pub fn run_near_clique_with(
     seed: u64,
     options: RunOptions,
 ) -> NearCliqueRun {
-    if let Engine::Async { delay, sync, fault, churn } = options.engine {
+    if let Engine::Async { .. } = options.engine {
         let plan = near_clique_phase_plan(g, params, seed, options.max_rounds);
-        return run_near_clique_phased(g, params, seed, delay, sync, fault, churn, &plan);
+        return run_near_clique_phased(g, params, seed, options.engine, &plan);
     }
+    execute(g, params, seed, options.engine, options.max_rounds, None)
+}
+
+/// The one execution body behind [`run_near_clique_with`] and
+/// [`run_near_clique_phased`]: draws the sampling stage, builds the
+/// driver on `engine` with a `max_rounds` budget, runs it (under
+/// `phases` when given) while streaming barrier rounds, and collects the
+/// run.
+fn execute(
+    g: &Graph,
+    params: &NearCliqueParams,
+    seed: u64,
+    engine: Engine,
+    max_rounds: u64,
+    phases: Option<&PhasePlan>,
+) -> NearCliqueRun {
     let plan = SamplePlan::draw(g.node_count(), params.lambda, params.p, seed);
-    let mut driver = Session::on(g)
-        .seed(seed)
-        .engine(options.engine)
-        .limits(RunLimits::rounds(options.max_rounds))
-        .build_with(|endpoint| {
-            let flags = (0..params.lambda).map(|v| plan.in_sample(v, endpoint.index)).collect();
-            DistNearClique::new(params.clone(), flags)
-        });
+    let mut driver =
+        Session::on(g).seed(seed).engine(engine).limits(RunLimits::rounds(max_rounds)).build_with(
+            |endpoint| {
+                let flags = (0..params.lambda).map(|v| plan.in_sample(v, endpoint.index)).collect();
+                DistNearClique::new(params.clone(), flags)
+            },
+        );
     // Pre-reserve the per-round metrics history (bounded): with it, the
     // flat engine's steady-state rounds perform zero heap allocations.
-    driver.reserve_rounds(options.max_rounds.min(4096) as usize);
+    driver.reserve_rounds(max_rounds.min(4096) as usize);
     let mut barriers = BarrierTrace::default();
-    let report = driver.run_observed(&mut barriers);
+    let report = match phases {
+        Some(phases) => driver.run_phased(phases, &mut barriers),
+        None => driver.run_observed(&mut barriers),
+    };
     let outputs = driver.outputs();
     let labels = outputs.iter().map(|o| o.label).collect();
     let ids = (0..g.node_count()).map(|v| driver.endpoint(v).id).collect();
@@ -248,15 +265,21 @@ pub fn near_clique_phase_plan(
     PhasePlan::from_trace(&dry.phase_trace, dry.metrics.rounds)
 }
 
-/// Runs `DistNearClique` on [`Engine::Async`] under an explicit
-/// [`PhasePlan`] — the `sync` synchronizer (classic α or the batched
-/// Safe-wave variant) with the given link-[`DelayModel`], phase
-/// transitions fired on the plan's schedule instead of at quiescence.
+/// Runs `DistNearClique` on `engine` under an explicit [`PhasePlan`].
+///
+/// On [`Engine::Async`] the plan drives the run: its synchronizer
+/// (classic α or the batched Safe-wave variant) paces pulses over its
+/// link-[`DelayModel`](congest::DelayModel), and phase transitions fire on the plan's
+/// schedule instead of at quiescence. On the synchronous engines the
+/// quiescence barrier fires natively and the plan only bounds the run
+/// at [`PhasePlan::total_pulses`] rounds (see
+/// [`congest::SessionDriver::run_phased`]).
 ///
 /// With a plan from [`near_clique_phase_plan`], the run reproduces the
 /// synchronous execution exactly (labels, outputs, payload metrics,
-/// phase trace — pulse for round) under **either** synchronizer; they
-/// differ only in the control-plane `overhead` they report. Hand-written
+/// phase trace — pulse for round) on **every** engine and under
+/// **either** synchronizer; they differ only in the control-plane
+/// `overhead` they report. Hand-written
 /// plans may deviate: a *truncated* plan (fewer phases) stops cleanly at
 /// [`Termination::RoundLimit`] with no labels; a plan that cuts a phase
 /// *short* fires the next transition while stale-phase messages are
@@ -264,63 +287,33 @@ pub fn near_clique_phase_plan(
 /// rejects with a panic. Both are faithful §4.1 failure modes: a
 /// mis-derived deterministic bound breaks the staged algorithm.
 ///
-/// The `fault` model injects seeded message loss, link flaps or node
-/// crashes (see [`FaultModel`]). Under the masked models
-/// ([`FaultModel::Drop`], [`FaultModel::LinkFlap`]) retransmission hides
+/// The engine's `fault` model injects seeded message loss, link flaps or
+/// node crashes (see [`FaultModel`](congest::FaultModel)). Under the masked models
+/// ([`FaultModel::Drop`](congest::FaultModel::Drop), [`FaultModel::LinkFlap`](congest::FaultModel::LinkFlap)) retransmission hides
 /// every fault: labels, outputs and payload metrics still equal the
 /// synchronous run bit for bit, and only the reported `overhead` (and
-/// virtual time) grows. Under [`FaultModel::Crash`] the run degrades
+/// virtual time) grows. Under [`FaultModel::Crash`](congest::FaultModel::Crash) the run degrades
 /// deterministically and reports [`Termination::Degraded`].
 ///
-/// The `churn` model evolves the member set mid-run (seeded joins and
-/// graceful leaves opening epochs; see [`ChurnModel`]).
-/// [`ChurnModel::None`] is the fixed member set, bit-identical to the
+/// The engine's `churn` model evolves the member set mid-run (seeded
+/// joins and graceful leaves opening epochs; see [`ChurnModel`](congest::ChurnModel)).
+/// [`ChurnModel::None`](congest::ChurnModel::None) is the fixed member set, bit-identical to the
 /// pre-churn engine.
 #[must_use]
-#[allow(clippy::too_many_arguments)]
 pub fn run_near_clique_phased(
     g: &Graph,
     params: &NearCliqueParams,
     seed: u64,
-    delay: DelayModel,
-    sync: SyncModel,
-    fault: FaultModel,
-    churn: ChurnModel,
+    engine: Engine,
     phases: &PhasePlan,
 ) -> NearCliqueRun {
-    let plan = SamplePlan::draw(g.node_count(), params.lambda, params.p, seed);
-    let mut driver = Session::on(g)
-        .seed(seed)
-        .engine(Engine::Async { delay, sync, fault, churn })
-        .limits(RunLimits::rounds(phases.total_pulses()))
-        .build_with(|endpoint| {
-            let flags = (0..params.lambda).map(|v| plan.in_sample(v, endpoint.index)).collect();
-            DistNearClique::new(params.clone(), flags)
-        });
-    let mut barriers = BarrierTrace::default();
-    let report = driver.run_phased(phases, &mut barriers);
-    let outputs = driver.outputs();
-    let labels = outputs.iter().map(|o| o.label).collect();
-    let ids = (0..g.node_count()).map(|v| driver.endpoint(v).id).collect();
-    let phase_trace =
-        if g.node_count() > 0 { driver.protocol(0).phase_trace().to_vec() } else { Vec::new() };
-    NearCliqueRun {
-        outputs,
-        labels,
-        metrics: report.metrics,
-        overhead: report.overhead,
-        termination: report.termination,
-        plan,
-        ids,
-        params: params.clone(),
-        phase_trace,
-        barrier_rounds: barriers.rounds,
-    }
+    execute(g, params, seed, engine, phases.total_pulses(), Some(phases))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use congest::{ChurnModel, DelayModel, FaultModel, SyncModel};
     use graphs::GraphBuilder;
 
     #[test]
@@ -442,16 +435,13 @@ mod tests {
         // Only the announce phase is scheduled (its true length is one
         // pulse); the schedule then runs out while nodes want to resume.
         let truncated = PhasePlan::new().phase("announce", 1);
-        let run = run_near_clique_phased(
-            &g,
-            &params,
-            9,
-            DelayModel::Uniform { max_delay: 2 },
-            SyncModel::Alpha,
-            FaultModel::None,
-            ChurnModel::None,
-            &truncated,
-        );
+        let engine = Engine::Async {
+            delay: DelayModel::Uniform { max_delay: 2 },
+            sync: SyncModel::Alpha,
+            fault: FaultModel::None,
+            churn: ChurnModel::None,
+        };
+        let run = run_near_clique_phased(&g, &params, 9, engine, &truncated);
         assert_eq!(run.termination, Termination::RoundLimit);
         assert!(run.labels.iter().all(Option::is_none));
         // The schedule's one barrier was taken (announce → roster).

@@ -420,7 +420,9 @@ fn async_engine_is_deterministic_via_session() {
 /// transitions fired by a `PhasePlan` derived from a synchronous dry run
 /// (`near_clique_phase_plan`, the §4.1 precomputed schedule) — and its
 /// labels, outputs, full payload metrics and phase trace equal the flat
-/// engine's, under **all four** delay models.
+/// engine's, under **all four** delay models. The same plan on the flat
+/// engine itself (where it only bounds the run) reproduces the unphased
+/// run too.
 #[test]
 fn dist_near_clique_under_alpha_matches_flat() {
     let acceptance = ["planted", "gnp", "star"];
@@ -438,43 +440,41 @@ fn dist_near_clique_under_alpha_matches_flat() {
             "{name}: derived schedule must walk the canonical phase order"
         );
 
-        for delay in [
+        let async_engines = [
             DelayModel::Uniform { max_delay: 5 },
             DelayModel::PerLink { max_delay: 5 },
             DelayModel::HeavyTailed { max_delay: 5 },
             DelayModel::Adversarial { max_delay: 5 },
-        ] {
-            for sync in [SyncModel::Alpha, SyncModel::BatchedAlpha] {
-                let alpha = run_near_clique_phased(
-                    &g,
-                    &params,
-                    seed,
-                    delay,
-                    sync,
-                    FaultModel::None,
-                    ChurnModel::None,
-                    &plan,
-                );
-                assert_eq!(alpha.labels, flat.labels, "{name}, {delay:?}, {sync:?}: labels");
-                assert_eq!(alpha.outputs, flat.outputs, "{name}, {delay:?}, {sync:?}: outputs");
-                assert_eq!(
-                    alpha.metrics, flat.metrics,
-                    "{name}, {delay:?}, {sync:?}: payload ledger diverges \
-                     (rounds/messages/bits/histogram)"
-                );
-                assert_eq!(
-                    alpha.termination, flat.termination,
-                    "{name}, {delay:?}, {sync:?}: termination diverges"
-                );
-                assert_eq!(
-                    alpha.phase_trace, flat.phase_trace,
-                    "{name}, {delay:?}, {sync:?}: phase entry rounds diverge"
-                );
-                assert_eq!(
-                    alpha.barrier_rounds, flat.barrier_rounds,
-                    "{name}, {delay:?}, {sync:?}: observed barriers diverge"
-                );
-            }
+        ]
+        .into_iter()
+        .flat_map(|delay| {
+            [SyncModel::Alpha, SyncModel::BatchedAlpha].map(|sync| Engine::Async {
+                delay,
+                sync,
+                fault: FaultModel::None,
+                churn: ChurnModel::None,
+            })
+        });
+        for engine in std::iter::once(Engine::Flat { shards: 1 }).chain(async_engines) {
+            let phased = run_near_clique_phased(&g, &params, seed, engine, &plan);
+            assert_eq!(phased.labels, flat.labels, "{name}, {engine:?}: labels");
+            assert_eq!(phased.outputs, flat.outputs, "{name}, {engine:?}: outputs");
+            assert_eq!(
+                phased.metrics, flat.metrics,
+                "{name}, {engine:?}: payload ledger diverges (rounds/messages/bits/histogram)"
+            );
+            assert_eq!(
+                phased.termination, flat.termination,
+                "{name}, {engine:?}: termination diverges"
+            );
+            assert_eq!(
+                phased.phase_trace, flat.phase_trace,
+                "{name}, {engine:?}: phase entry rounds diverge"
+            );
+            assert_eq!(
+                phased.barrier_rounds, flat.barrier_rounds,
+                "{name}, {engine:?}: observed barriers diverge"
+            );
         }
     }
 }
@@ -654,10 +654,7 @@ fn dist_near_clique_masks_drop_and_link_flap() {
                 &g,
                 &params,
                 seed,
-                delay,
-                sync,
-                fault,
-                ChurnModel::None,
+                Engine::Async { delay, sync, fault, churn: ChurnModel::None },
                 &plan,
             );
             let ctx = format!("gnp, {sync:?}, seed {seed}, {fault:?}");

@@ -155,10 +155,12 @@ proptest! {
             &g,
             &params,
             run_seed,
-            DelayModel::Uniform { max_delay: 3 },
-            SyncModel::Alpha,
-            FaultModel::None,
-            ChurnModel::None,
+            Engine::Async {
+                delay: DelayModel::Uniform { max_delay: 3 },
+                sync: SyncModel::Alpha,
+                fault: FaultModel::None,
+                churn: ChurnModel::None,
+            },
             &plan,
         );
         prop_assert_eq!(&alpha.phase_trace, &sync.phase_trace);
@@ -202,10 +204,12 @@ proptest! {
             &g,
             &params,
             run_seed,
-            delay,
-            SyncModel::Alpha,
-            FaultModel::None,
-            ChurnModel::None,
+            Engine::Async {
+                delay,
+                sync: SyncModel::Alpha,
+                fault: FaultModel::None,
+                churn: ChurnModel::None,
+            },
             &plan,
         );
         prop_assert_eq!(&alpha.labels, &sync.labels, "{:?}", delay);
@@ -248,10 +252,12 @@ proptest! {
             &g,
             &params,
             run_seed,
-            delay,
-            SyncModel::BatchedAlpha,
-            FaultModel::None,
-            ChurnModel::None,
+            Engine::Async {
+                delay,
+                sync: SyncModel::BatchedAlpha,
+                fault: FaultModel::None,
+                churn: ChurnModel::None,
+            },
             &plan,
         );
         prop_assert_eq!(&batched.labels, &sync.labels, "{:?}", delay);
@@ -263,10 +269,12 @@ proptest! {
             &g,
             &params,
             run_seed,
-            delay,
-            SyncModel::Alpha,
-            FaultModel::None,
-            ChurnModel::None,
+            Engine::Async {
+                delay,
+                sync: SyncModel::Alpha,
+                fault: FaultModel::None,
+                churn: ChurnModel::None,
+            },
             &plan,
         );
         prop_assert!(
@@ -323,8 +331,13 @@ proptest! {
             FaultModel::LinkFlap { down_len, up_len }
         };
 
-        let faulty =
-            run_near_clique_phased(&g, &params, run_seed, delay, sync_model, fault, ChurnModel::None, &plan);
+        let faulty = run_near_clique_phased(
+            &g,
+            &params,
+            run_seed,
+            Engine::Async { delay, sync: sync_model, fault, churn: ChurnModel::None },
+            &plan,
+        );
         prop_assert_eq!(
             &faulty.labels, &sync.labels,
             "seed {}, {:?}, {:?}, {:?}: labels", run_seed, fault, delay, sync_model

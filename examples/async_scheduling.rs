@@ -63,10 +63,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 &planted.graph,
                 &params,
                 seed,
-                delay,
-                model,
-                FaultModel::None,
-                ChurnModel::None,
+                Engine::Async {
+                    delay,
+                    sync: model,
+                    fault: FaultModel::None,
+                    churn: ChurnModel::None,
+                },
                 &plan,
             );
 
