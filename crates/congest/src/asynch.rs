@@ -8,16 +8,19 @@
 //! *synchronizer itself* a pluggable layer:
 //!
 //! * The **executor core** ([`AsyncNetwork`]) owns the mechanics: the
-//!   CSR route table and flat per-port payload queues shared with the
-//!   synchronous engine, the slab-backed timing wheel of in-flight
-//!   envelopes, the rotating parity-indexed pulse inboxes, delay
-//!   sampling, payload metering, and stepping protocols. It knows
-//!   nothing about *when* a pulse may run.
+//!   node parts and CSR route table [`crate::Session`] compiles once
+//!   for both production engines, the flat per-port payload queues, the
+//!   rotating parity-indexed pulse inboxes, payload metering, and
+//!   stepping protocols — plus the *wire* (`sched::sync::Wire`): route
+//!   lookups, delay sampling, the fault plane and the slab-backed timing
+//!   wheel of in-flight envelopes. It knows nothing about *when* a pulse
+//!   may run.
 //! * The **synchronizer** (`crate::sched::sync`, selected by the public
 //!   [`SyncModel`] knob on [`Engine::Async`](crate::Engine::Async))
 //!   owns the control plane: it observes payloads sent and received,
-//!   emits its own control traffic, accounts it in [`SyncOverhead`],
-//!   and decides per node when the next pulse executes.
+//!   emits its own control traffic through the wire, accounts it in
+//!   [`SyncOverhead`], and decides per node when the next pulse
+//!   executes.
 //!   [`SyncModel::Alpha`] is the classic synchronizer α (per-payload
 //!   `Ack`s plus a per-pulse `Safe` flood on every edge), extracted
 //!   from the pre-split engine bit for bit;
@@ -67,20 +70,16 @@
 //! its own deterministic pulse budget and the transition fires on
 //! schedule, which is exactly the paper's §4.1 wrapper.
 
-use graphs::Graph;
 use rand::rngs::StdRng;
 
 use crate::message::Message;
 use crate::metrics::Metrics;
-use crate::network::{assign_ids, IdAssignment};
-use crate::obs::{emit, MetricsMode, RunProfile, SinkSlot, TraceConfig, TraceEvent, TraceSink};
-use crate::plane::{PortQueues, Topology};
+use crate::network::Nodes;
+use crate::obs::{emit, MetricsMode, RunProfile, TraceConfig, TraceEvent, TraceSink};
+use crate::plane::PortQueues;
 use crate::protocol::{Context, Endpoint, OutboxHandle, Port, Protocol};
-use crate::rng::node_rng;
 use crate::sched::fault::FaultEvent;
-use crate::sched::sync::{
-    transmit, ControlPlane, Event, SyncDriver, SyncMsg, Synchronizer, ENVELOPE_BITS,
-};
+use crate::sched::sync::{Event, SyncDriver, SyncMsg, Wire, ENVELOPE_BITS};
 use crate::sched::{
     ChurnEvent, ChurnModel, ChurnPlane, ChurnPolicy, DelayModel, DelaySource, EpochInfo,
     EventWheel, FaultModel, FaultPlane, PhasePlan, SyncModel,
@@ -88,17 +87,6 @@ use crate::sched::{
 use crate::session::{
     Driver, Engine, Observer, RoundDelta, RunLimits, RunReport, SyncOverhead, Termination,
 };
-
-#[derive(Clone)]
-struct AsyncSlot<P: Protocol> {
-    endpoint: Endpoint,
-    protocol: P,
-    rng: StdRng,
-    /// The pulse this node is currently *waiting to execute* (1-based).
-    pulse: u64,
-    /// This node finished the current drive's pulse budget.
-    done: bool,
-}
 
 /// The event-driven asynchronous engine: an executor core gated by a
 /// pluggable synchronizer over seeded link delays. Built through
@@ -109,16 +97,19 @@ struct AsyncSlot<P: Protocol> {
 /// point and walk every branch.
 #[derive(Clone)]
 pub(crate) struct AsyncNetwork<P: Protocol> {
-    nodes: Vec<AsyncSlot<P>>,
-    /// CSR route table shared with the synchronous engine.
-    topo: Topology,
+    /// Per-node read-only facts (parallel to the other per-node arrays).
+    endpoints: Vec<Endpoint>,
+    /// Per-node protocol state machines.
+    protocols: Vec<P>,
+    /// Per-node private RNG streams.
+    rngs: Vec<StdRng>,
+    /// The pulse each node is currently *waiting to execute* (1-based).
+    pulse: Vec<u64>,
+    /// Whether each node finished the current drive's pulse budget.
+    done: Vec<bool>,
     /// The flat plane's per-port FIFOs: application messages queued by
     /// protocols, drained one per port per pulse (CONGEST pipelining).
     queues: PortQueues<P::Msg>,
-    /// In-flight events: the slab-backed timing wheel, sized to the
-    /// delay model's compiled bound. Pops come out in `(arrival time,
-    /// send order)` order — exactly the old heap's `(time, seq)` order.
-    events: EventWheel<Event<P::Msg>>,
     /// Per-pulse payload staging: two rotating inboxes per node (slot
     /// `2·node + pulse-parity`), sharing one chunked slab.
     inboxes: PortQueues<(Port, P::Msg)>,
@@ -128,16 +119,10 @@ pub(crate) struct AsyncNetwork<P: Protocol> {
     /// The control plane: per-node gating state and control-traffic
     /// policy (see [`crate::sched::sync`]).
     sync: SyncDriver,
-    /// Nodes whose pulse gate an eager synchronizer signal completed,
-    /// drained iteratively after every hook (reused; sized to `n`).
-    ready: Vec<u32>,
-    /// Where per-send delays come from: the compiled link-delay model in
-    /// a sampled run, or an explorer-scripted choice sequence (see
-    /// [`crate::sched`]).
-    delays: DelaySource,
-    /// The compiled fault model plus the run's fault log and loss
-    /// accounting (see [`crate::sched::fault`]).
-    faults: FaultPlane,
+    /// Everything the synchronizer reaches the network through: routes,
+    /// delays, faults, the timing wheel, overhead, the ready worklist
+    /// and the trace slot.
+    wire: Wire<P::Msg>,
     /// The compiled churn model plus the epoch-versioned membership
     /// overlay, the run's churn log and the per-epoch timeline (see
     /// [`crate::sched::churn`]).
@@ -153,44 +138,19 @@ pub(crate) struct AsyncNetwork<P: Protocol> {
     /// Payload-side accounting, attributed to pulses by tag — comparable
     /// field-for-field with the synchronous engines' metrics.
     metrics: Metrics,
-    overhead: SyncOverhead,
     /// Per-pulse payload deltas, replayed to observers in pulse order
     /// when a drive completes. Left empty under
     /// [`MetricsMode::Streaming`].
     per_pulse: Vec<RoundDelta>,
-    /// The observability sink (absent unless the session installed
-    /// one). Recording is a pure observation: it never draws
-    /// randomness, meters traffic, or reorders events, so outputs,
-    /// metrics and overhead are bit-identical with or without it.
-    /// Excluded from [`AsyncNetwork::explore_hash`] — a trace is a
-    /// record of the past, not observable future state.
-    rec: SinkSlot,
     /// Whether per-pulse metrics history is kept ([`MetricsMode::Full`])
     /// or only O(1) running aggregates ([`MetricsMode::Streaming`]).
     metrics_mode: MetricsMode,
 }
 
-/// Builds the per-hook [`ControlPlane`] view over disjoint executor
-/// fields, so synchronizer calls borrow-check against `self.sync`.
-macro_rules! control_plane {
-    ($self:ident, $now:expr) => {
-        ControlPlane {
-            topo: &$self.topo,
-            delays: &mut $self.delays,
-            faults: &mut $self.faults,
-            events: &mut $self.events,
-            overhead: &mut $self.overhead,
-            ready: &mut $self.ready,
-            now: $now,
-            rec: &mut $self.rec,
-        }
-    };
-}
-
 impl<P: Protocol> AsyncNetwork<P> {
-    /// Builds the asynchronous engine over `graph` with the same ID
-    /// assignment and per-node RNG streams as the synchronous engines,
-    /// so protocols observe identical endpoints and coin flips. Link
+    /// Builds the asynchronous engine over `nodes` — the same route
+    /// table, IDs and per-node RNG streams the synchronous engine runs
+    /// on, so protocols observe identical endpoints and coin flips. Link
     /// delays are drawn from `delay` (seeded off `seed`; see
     /// [`crate::sched::DelayModel`]); pulse gating and control traffic
     /// follow `sync` (see [`SyncModel`]); the network breaks according
@@ -204,38 +164,19 @@ impl<P: Protocol> AsyncNetwork<P> {
     ///
     /// # Panics
     ///
-    /// Panics if the delay model's `max_delay == 0`, if the fault or
-    /// churn model is malformed, on a hashed ID collision, or if the
-    /// graph exceeds the plane's `u32` port space.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn build_with<F>(
-        graph: &Graph,
+    /// Panics if the delay model's `max_delay == 0` or if the fault or
+    /// churn model is malformed.
+    pub(crate) fn new(
+        nodes: Nodes<P>,
         seed: u64,
         delay: DelayModel,
         sync: SyncModel,
         fault: FaultModel,
         churn: ChurnModel,
-        ids: IdAssignment,
-        mut factory: F,
-    ) -> Self
-    where
-        F: FnMut(&Endpoint) -> P,
-    {
-        let n = graph.node_count();
-        let ids = assign_ids(ids, seed, n);
-        // Single-shard layout: the α engine owns the whole port space.
-        let topo = Topology::build(graph, n.max(1), 1);
-        let port_count = topo.offsets[n] as usize;
-
-        let nodes: Vec<AsyncSlot<P>> = (0..n)
-            .map(|u| {
-                let endpoint =
-                    Endpoint::new(u, ids[u], graph.neighbors(u).iter().map(|&v| ids[v]).collect());
-                let protocol = factory(&endpoint);
-                AsyncSlot { endpoint, protocol, rng: node_rng(seed, u), pulse: 1, done: false }
-            })
-            .collect();
-
+    ) -> Self {
+        let Nodes { topo, endpoints, protocols, rngs } = nodes;
+        let n = endpoints.len();
+        let port_count = topo.port_count();
         let delays = DelaySource::model(delay, seed, port_count);
         let faults = FaultPlane::new(fault, seed, port_count, n, delays.compiled_bound());
         let churn = ChurnPlane::new(churn, seed, &topo, n);
@@ -245,30 +186,37 @@ impl<P: Protocol> AsyncNetwork<P> {
         // widened to the fault model's retransmission bound so parked
         // resend timers always fit the horizon.
         let events = EventWheel::new(delays.compiled_bound().max(faults.sampler.retry_bound()));
-        Self {
-            nodes,
+        let wire = Wire {
             topo,
-            queues: PortQueues::new(port_count),
+            delays,
+            faults,
             events,
-            inboxes: PortQueues::new(n * 2),
-            inbox_buf: Vec::new(),
-            sync: SyncDriver::new(sync, n),
+            overhead: SyncOverhead::default(),
             // Gate completions happen once per (node, pulse) and at most
             // two pulses are live per node (the ±1 skew bound), so a
             // node has at most two outstanding wakes; `2n` capacity
             // keeps the worklist allocation-free forever.
             ready: Vec::with_capacity(2 * n),
-            delays,
-            faults,
+            rec: None,
+        };
+        Self {
+            endpoints,
+            protocols,
+            rngs,
+            pulse: vec![1; n],
+            done: vec![false; n],
+            queues: PortQueues::new(port_count),
+            inboxes: PortQueues::new(n * 2),
+            inbox_buf: Vec::new(),
+            sync: SyncDriver::new(sync, n),
+            wire,
             churn,
             budget: 0,
             executed: 0,
             initialized: false,
             started: false,
             metrics: Metrics::default(),
-            overhead: SyncOverhead::default(),
             per_pulse: Vec::new(),
-            rec: None,
             metrics_mode: MetricsMode::Full,
         }
     }
@@ -278,31 +226,31 @@ impl<P: Protocol> AsyncNetwork<P> {
     /// free thereafter) and the metrics mode. Must be called before the
     /// first drive.
     pub(crate) fn configure_obs(&mut self, trace: Option<TraceConfig>, mode: MetricsMode) {
-        self.rec = trace.map(|cfg| Box::new(TraceSink::new(cfg, self.nodes.len() as u32)));
+        self.wire.rec = trace.map(|cfg| Box::new(TraceSink::new(cfg, self.endpoints.len() as u32)));
         self.metrics_mode = mode;
     }
 
     /// The installed trace sink, if tracing is enabled.
     pub(crate) fn trace_sink(&self) -> Option<&TraceSink> {
-        self.rec.as_deref()
+        self.wire.rec.as_deref()
     }
 
     /// Flushes the sink's trailing aggregation window, folds in the
     /// wheel / queue high-water marks, and returns the run's profile —
     /// `None` when tracing is off.
     fn snapshot_profile(&mut self) -> Option<RunProfile> {
-        let wheel_hw = self.events.high_water();
+        let wheel_hw = self.wire.events.high_water();
         let queue_hw = self.inboxes.high_water().max(self.queues.high_water());
-        self.rec.as_deref_mut().map(|sink| sink.finish(wheel_hw, queue_hw))
+        self.wire.rec.as_deref_mut().map(|sink| sink.finish(wheel_hw, queue_hw))
     }
 
     /// The configured engine: delay, synchronizer, fault and churn
     /// models.
     pub(crate) fn engine(&self) -> Engine {
         Engine::Async {
-            delay: self.delays.delay_model(),
+            delay: self.wire.delays.delay_model(),
             sync: self.sync.model(),
-            fault: self.faults.model(),
+            fault: self.wire.faults.model(),
             churn: self.churn.model(),
         }
     }
@@ -314,7 +262,7 @@ impl<P: Protocol> AsyncNetwork<P> {
 
     /// Accumulated synchronizer overhead.
     pub(crate) fn overhead(&self) -> &SyncOverhead {
-        &self.overhead
+        &self.wire.overhead
     }
 
     /// Runs `f` on node `v`'s protocol with a context at `round`, its
@@ -326,30 +274,10 @@ impl<P: Protocol> AsyncNetwork<P> {
         round: u64,
         f: impl FnOnce(&mut P, &mut Context<'_, P::Msg>) -> R,
     ) -> R {
-        let node = &mut self.nodes[v];
-        let outbox = OutboxHandle::Flat { queues: &mut self.queues, base: self.topo.offsets[v] };
-        let mut ctx = Context::new(&node.endpoint, round, outbox, &mut node.rng);
-        f(&mut node.protocol, &mut ctx)
-    }
-
-    /// Schedules `msg` from node `from`'s local `port`, arriving after a
-    /// model-drawn delay keyed by the sending port's CSR slot — unless
-    /// the fault plane rules the attempt lost, in which case a
-    /// retransmission timer is parked instead (see
-    /// [`crate::sched::fault`]). Routing goes through the CSR table: one
-    /// lookup yields the destination node and its receiving port.
-    fn send(&mut self, now: u64, from: usize, port: Port, msg: SyncMsg<P::Msg>) {
-        transmit(
-            &self.topo,
-            &mut self.delays,
-            &mut self.faults,
-            &mut self.events,
-            &mut self.overhead,
-            now,
-            from,
-            port,
-            msg,
-        );
+        let base = self.wire.topo.offsets[v];
+        let outbox = OutboxHandle::Flat { queues: &mut self.queues, base };
+        let mut ctx = Context::new(&self.endpoints[v], round, outbox, &mut self.rngs[v]);
+        f(&mut self.protocols[v], &mut ctx)
     }
 
     /// Crash bookkeeping at node `v`'s entry into `pulse`: detects the
@@ -358,46 +286,50 @@ impl<P: Protocol> AsyncNetwork<P> {
     /// [`Protocol::on_peer_down`]/[`Protocol::on_peer_up`] hooks on live
     /// neighbors, and reports whether the node is crashed for this
     /// pulse.
-    fn fault_pulse_entry(&mut self, now: u64, v: usize, pulse: u64) -> bool {
-        let crashed = self.faults.sampler.crashed_at(v, pulse);
-        if crashed == self.faults.down[v] {
+    fn fault_pulse_entry(&mut self, v: usize, pulse: u64) -> bool {
+        let faults = &mut self.wire.faults;
+        let crashed = faults.sampler.crashed_at(v, pulse);
+        if crashed == faults.down[v] {
             return crashed;
         }
-        self.faults.down[v] = crashed;
+        faults.down[v] = crashed;
         if crashed {
-            self.faults.crash_seen = true;
-            self.faults.log.push(FaultEvent::NodeDown { node: v as u32, pulse });
+            faults.crash_seen = true;
+            faults.log.push(FaultEvent::NodeDown { node: v as u32, pulse });
             // Fail-silent: whatever the protocol queued but had not yet
             // transmitted dies with the host — each discard itemized in
             // the fault log, so observers can account for every loss.
-            let base = self.topo.offsets[v];
-            for port in 0..self.nodes[v].endpoint.degree() {
+            let now = self.wire.now();
+            let base = self.wire.topo.offsets[v];
+            for port in 0..self.endpoints[v].degree() {
                 while self.queues.pop(base + port as u32).is_some() {
-                    self.faults.lost += 1;
-                    self.overhead.dropped_messages += 1;
-                    self.faults.log.push(FaultEvent::Lost { node: v as u32, port, at: now });
+                    self.wire.faults.lost += 1;
+                    self.wire.overhead.dropped_messages += 1;
+                    self.wire.faults.log.push(FaultEvent::Lost { node: v as u32, port, at: now });
                 }
             }
-            self.notify_peers(v, true);
         } else {
-            self.faults.log.push(FaultEvent::NodeUp { node: v as u32, pulse });
-            self.notify_peers(v, false);
+            faults.log.push(FaultEvent::NodeUp { node: v as u32, pulse });
         }
+        self.notify_peers(v, crashed);
         crashed
     }
 
-    /// Fires the peer-loss hook on each of `v`'s currently-live
+    /// Fires the peer-loss hook on each of `v`'s present, uncrashed
     /// neighbors, each in its own context at its own current pulse.
     fn notify_peers(&mut self, v: usize, down: bool) {
-        for port in 0..self.nodes[v].endpoint.degree() {
-            let (_slot, to, back) = self.topo.resolve(v, port);
+        for port in 0..self.endpoints[v].degree() {
+            let (_slot, to, back) = self.wire.topo.resolve(v, port);
             let to = to as usize;
-            // A crashed neighbor observes nothing.
-            if self.faults.sampler.crashed_at(to, self.nodes[to].pulse) {
+            // A node outside the member set (or down) observes nothing:
+            // a joiner has not initialized yet, a leaver is gone.
+            if !self.churn.overlay.present[to]
+                || self.wire.faults.sampler.crashed_at(to, self.pulse[to])
+            {
                 continue;
             }
             let back = back as usize;
-            self.with_ctx(to, self.nodes[to].pulse, |p, ctx| {
+            self.with_ctx(to, self.pulse[to], |p, ctx| {
                 if down {
                     p.on_peer_down(ctx, back);
                 } else {
@@ -414,26 +346,27 @@ impl<P: Protocol> AsyncNetwork<P> {
     /// fires [`Protocol::on_join`]/[`Protocol::on_leave`] on present
     /// peers (and the [`ChurnPolicy::Restart`] re-init), and reports
     /// whether the node is outside the member set for this pulse.
-    fn churn_pulse_entry(&mut self, now: u64, v: usize, pulse: u64) -> bool {
+    fn churn_pulse_entry(&mut self, v: usize, pulse: u64) -> bool {
         let absent = self.churn.sampler.absent_at(v, pulse);
         if absent != self.churn.overlay.present[v] {
             // Steady state: the overlay already agrees with the sampled
             // membership — no transition at this pulse.
             return absent;
         }
-        self.churn.overlay.apply(&self.topo, v, !absent);
+        self.churn.overlay.apply(&self.wire.topo, v, !absent);
         let epoch = self.churn.overlay.epoch;
-        self.overhead.epochs += 1;
+        self.wire.overhead.epochs += 1;
         if absent {
-            self.overhead.leaves += 1;
+            self.wire.overhead.leaves += 1;
             self.churn.log.push(ChurnEvent::Leave { node: v as u32, pulse, epoch });
             // A graceful leave retires whatever the protocol queued but
             // had not yet transmitted — each payload itemized in the
             // churn log, never silently dropped.
-            let base = self.topo.offsets[v];
-            for port in 0..self.nodes[v].endpoint.degree() {
+            let now = self.wire.now();
+            let base = self.wire.topo.offsets[v];
+            for port in 0..self.endpoints[v].degree() {
                 while self.queues.pop(base + port as u32).is_some() {
-                    self.overhead.retired_messages += 1;
+                    self.wire.overhead.retired_messages += 1;
                     self.churn.retire(v as u32, port, now);
                 }
             }
@@ -443,7 +376,7 @@ impl<P: Protocol> AsyncNetwork<P> {
                 pulse,
                 "a join transition fires exactly at the scheduled pulse"
             );
-            self.overhead.joins += 1;
+            self.wire.overhead.joins += 1;
             self.churn.log.push(ChurnEvent::Join { node: v as u32, pulse, epoch });
             // The joiner's protocol initializes at the joining pulse;
             // whatever it queues drains in this same pulse entry, right
@@ -462,17 +395,17 @@ impl<P: Protocol> AsyncNetwork<P> {
     /// uncrashed neighbors, each in its own context at its own current
     /// pulse.
     fn notify_members(&mut self, v: usize, left: bool) {
-        for port in 0..self.nodes[v].endpoint.degree() {
-            let (_slot, to, back) = self.topo.resolve(v, port);
+        for port in 0..self.endpoints[v].degree() {
+            let (_slot, to, back) = self.wire.topo.resolve(v, port);
             let to = to as usize;
             // A node outside the member set (or down) observes nothing.
             if !self.churn.overlay.present[to]
-                || self.faults.sampler.crashed_at(to, self.nodes[to].pulse)
+                || self.wire.faults.sampler.crashed_at(to, self.pulse[to])
             {
                 continue;
             }
             let back = back as usize;
-            self.with_ctx(to, self.nodes[to].pulse, |p, ctx| {
+            self.with_ctx(to, self.pulse[to], |p, ctx| {
                 if left {
                     p.on_leave(ctx, back);
                 } else {
@@ -488,14 +421,14 @@ impl<P: Protocol> AsyncNetwork<P> {
     /// node whose event opened the epoch is skipped — a joiner was just
     /// initialized, a leaver is absent.
     fn restart_epoch(&mut self, skip: usize) {
-        for w in 0..self.nodes.len() {
+        for w in 0..self.endpoints.len() {
             if w == skip
                 || !self.churn.overlay.present[w]
-                || self.faults.sampler.crashed_at(w, self.nodes[w].pulse)
+                || self.wire.faults.sampler.crashed_at(w, self.pulse[w])
             {
                 continue;
             }
-            self.with_ctx(w, self.nodes[w].pulse, |p, ctx| p.init(ctx));
+            self.with_ctx(w, self.pulse[w], |p, ctx| p.init(ctx));
         }
     }
 
@@ -506,28 +439,24 @@ impl<P: Protocol> AsyncNetwork<P> {
     /// traffic its discipline requires. Degree-0 nodes have no
     /// synchronizer traffic at all and just execute their remaining
     /// pulses in place.
-    fn begin_pulse(&mut self, now: u64, v: usize) {
-        let degree = self.nodes[v].endpoint.degree();
+    fn begin_pulse(&mut self, v: usize) {
+        let degree = self.endpoints[v].degree();
         if degree == 0 {
-            while self.nodes[v].pulse <= self.budget {
-                let pulse = self.nodes[v].pulse;
-                let absent = self.churn_pulse_entry(now, v, pulse);
-                let crashed = self.fault_pulse_entry(now, v, pulse);
+            while self.pulse[v] <= self.budget {
+                let pulse = self.pulse[v];
+                let absent = self.churn_pulse_entry(v, pulse);
+                let crashed = self.fault_pulse_entry(v, pulse);
                 if !absent && !crashed {
                     let batch = self.execute_pulse(v);
-                    emit(
-                        &mut self.rec,
-                        now,
-                        TraceEvent::PulseExec { node: v as u32, pulse, batch },
-                    );
+                    self.wire.trace(TraceEvent::PulseExec { node: v as u32, pulse, batch });
                 }
-                self.nodes[v].pulse += 1;
+                self.pulse[v] += 1;
             }
-            self.nodes[v].pulse = self.budget;
-            self.nodes[v].done = true;
+            self.pulse[v] = self.budget;
+            self.done[v] = true;
             return;
         }
-        let pulse = self.nodes[v].pulse;
+        let pulse = self.pulse[v];
         // Membership first: a scheduled join initializes the protocol
         // (its sends drain below, in this same entry), a scheduled leave
         // retires the queued payloads before the crash sweep looks at
@@ -535,9 +464,9 @@ impl<P: Protocol> AsyncNetwork<P> {
         // below — every port reads idle, so neighbors' gates fill
         // exactly as for an empty pulse and the synchronizer waves keep
         // rolling across the epoch boundary.
-        let absent = self.churn_pulse_entry(now, v, pulse);
-        let crashed = self.fault_pulse_entry(now, v, pulse);
-        let base = self.topo.offsets[v];
+        let absent = self.churn_pulse_entry(v, pulse);
+        let crashed = self.fault_pulse_entry(v, pulse);
+        let base = self.wire.topo.offsets[v];
         let mut sent = 0usize;
         for port in 0..degree {
             let p = base + port as u32;
@@ -547,37 +476,31 @@ impl<P: Protocol> AsyncNetwork<P> {
             // spans the static topology.
             if !self.churn.overlay.port_live[p as usize] {
                 while self.queues.pop(p).is_some() {
-                    self.overhead.retired_messages += 1;
-                    self.churn.retire(v as u32, port, now);
+                    self.wire.overhead.retired_messages += 1;
+                    self.churn.retire(v as u32, port, self.wire.now());
                 }
             }
-            if self.queues.len(p) == 0 {
-                let mut cp = control_plane!(self, now);
-                self.sync.on_idle_port(&mut cp, v, port, pulse);
-                continue;
+            match self.queues.pop(p) {
+                Some(msg) => {
+                    self.wire.transmit(v, port, SyncMsg::Payload { pulse, msg });
+                    sent += 1;
+                }
+                None => self.sync.on_idle_port(&mut self.wire, v, port, pulse),
             }
-            let msg = self.queues.pop(p).expect("non-empty port queue pops");
-            self.send(now, v, port, SyncMsg::Payload { pulse, msg });
-            sent += 1;
         }
         debug_assert!(!crashed || sent == 0, "a crashed node sends nothing");
         debug_assert!(!absent || sent == 0, "an absent node sends nothing");
-        emit(
-            &mut self.rec,
-            now,
-            TraceEvent::PulseBegin { node: v as u32, pulse, sent: sent as u32 },
-        );
-        let mut cp = control_plane!(self, now);
-        self.sync.on_pulse_begun(&mut cp, v, pulse, sent);
+        self.wire.trace(TraceEvent::PulseBegin { node: v as u32, pulse, sent: sent as u32 });
+        self.sync.on_pulse_begun(&mut self.wire, v, pulse, sent);
     }
 
     /// Steps node `v`'s protocol on its current pulse's inbox, with its
     /// context wired into the flat queues. Returns the delivery batch
     /// size (how many payloads the protocol stepped on).
     fn execute_pulse(&mut self, v: usize) -> u32 {
-        let pulse = self.nodes[v].pulse;
+        let pulse = self.pulse[v];
         let parity = (pulse & 1) as usize;
-        if self.faults.sampler.crashed_at(v, pulse) {
+        if self.wire.faults.sampler.crashed_at(v, pulse) {
             // Fail-silent: payloads addressed to this pulse were already
             // discarded at delivery, so the inbox is empty and the
             // protocol does not step.
@@ -625,47 +548,43 @@ impl<P: Protocol> AsyncNetwork<P> {
     /// the gate, entering the next pulse after each execution. Iterative
     /// — a node catching up several pulses (or a whole quiescent stretch
     /// under `BatchedAlpha`) never recurses.
-    fn try_execute(&mut self, now: u64, v: usize) {
-        loop {
-            let node = &self.nodes[v];
-            if node.done {
-                return;
-            }
-            let pulse = node.pulse;
-            let degree = node.endpoint.degree();
-            if !self.sync.ready(v, pulse, degree) {
+    fn try_execute(&mut self, v: usize) {
+        while !self.done[v] {
+            let pulse = self.pulse[v];
+            if !self.sync.ready(v, pulse, self.endpoints[v].degree()) {
                 return;
             }
             let batch = self.execute_pulse(v);
-            emit(&mut self.rec, now, TraceEvent::PulseExec { node: v as u32, pulse, batch });
+            self.wire.trace(TraceEvent::PulseExec { node: v as u32, pulse, batch });
             self.sync.on_executed(v, pulse);
             if pulse >= self.budget {
-                self.nodes[v].done = true;
+                self.done[v] = true;
                 return;
             }
-            self.nodes[v].pulse = pulse + 1;
-            self.begin_pulse(now, v);
+            self.pulse[v] = pulse + 1;
+            self.begin_pulse(v);
         }
     }
 
     /// Drains the ready worklist: nodes whose gate an eager synchronizer
     /// signal completed outside the event loop. Executing them may wake
     /// further nodes; the loop runs until the cascade dies out.
-    fn drain_ready(&mut self, now: u64) {
-        while let Some(v) = self.ready.pop() {
-            self.try_execute(now, v as usize);
+    fn drain_ready(&mut self) {
+        while let Some(v) = self.wire.ready.pop() {
+            self.try_execute(v as usize);
         }
     }
 
-    fn handle(&mut self, now: u64, event: Event<P::Msg>) {
-        self.overhead.virtual_time = self.overhead.virtual_time.max(now);
+    /// Handles one popped wheel event at the current virtual time.
+    fn handle(&mut self, event: Event<P::Msg>) {
+        let now = self.wire.now();
         let (to, port, msg) = match event {
             Event::Deliver { to, port, msg } => (to as usize, port as usize, msg),
             Event::Resend { from, port, msg } => {
                 // A retransmission timer fired: the envelope re-enters
                 // the wire with fresh delay and fault draws.
-                emit(&mut self.rec, now, TraceEvent::Retransmit { node: from, port });
-                self.send(now, from as usize, port as usize, msg);
+                self.wire.trace(TraceEvent::Retransmit { node: from, port });
+                self.wire.transmit(from as usize, port as usize, msg);
                 return;
             }
         };
@@ -677,12 +596,13 @@ impl<P: Protocol> AsyncNetwork<P> {
                 // still observes the arrival: the control plane spans
                 // the static topology, which is what keeps neighbors'
                 // gates filling across the epoch boundary.
-                self.overhead.retired_messages += 1;
+                self.wire.overhead.retired_messages += 1;
                 self.churn.retire(to as u32, port, now);
-                let mut cp = control_plane!(self, now);
-                self.sync.on_payload(&mut cp, to, port, pulse);
+                self.sync.on_payload(&mut self.wire, to, port, pulse);
             }
-            SyncMsg::Payload { pulse, msg: _ } if self.faults.sampler.crashed_at(to, pulse) => {
+            SyncMsg::Payload { pulse, msg: _ }
+                if self.wire.faults.sampler.crashed_at(to, pulse) =>
+            {
                 // The receiver is down for this pulse: the payload
                 // vanishes at the host — not metered, not staged; the
                 // loss is application-visible (degradation, not
@@ -690,11 +610,10 @@ impl<P: Protocol> AsyncNetwork<P> {
                 // the control plane survives the crash, which is what
                 // keeps the neighbors' gates filling and the waves
                 // self-healing.
-                self.faults.lost += 1;
-                self.overhead.dropped_messages += 1;
-                self.faults.log.push(FaultEvent::Lost { node: to as u32, port, at: now });
-                let mut cp = control_plane!(self, now);
-                self.sync.on_payload(&mut cp, to, port, pulse);
+                self.wire.faults.lost += 1;
+                self.wire.overhead.dropped_messages += 1;
+                self.wire.faults.log.push(FaultEvent::Lost { node: to as u32, port, at: now });
+                self.sync.on_payload(&mut self.wire, to, port, pulse);
             }
             SyncMsg::Payload { pulse, msg } => {
                 // A payload tagged r was drained by the sender on entering
@@ -707,7 +626,7 @@ impl<P: Protocol> AsyncNetwork<P> {
                 // synchronizer's overhead.
                 let bits = msg.bit_size();
                 self.metrics.record_payload(bits);
-                self.overhead.control_bits += ENVELOPE_BITS as u64;
+                self.wire.overhead.control_bits += ENVELOPE_BITS as u64;
                 if self.metrics_mode == MetricsMode::Full {
                     let idx = (pulse - 1) as usize;
                     if self.per_pulse.len() <= idx {
@@ -715,30 +634,21 @@ impl<P: Protocol> AsyncNetwork<P> {
                     }
                     self.per_pulse[idx].record(bits);
                 }
-                emit(
-                    &mut self.rec,
-                    now,
-                    TraceEvent::Payload { node: to as u32, pulse, bits: bits as u32 },
-                );
+                self.wire.trace(TraceEvent::Payload { node: to as u32, pulse, bits: bits as u32 });
                 // Pulse skew is at most one under every synchronizer
                 // here: a payload can only arrive while its receiver
                 // waits on `pulse` or `pulse - 1`, so the parity-indexed
                 // inbox slot is free.
                 debug_assert!(
-                    pulse == self.nodes[to].pulse || pulse == self.nodes[to].pulse + 1,
+                    pulse == self.pulse[to] || pulse == self.pulse[to] + 1,
                     "payload outside the two-pulse horizon"
                 );
                 self.inboxes.push((to * 2 + (pulse & 1) as usize) as u32, (port, msg));
-                let mut cp = control_plane!(self, now);
-                self.sync.on_payload(&mut cp, to, port, pulse);
+                self.sync.on_payload(&mut self.wire, to, port, pulse);
             }
-            SyncMsg::Ctrl(ctrl) => {
-                let node_pulse = self.nodes[to].pulse;
-                let mut cp = control_plane!(self, now);
-                self.sync.on_ctrl(&mut cp, to, node_pulse, port, ctrl);
-            }
+            SyncMsg::Ctrl(ctrl) => self.sync.on_ctrl(&mut self.wire, to, self.pulse[to], ctrl),
         }
-        self.try_execute(now, to);
+        self.try_execute(to);
     }
 
     /// Offers every node its [`Protocol::on_quiescent`] transition — the
@@ -757,8 +667,8 @@ impl<P: Protocol> AsyncNetwork<P> {
     pub(crate) fn barrier(&mut self, obs: &mut dyn Observer) -> bool {
         let round = self.executed;
         let mut resumed = false;
-        for v in 0..self.nodes.len() {
-            if self.faults.down[v] {
+        for v in 0..self.endpoints.len() {
+            if self.wire.faults.down[v] {
                 // A crashed node takes no phase transition — and its
                 // silence must not keep the plan spinning pulse budgets:
                 // the run ends `Degraded` (see `run_phases`) instead of
@@ -811,11 +721,7 @@ impl<P: Protocol> AsyncNetwork<P> {
             if phase.pulses > 0 {
                 self.drive_pulses(phase.pulses, obs);
             }
-            emit(
-                &mut self.rec,
-                self.overhead.virtual_time,
-                TraceEvent::Phase { index: index as u32, budget: phase.pulses },
-            );
+            self.wire.trace(TraceEvent::Phase { index: index as u32, budget: phase.pulses });
             live = self.barrier(obs);
             if !live {
                 break;
@@ -839,8 +745,8 @@ impl<P: Protocol> AsyncNetwork<P> {
     /// in the run overrides both with [`Termination::Degraded`].
     fn report(&mut self, live: bool) -> RunReport {
         RunReport {
-            termination: if self.faults.crash_seen {
-                Termination::Degraded { lost: self.faults.lost }
+            termination: if self.wire.faults.crash_seen {
+                Termination::Degraded { lost: self.wire.faults.lost }
             } else if live {
                 Termination::RoundLimit
             } else {
@@ -848,7 +754,7 @@ impl<P: Protocol> AsyncNetwork<P> {
             },
             rounds: self.executed,
             metrics: self.metrics.clone(),
-            overhead: self.overhead,
+            overhead: self.wire.overhead,
             epochs: self.churn.timeline.clone(),
             profile: self.snapshot_profile(),
         }
@@ -883,15 +789,15 @@ impl<P: Protocol> Driver for AsyncNetwork<P> {
     }
 
     fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.endpoints.len()
     }
 
     fn endpoint(&self, index: usize) -> &Endpoint {
-        &self.nodes[index].endpoint
+        &self.endpoints[index]
     }
 
     fn protocol(&self, index: usize) -> &P {
-        &self.nodes[index].protocol
+        &self.protocols[index]
     }
 
     fn queued_messages(&self) -> u64 {
@@ -947,7 +853,7 @@ impl<P: Protocol> AsyncNetwork<P> {
             return;
         }
         self.initialized = true;
-        for v in 0..self.nodes.len() {
+        for v in 0..self.endpoints.len() {
             if self.churn.overlay.present[v] {
                 self.with_ctx(v, 0, |p, ctx| p.init(ctx));
             }
@@ -965,18 +871,22 @@ impl<P: Protocol> AsyncNetwork<P> {
         // exactly at the previous budget with no event in flight, so all
         // of them re-enter their next pulse at the current virtual time.
         let resume = std::mem::replace(&mut self.started, true);
-        let now = self.overhead.virtual_time;
-        debug_assert!(resume || now == 0, "nothing runs before pulse 1");
-        for v in 0..self.nodes.len() {
+        debug_assert!(resume || self.wire.now() == 0, "nothing runs before pulse 1");
+        debug_assert_eq!(
+            self.wire.overhead.virtual_time,
+            self.wire.now(),
+            "the wheel cursor is the virtual clock"
+        );
+        for v in 0..self.endpoints.len() {
             if resume {
-                debug_assert!(self.nodes[v].done, "paused nodes sit at the budget");
-                self.nodes[v].done = false;
-                self.nodes[v].pulse += 1;
+                debug_assert!(self.done[v], "paused nodes sit at the budget");
+                self.done[v] = false;
+                self.pulse[v] += 1;
             }
-            self.begin_pulse(now, v);
-            self.try_execute(now, v);
+            self.begin_pulse(v);
+            self.try_execute(v);
         }
-        self.drain_ready(now);
+        self.drain_ready();
         self.flush_logs(obs);
     }
 
@@ -985,14 +895,15 @@ impl<P: Protocol> AsyncNetwork<P> {
     /// to `obs`. Returns `false` when the wheel is empty (the segment is
     /// over — completed if every node is done, deadlocked otherwise).
     pub(crate) fn step_event(&mut self, obs: &mut dyn Observer) -> bool {
-        let Some((now, event)) = self.events.pop_next() else {
+        let Some((now, event)) = self.wire.events.pop_next() else {
             return false;
         };
-        self.handle(now, event);
-        if let Some(sink) = self.rec.as_deref_mut() {
-            sink.sample_wheel(self.events.pending());
+        self.wire.overhead.virtual_time = self.wire.overhead.virtual_time.max(now);
+        self.handle(event);
+        if let Some(sink) = self.wire.rec.as_deref_mut() {
+            sink.sample_wheel(self.wire.events.pending());
         }
-        self.drain_ready(now);
+        self.drain_ready();
         self.flush_logs(obs);
         true
     }
@@ -1003,10 +914,7 @@ impl<P: Protocol> AsyncNetwork<P> {
     /// the explorer reports a deadlock instead of settling otherwise.
     pub(crate) fn settle(&mut self) {
         debug_assert_eq!(self.inboxes.queued(), 0, "all staged payloads were consumed");
-        debug_assert!(
-            self.nodes.iter().all(|s| s.done),
-            "all nodes must finish their pulse budget"
-        );
+        debug_assert!(self.explore_all_done(), "all nodes must finish their pulse budget");
         self.executed = self.budget;
         self.metrics.rounds = self.executed;
         if self.metrics_mode == MetricsMode::Full {
@@ -1031,12 +939,10 @@ impl<P: Protocol> AsyncNetwork<P> {
     /// order. The log is drained in place and reused — no steady-state
     /// allocation once its capacity is warm.
     fn flush_faults(&mut self, obs: &mut dyn Observer) {
-        if self.faults.log.is_empty() {
-            return;
-        }
-        let at = self.overhead.virtual_time;
-        for event in self.faults.log.drain(..) {
-            emit(&mut self.rec, at, event.trace_event());
+        let wire = &mut self.wire;
+        let at = wire.now();
+        for event in wire.faults.log.drain(..) {
+            emit(&mut wire.rec, at, event.trace_event());
             obs.on_fault(event);
         }
     }
@@ -1047,20 +953,14 @@ impl<P: Protocol> AsyncNetwork<P> {
     /// count. The log is drained in place and reused, like the fault
     /// log.
     fn flush_churn(&mut self, obs: &mut dyn Observer) {
-        if self.churn.log.is_empty() {
-            return;
-        }
-        let at = self.overhead.virtual_time;
-        for i in 0..self.churn.log.len() {
-            let event = self.churn.log[i];
-            emit(&mut self.rec, at, event.trace_event());
+        for event in self.churn.log.drain(..) {
+            self.wire.trace(event.trace_event());
             if let ChurnEvent::Join { epoch, .. } | ChurnEvent::Leave { epoch, .. } = event {
                 let members = self.churn.timeline[(epoch - 1) as usize].members;
-                emit(&mut self.rec, at, TraceEvent::Epoch { epoch, members });
+                self.wire.trace(TraceEvent::Epoch { epoch, members });
             }
             obs.on_churn(event);
         }
-        self.churn.log.clear();
     }
 }
 
@@ -1069,38 +969,38 @@ impl<P: Protocol> AsyncNetwork<P> {
 impl<P: Protocol> AsyncNetwork<P> {
     /// The pulse node `v` currently waits to execute (1-based).
     pub(crate) fn node_pulse(&self, v: usize) -> u64 {
-        self.nodes[v].pulse
+        self.pulse[v]
     }
 
     /// Whether node `v` finished the current segment's pulse budget.
     pub(crate) fn node_done(&self, v: usize) -> bool {
-        self.nodes[v].done
+        self.done[v]
     }
 
     /// Whether every node finished the current segment's pulse budget.
     pub(crate) fn explore_all_done(&self) -> bool {
-        self.nodes.iter().all(|s| s.done)
+        self.done.iter().all(|&d| d)
     }
 
     /// Events scheduled on the wheel and not yet delivered.
     pub(crate) fn pending_events(&self) -> u64 {
-        self.events.pending()
+        self.wire.events.pending()
     }
 
     /// Application payloads lost to faults so far.
     pub(crate) fn lost(&self) -> u64 {
-        self.faults.lost
+        self.wire.faults.lost
     }
 
     /// The engine's delay source, immutably (tape access).
     pub(crate) fn delays(&self) -> &DelaySource {
-        &self.delays
+        &self.wire.delays
     }
 
     /// The engine's delay source, mutably (the explorer scripts choice
     /// assignments and enables recording through this).
     pub(crate) fn delays_mut(&mut self) -> &mut DelaySource {
-        &mut self.delays
+        &mut self.wire.delays
     }
 
     /// Feeds the engine's complete observable state into `h` — the
@@ -1131,17 +1031,17 @@ impl<P: Protocol> AsyncNetwork<P> {
         use std::hash::Hash;
         self.executed.hash(h);
         self.budget.hash(h);
-        for node in &self.nodes {
-            node.pulse.hash(h);
-            node.done.hash(h);
-            node.protocol.hash(h);
-            node.rng.hash(h);
+        for v in 0..self.endpoints.len() {
+            self.pulse[v].hash(h);
+            self.done[v].hash(h);
+            self.protocols[v].hash(h);
+            self.rngs[v].hash(h);
         }
         for port in 0..self.queues.port_count() as u32 {
             self.queues.len(port).hash(h);
             self.queues.for_each(port, |msg| msg.hash(h));
         }
-        self.events.for_each_pending(|rel, event| {
+        self.wire.events.for_each_pending(|rel, event| {
             rel.hash(h);
             event.hash(h);
         });
@@ -1150,26 +1050,27 @@ impl<P: Protocol> AsyncNetwork<P> {
             self.inboxes.for_each(slot, |entry| entry.hash(h));
         }
         self.sync.hash(h);
-        self.faults.sampler.hash(h);
-        self.faults.down.hash(h);
-        self.faults.lost.hash(h);
-        self.faults.crash_seen.hash(h);
+        let (faults, overhead) = (&self.wire.faults, &self.wire.overhead);
+        faults.sampler.hash(h);
+        faults.down.hash(h);
+        faults.lost.hash(h);
+        faults.crash_seen.hash(h);
         self.metrics.hash(h);
         self.per_pulse.hash(h);
-        self.overhead.control_messages.hash(h);
-        self.overhead.control_bits.hash(h);
-        self.overhead.retransmissions.hash(h);
-        self.overhead.dropped_messages.hash(h);
+        overhead.control_messages.hash(h);
+        overhead.control_bits.hash(h);
+        overhead.retransmissions.hash(h);
+        overhead.dropped_messages.hash(h);
     }
 }
 
 impl<P: Protocol> std::fmt::Debug for AsyncNetwork<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AsyncNetwork")
-            .field("nodes", &self.nodes.len())
-            .field("delay", &self.delays.delay_model())
+            .field("nodes", &self.endpoints.len())
+            .field("delay", &self.wire.delays.delay_model())
             .field("sync", &self.sync.model())
-            .field("fault", &self.faults.model())
+            .field("fault", &self.wire.faults.model())
             .field("churn", &self.churn.model())
             .field("pulses", &self.executed)
             .finish_non_exhaustive()
@@ -1412,16 +1313,11 @@ mod tests {
     #[test]
     fn zero_budget_drive_still_initializes() {
         let g = ring_with_chords(8);
-        let mut net = AsyncNetwork::build_with(
-            &g,
-            4,
-            DelayModel::Uniform { max_delay: 3 },
-            SyncModel::Alpha,
-            FaultModel::None,
-            ChurnModel::None,
-            IdAssignment::Hashed,
-            make,
-        );
+        let mut net = Session::on(&g)
+            .seed(4)
+            .engine(uniform(3))
+            .limits(RunLimits::rounds(20))
+            .build_with(make);
         let report = net.drive(RunLimits::rounds(0), &mut ());
         assert_eq!(report.rounds, 0);
         // Protocol init ran (as on the synchronous engines): the source
@@ -1440,16 +1336,16 @@ mod tests {
         let g = ring_with_chords(20);
         for sync in SYNC_MODELS {
             let build = || {
-                AsyncNetwork::build_with(
-                    &g,
-                    5,
-                    DelayModel::Uniform { max_delay: 6 },
-                    sync,
-                    FaultModel::None,
-                    ChurnModel::None,
-                    IdAssignment::Hashed,
-                    make,
-                )
+                Session::on(&g)
+                    .seed(5)
+                    .engine(Engine::Async {
+                        delay: DelayModel::Uniform { max_delay: 6 },
+                        sync,
+                        fault: FaultModel::None,
+                        churn: ChurnModel::None,
+                    })
+                    .limits(RunLimits::rounds(30))
+                    .build_with(make)
             };
             let mut split = build();
             split.drive(RunLimits::rounds(4), &mut ());
@@ -1533,17 +1429,17 @@ mod tests {
             DelayModel::Adversarial { max_delay: 5 },
         ] {
             for sync in SYNC_MODELS {
-                let mut net = AsyncNetwork::build_with(
-                    &g,
-                    8,
-                    delay,
-                    sync,
-                    FaultModel::None,
-                    ChurnModel::None,
-                    IdAssignment::Hashed,
-                    make_staged,
-                );
-                let report = net.run_phases(&plan, &mut ());
+                let mut net = Session::on(&g)
+                    .seed(8)
+                    .engine(Engine::Async {
+                        delay,
+                        sync,
+                        fault: FaultModel::None,
+                        churn: ChurnModel::None,
+                    })
+                    .limits(RunLimits::rounds(plan.total_pulses()))
+                    .build_with(make_staged);
+                let report = net.run_phased(&plan, &mut ());
                 assert_eq!(net.outputs(), sync_out, "{delay:?}, {sync:?}");
                 assert_eq!(report.termination, Termination::Quiescent, "{delay:?}, {sync:?}");
                 assert_eq!(report.metrics, sync_report.metrics, "{delay:?}, {sync:?}");
@@ -1563,17 +1459,12 @@ mod tests {
         // Only two of the four waves are scheduled: the closing barrier
         // still wants to resume, so the plan ran out of schedule.
         let plan = PhasePlan::new().phase("wave0", 1).phase("wave1", 1);
-        let mut net = AsyncNetwork::build_with(
-            &g,
-            2,
-            DelayModel::Uniform { max_delay: 3 },
-            SyncModel::Alpha,
-            FaultModel::None,
-            ChurnModel::None,
-            IdAssignment::Hashed,
-            make_staged,
-        );
-        let report = net.run_phases(&plan, &mut ());
+        let mut net = Session::on(&g)
+            .seed(2)
+            .engine(uniform(3))
+            .limits(RunLimits::rounds(plan.total_pulses()))
+            .build_with(make_staged);
+        let report = net.run_phased(&plan, &mut ());
         assert_eq!(report.termination, Termination::RoundLimit);
         assert_eq!(report.rounds, 2);
         assert_eq!(report.metrics.barriers, 2, "both scheduled barriers were taken");

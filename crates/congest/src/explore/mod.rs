@@ -100,10 +100,10 @@ use std::hash::Hash;
 use graphs::Graph;
 
 use crate::asynch::AsyncNetwork;
-use crate::network::IdAssignment;
+use crate::network::{IdAssignment, Nodes};
 use crate::protocol::{Endpoint, Protocol};
 use crate::sched::{ChurnModel, DelayModel, DelaySource, FaultModel, PhasePlan, SyncModel};
-use crate::session::{Driver, RunLimits, RunReport, Session};
+use crate::session::{Driver, RunLimits, RunReport, Session, Source};
 
 pub use checker::{ExploreState, Invariant, MaskingIdentity, PulseSkew};
 pub use trace::{DelayTrace, TraceParseError};
@@ -126,14 +126,13 @@ pub struct Explore<'g> {
     plan: Option<PhasePlan>,
     limit_schedules: u64,
     audit_fingerprints: bool,
-    check_flat: bool,
     dedup: bool,
 }
 
 impl<'g> Explore<'g> {
     /// An exploration over `graph` with defaults: seed 0, bound 1 (a
     /// single schedule — useful as a determinism pin), synchronizer α,
-    /// no faults, a one-pulse budget, flat cross-checking on.
+    /// no faults, a one-pulse budget.
     #[must_use]
     pub fn on(graph: &'g Graph) -> Self {
         Self {
@@ -147,7 +146,6 @@ impl<'g> Explore<'g> {
             plan: None,
             limit_schedules: 1_000_000,
             audit_fingerprints: false,
-            check_flat: true,
             dedup: true,
         }
     }
@@ -253,19 +251,11 @@ impl<'g> Explore<'g> {
         self
     }
 
-    /// Toggle the flat-engine cross-check (default on): every completed
-    /// schedule's outputs and payload ledger must match a synchronous
-    /// reference run with the same seed. Turn off for protocols whose
-    /// phased reference would not quiesce under default limits.
-    #[must_use]
-    pub fn check_flat(mut self, check: bool) -> Self {
-        self.check_flat = check;
-        self
-    }
-
     /// Runs the exploration with the default invariant suite
-    /// ([`PulseSkew`], [`MaskingIdentity`], deadlock freedom, and — when
-    /// [`Explore::check_flat`] is on — flat-engine equivalence).
+    /// ([`PulseSkew`], [`MaskingIdentity`], deadlock freedom, and
+    /// flat-engine equivalence: every completed schedule's outputs and
+    /// payload ledger must match a synchronous reference run with the
+    /// same seed).
     ///
     /// # Panics
     ///
@@ -318,28 +308,18 @@ impl<'g> Explore<'g> {
         // reproduce. Phased explorations compare against the flat
         // engine's own quiescence-barrier staging (default limits), the
         // same ground truth the engine-equivalence suite uses.
-        let reference = self.check_flat.then(|| {
-            let session = Session::on(self.graph).seed(self.seed);
-            let (outputs, report) = match &self.plan {
-                Some(_) => session.run_with(&mut factory),
-                None => session.limits(RunLimits::rounds(self.budget)).run_with(&mut factory),
-            };
-            FlatReference { outputs, metrics: report.metrics }
-        });
+        let session = Session::on(self.graph).seed(self.seed);
+        let (outputs, report) = match &self.plan {
+            Some(_) => session.run_with(&mut factory),
+            None => session.limits(RunLimits::rounds(self.budget)).run_with(&mut factory),
+        };
+        let reference = FlatReference { outputs, metrics: report.metrics };
 
         // Build the engine on the nominal uniform model (correct wheel
         // and retransmission-timeout sizing for the bound), then swap in
         // the scripted choice source the DFS feeds.
-        let mut net = AsyncNetwork::build_with(
-            self.graph,
-            self.seed,
-            DelayModel::Uniform { max_delay: self.bound },
-            self.sync,
-            self.fault,
-            ChurnModel::None,
-            IdAssignment::Hashed,
-            factory,
-        );
+        let delay = DelayModel::Uniform { max_delay: self.bound };
+        let mut net = async_engine(self.graph, self.seed, delay, self.sync, self.fault, factory);
         *net.delays_mut() = DelaySource::script(self.bound);
 
         let mut checks: Vec<Box<dyn Invariant<P>>> =
@@ -394,16 +374,7 @@ where
     P: Protocol,
     F: FnMut(&Endpoint) -> P,
 {
-    let mut net: AsyncNetwork<P> = AsyncNetwork::build_with(
-        graph,
-        seed,
-        delay,
-        sync,
-        fault,
-        ChurnModel::None,
-        IdAssignment::Hashed,
-        factory,
-    );
+    let mut net = async_engine(graph, seed, delay, sync, fault, factory);
     net.delays_mut().record();
     let report = net.drive(limits, &mut ());
     // The trace's bound is the *compiled* bound: replay sizes its wheel
@@ -411,6 +382,25 @@ where
     // run's sizing exactly.
     let trace = DelayTrace::new(net.delays().compiled_bound(), net.delays().tape().to_vec());
     (net.outputs(), report, trace)
+}
+
+/// The α engine over `graph` with hashed IDs and a fixed member set,
+/// built from the same node parts as [`Session::build_with`]'s — the
+/// explorer and [`record_run`] drive it directly.
+fn async_engine<P, F>(
+    graph: &Graph,
+    seed: u64,
+    delay: DelayModel,
+    sync: SyncModel,
+    fault: FaultModel,
+    factory: F,
+) -> AsyncNetwork<P>
+where
+    P: Protocol,
+    F: FnMut(&Endpoint) -> P,
+{
+    let nodes = Nodes::build(Source::Graph(graph), seed, IdAssignment::Hashed, 1, factory);
+    AsyncNetwork::new(nodes, seed, delay, sync, fault, ChurnModel::None)
 }
 
 /// What an exploration covered, and what it found.
@@ -875,16 +865,9 @@ mod tests {
     fn fingerprints_are_deterministic_and_state_sensitive() {
         let g = triangle();
         let build = |seed: u64| {
-            let mut net: AsyncNetwork<Flood> = AsyncNetwork::build_with(
-                &g,
-                seed,
-                DelayModel::Uniform { max_delay: 2 },
-                SyncModel::Alpha,
-                FaultModel::None,
-                ChurnModel::None,
-                IdAssignment::Hashed,
-                make_flood,
-            );
+            let delay = DelayModel::Uniform { max_delay: 2 };
+            let mut net =
+                async_engine(&g, seed, delay, SyncModel::Alpha, FaultModel::None, make_flood);
             *net.delays_mut() = DelaySource::script(2);
             net
         };
@@ -906,14 +889,12 @@ mod tests {
         // fingerprint from the first step.
         let mut c = build(9);
         *c.delays_mut() = DelaySource::script(2);
-        let mut d: AsyncNetwork<Flood> = AsyncNetwork::build_with(
+        let mut d = async_engine(
             &g,
             9,
             DelayModel::Uniform { max_delay: 2 },
             SyncModel::Alpha,
             FaultModel::None,
-            ChurnModel::None,
-            IdAssignment::Hashed,
             |e: &Endpoint| Flood { is_source: e.index == 1, heard_at: None, forwarded: false },
         );
         *d.delays_mut() = DelaySource::script(2);

@@ -85,8 +85,8 @@ pub(crate) struct Dfs<P: Protocol> {
     pub limit_schedules: u64,
     /// Invariants checked on every state / schedule end.
     pub checks: Vec<Box<dyn Invariant<P>>>,
-    /// Flat-engine outputs + payload ledger, when cross-checking.
-    pub reference: Option<FlatReference<P::Output>>,
+    /// Flat-engine outputs + payload ledger every schedule must match.
+    pub reference: FlatReference<P::Output>,
     /// Whether convergence pruning is on (off = raw schedule tree).
     pub dedup: bool,
     /// Fingerprints already expanded.
@@ -271,11 +271,9 @@ where
              (partial exploration is never reported as exhaustive)",
             self.limit_schedules
         );
-        if let Some(reference) = &self.reference {
-            if let Some(detail) = flat_mismatch(reference, &net) {
-                self.violate("flat_equivalence", detail, &net);
-                return;
-            }
+        if let Some(detail) = flat_mismatch(&self.reference, &net) {
+            self.violate("flat_equivalence", detail, &net);
+            return;
         }
         if let Some(failed) = self.check_states(&net, true) {
             self.violate(failed.0, failed.1, &net);

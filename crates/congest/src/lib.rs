@@ -20,15 +20,19 @@
 //!
 //! Every run starts at [`Session`], which selects an [`Engine`]:
 //!
-//! | engine | model | backing |
-//! |---|---|---|
-//! | [`Engine::Flat`] | synchronous rounds | the zero-allocation flat plane, sharded over threads |
-//! | [`Engine::Legacy`] | synchronous rounds | the preserved seed engine (test-only fixture, behind the `legacy-engine` feature) |
-//! | [`Engine::Async`] | event-driven, pluggable synchronizer | flat-plane queues + [`EventWheel`] event plane + [`DelayModel`]s + [`SyncModel`]s |
+//! | engine | model | backing | built from |
+//! |---|---|---|---|
+//! | [`Engine::Flat`] | synchronous rounds | the zero-allocation flat plane, sharded over threads | graph or edge stream |
+//! | [`Engine::Legacy`] | synchronous rounds | the preserved seed engine (test-only fixture, behind the `legacy-engine` feature) | graph |
+//! | [`Engine::Async`] | event-driven, pluggable synchronizer | flat-plane queues + [`EventWheel`] event plane + [`DelayModel`]s + [`SyncModel`]s | graph or edge stream |
 //!
 //! The engines themselves are crate-private: [`Session`] is the only way
 //! to build one, and [`SessionDriver`] (through the [`Driver`] trait) the
-//! only way to drive it.
+//! only way to drive it. The two production engines share one
+//! construction path: [`Session`] compiles the [`Topology`] route table
+//! (one two-pass CSR compiler for graphs and streams alike), the node
+//! IDs, the shared endpoint arena, the protocols and the RNG streams
+//! once, and hands them to whichever engine was selected.
 //!
 //! The asynchronous engine's scheduling is a subsystem of its own
 //! ([`sched`]): four seeded link-[`DelayModel`]s (uniform, per-link,
@@ -140,8 +144,7 @@ pub use message::{bits_for_count, Message, ID_BITS, TAG_BITS};
 pub use metrics::Metrics;
 pub use network::{IdAssignment, Mode};
 pub use obs::{
-    CtrlTag, Hist, MetricsMode, Recorder, RunProfile, TraceConfig, TraceEvent, TraceRecord,
-    TraceSink,
+    CtrlTag, Hist, MetricsMode, RunProfile, TraceConfig, TraceEvent, TraceRecord, TraceSink,
 };
 pub use plane::Topology;
 pub use protocol::{Context, Endpoint, Port, Protocol, Round};

@@ -153,13 +153,23 @@ pub(crate) struct Network<P: Protocol> {
     metrics_mode: MetricsMode,
 }
 
-impl<P: Protocol> Network<P> {
-    /// Builds the flat engine over `source` (a graph, or a restartable
-    /// edge stream whose CSR route table is compiled in two counted
-    /// passes without materializing a `Graph`), sharded over `shards` OS
-    /// threads (clamped to at least one), creating each node's protocol
-    /// via `factory`. Both sources give bit-identical engines for the
-    /// same instance.
+/// The per-node parts both production engines run on, compiled once per
+/// session by [`Nodes::build`]: the CSR route table, and each node's
+/// endpoint (its neighbor ids slicing one shared arena), protocol and
+/// RNG stream, parallel by node index.
+pub(crate) struct Nodes<P> {
+    pub topo: Topology,
+    pub endpoints: Vec<Endpoint>,
+    pub protocols: Vec<P>,
+    pub rngs: Vec<StdRng>,
+}
+
+impl<P> Nodes<P> {
+    /// Compiles `source` (a graph, or a restartable edge stream — both
+    /// through the same two counted passes, so both give bit-identical
+    /// parts for the same instance) into a route table split over
+    /// `shards` node ranges, assigns IDs, and creates each node's
+    /// protocol via `factory`, in node order.
     ///
     /// # Panics
     ///
@@ -169,7 +179,6 @@ impl<P: Protocol> Network<P> {
     /// unique, replayable).
     pub(crate) fn build<F>(
         source: Source<'_>,
-        mode: Mode,
         seed: u64,
         ids: IdAssignment,
         shards: usize,
@@ -178,47 +187,47 @@ impl<P: Protocol> Network<P> {
     where
         F: FnMut(&Endpoint) -> P,
     {
-        let s_count = shards.max(1);
-        let (topo, chunk) = match source {
-            Source::Graph(graph) => {
-                let chunk = graph.node_count().div_ceil(s_count);
-                (Topology::build(graph, chunk, s_count), chunk)
-            }
-            Source::Stream(stream) => {
-                let chunk = stream.node_count().div_ceil(s_count);
-                (Topology::build_from_stream(stream, chunk, s_count), chunk)
-            }
+        let topo = match source {
+            Source::Graph(graph) => Topology::from_graph(graph, shards),
+            Source::Stream(stream) => Topology::from_edge_stream(stream, shards),
         };
         let n = topo.node_count();
         let ids = assign_ids(ids, seed, n);
 
-        let shards: Vec<Shard<P::Msg>> = (0..s_count)
-            .map(|t| {
-                let lo = (t * chunk).min(n);
-                let hi = ((t + 1) * chunk).min(n);
-                Shard::new(lo, hi, topo.offsets[lo], topo.offsets[hi], s_count)
-            })
-            .collect();
-        let transfer: Vec<Mutex<Vec<Entry<P::Msg>>>> =
-            (0..s_count * s_count).map(|_| Mutex::new(Vec::new())).collect();
-
         // One allocation holds all 2m neighbor ids; the route table
-        // already lists each slot's destination node in CSR order, so
-        // this works identically for the graph and stream paths.
+        // already lists each slot's destination node in CSR order.
         let arena: Arc<[u64]> =
             topo.route.iter().map(|r| ids[r.dest_node as usize]).collect::<Vec<u64>>().into();
 
         let mut endpoints = Vec::with_capacity(n);
         let mut protocols = Vec::with_capacity(n);
         let mut rngs = Vec::with_capacity(n);
-        for (u, &id) in ids.iter().enumerate().take(n) {
+        for (u, &id) in ids.iter().enumerate() {
             let endpoint =
                 Endpoint::from_arena(u, id, arena.clone(), topo.offsets[u], topo.offsets[u + 1]);
             protocols.push(factory(&endpoint));
             endpoints.push(endpoint);
             rngs.push(node_rng(seed, u));
         }
+        Self { topo, endpoints, protocols, rngs }
+    }
+}
 
+impl<P: Protocol> Network<P> {
+    /// The flat engine over `nodes` (compiled for `s_count ≥ 1` node
+    /// ranges), one OS thread per shard.
+    pub(crate) fn new(nodes: Nodes<P>, mode: Mode, s_count: usize) -> Self {
+        let Nodes { topo, endpoints, protocols, rngs } = nodes;
+        let n = endpoints.len();
+        let chunk = n.div_ceil(s_count).max(1);
+        let shards = (0..s_count)
+            .map(|t| {
+                let lo = (t * chunk).min(n);
+                let hi = ((t + 1) * chunk).min(n);
+                Shard::new(lo, hi, topo.offsets[lo], topo.offsets[hi], s_count)
+            })
+            .collect();
+        let transfer = (0..s_count * s_count).map(|_| Mutex::new(Vec::new())).collect();
         Network {
             mode,
             endpoints,
@@ -359,12 +368,9 @@ impl<P: Protocol> Network<P> {
         // order (the order itself is immaterial to the totals).
         let mut round_delta = RoundDelta::default();
         for shard in &mut self.shards {
-            let delta = shard.delta.take();
-            self.metrics.absorb_delivery(delta.messages, delta.bits, delta.max_bits);
-            round_delta.messages += delta.messages;
-            round_delta.bits += delta.bits;
-            round_delta.max_bits = round_delta.max_bits.max(delta.max_bits);
+            round_delta.merge(std::mem::take(&mut shard.delta));
         }
+        self.metrics.absorb_delivery(round_delta.messages, round_delta.bits, round_delta.max_bits);
         round_delta
     }
 

@@ -8,14 +8,13 @@
 //! inside a run* the α tax, a Safe wave, or a retransmission storm
 //! happens, without perturbing the run it watches:
 //!
-//! * [`Recorder`] — the recording contract. Every method is a pure
-//!   observation: a recorder never draws randomness, never meters
-//!   traffic, never reorders events, so an enabled recorder leaves
-//!   outputs, metrics and overhead bit-identical to a disabled one.
-//!   The no-op impl for `()` is the default; a disabled recorder costs
-//!   one null check per site.
-//! * [`TraceSink`] — the production recorder: a preallocated ring
-//!   buffer of fixed-size [`TraceRecord`]s plus a streaming profile.
+//! * [`TraceSink`] — the recorder: a preallocated ring buffer of
+//!   fixed-size [`TraceRecord`]s plus a streaming profile. Every
+//!   recording is a pure observation: the sink never draws randomness,
+//!   never meters traffic, never reorders events, so an enabled sink
+//!   leaves outputs, metrics and overhead bit-identical to a disabled
+//!   one. Absent is the default; a disabled sink costs one null check
+//!   per site.
 //!   Once built, the steady state performs **zero allocations**: ring
 //!   pushes within capacity reuse preallocated slots, overflow
 //!   overwrites the oldest record (counted, never grown).
@@ -249,28 +248,6 @@ pub struct TraceRecord {
     /// The event.
     pub ev: TraceEvent,
 }
-
-/// The recording contract: every hook is a pure observation with a
-/// no-op default, so `()` is the zero-cost disabled recorder and any
-/// implementor is forbidden (by contract, and pinned by the bit-
-/// identity suites) from perturbing the run it watches.
-pub trait Recorder {
-    /// Record one timestamped event.
-    fn record(&mut self, at: u64, ev: TraceEvent) {
-        let _ = (at, ev);
-    }
-    /// Sample the event-wheel occupancy after a drain step.
-    fn sample_wheel(&mut self, depth: u64) {
-        let _ = depth;
-    }
-    /// Sample an inbox queue depth.
-    fn sample_queue(&mut self, depth: u64) {
-        let _ = depth;
-    }
-}
-
-/// The always-disabled recorder.
-impl Recorder for () {}
 
 /// The engine-side recorder slot: absent by default (one null check per
 /// instrumentation site, nothing else), boxed when tracing is on so
@@ -542,25 +519,9 @@ impl TraceSink {
     }
 }
 
-impl Recorder for TraceSink {
-    #[inline]
-    fn record(&mut self, at: u64, ev: TraceEvent) {
-        TraceSink::record(self, at, ev);
-    }
-
-    #[inline]
-    fn sample_wheel(&mut self, depth: u64) {
-        TraceSink::sample_wheel(self, depth);
-    }
-
-    #[inline]
-    fn sample_queue(&mut self, depth: u64) {
-        TraceSink::sample_queue(self, depth);
-    }
-}
-
 impl TraceSink {
-    /// Record one timestamped event (see [`Recorder::record`]).
+    /// Record one timestamped event — a pure observation, like every
+    /// sink hook.
     #[inline]
     pub fn record(&mut self, at: u64, ev: TraceEvent) {
         self.profile.records += 1;
@@ -602,16 +563,10 @@ impl TraceSink {
         self.push(TraceRecord { at, ev });
     }
 
-    /// Sample the event-wheel occupancy (see [`Recorder::sample_wheel`]).
+    /// Sample the event-wheel occupancy after a drain step.
     #[inline]
     pub fn sample_wheel(&mut self, depth: u64) {
         self.profile.wheel_occupancy.record(depth);
-    }
-
-    /// Sample an inbox queue depth (see [`Recorder::sample_queue`]).
-    #[inline]
-    pub fn sample_queue(&mut self, depth: u64) {
-        self.profile.queue_depth.record(depth);
     }
 }
 

@@ -42,6 +42,7 @@ use graphs::{EdgeStream, Graph};
 
 use crate::message::Message;
 use crate::protocol::Port;
+use crate::session::RoundDelta;
 
 /// Messages per chunk. Eight keeps a chunk of small messages within one or
 /// two cache lines while bounding per-queue slack to seven slots.
@@ -90,7 +91,10 @@ pub struct Topology {
 impl Topology {
     /// Builds the flat tables for `graph`, sharded into `shards` node
     /// ranges (each spanning `ceil(n / shards)` consecutive nodes — the
-    /// same split `Engine::Flat { shards }` uses).
+    /// same split `Engine::Flat { shards }` uses). [`Graph::edges`]
+    /// already yields the sorted `u < v` pairs a stream delivers, so the
+    /// graph is compiled by the same two counted passes as
+    /// [`Topology::from_edge_stream`], with no edge list in between.
     ///
     /// # Panics
     ///
@@ -98,8 +102,7 @@ impl Topology {
     /// exceeds `u16::MAX`.
     #[must_use]
     pub fn from_graph(graph: &Graph, shards: usize) -> Self {
-        let chunk = graph.node_count().div_ceil(shards.max(1)).max(1);
-        Self::build(graph, chunk, shards)
+        Self::compile(graph.node_count(), shards, graph)
     }
 
     /// Builds the flat tables directly from a restartable [`EdgeStream`],
@@ -122,8 +125,7 @@ impl Topology {
     /// with the counting pass).
     #[must_use]
     pub fn from_edge_stream(stream: &mut dyn EdgeStream, shards: usize) -> Self {
-        let chunk = stream.node_count().div_ceil(shards.max(1)).max(1);
-        Self::build_from_stream(stream, chunk, shards)
+        Self::compile(stream.node_count(), shards, stream)
     }
 
     /// Number of nodes.
@@ -146,56 +148,19 @@ impl Topology {
             + self.route.len() * std::mem::size_of::<Route>()
     }
 
-    /// [`Topology::from_graph`] with an explicit shard span (the engine
-    /// passes its own `chunk` so topology and node sharding agree).
-    pub(crate) fn build(graph: &Graph, chunk: usize, shards: usize) -> Self {
-        let n = graph.node_count();
+    /// The one CSR compiler behind both constructors, over the edges of
+    /// an `n`-node topology.
+    fn compile(n: usize, shards: usize, mut source: impl Replay) -> Self {
         assert!(shards <= u16::MAX as usize, "shard count {shards} exceeds u16 range");
-        let total: usize = (0..n).map(|u| graph.degree(u)).sum();
-        assert!(
-            (total as u64) < u64::from(u32::MAX),
-            "graph has {total} directed edges; flat plane is limited to u32 slots"
-        );
-
-        let mut offsets = vec![0u32; n + 1];
-        for u in 0..n {
-            offsets[u + 1] = offsets[u] + graph.degree(u) as u32;
-        }
-        let mut route = vec![Route::default(); total];
-        for u in 0..n {
-            for (port, &v) in graph.neighbors(u).iter().enumerate() {
-                let slot = offsets[u] as usize + port;
-                let back = graph
-                    .neighbors(v)
-                    .binary_search(&u)
-                    .expect("undirected graph must be symmetric");
-                route[slot] = Route {
-                    dest_slot: offsets[v] + back as u32,
-                    dest_node: v as u32,
-                    dest_shard: v.checked_div(chunk).unwrap_or(0) as u16,
-                };
-            }
-        }
-        Self { offsets: offsets.into_boxed_slice(), route: route.into_boxed_slice() }
-    }
-
-    /// [`Topology::from_edge_stream`] with an explicit shard span.
-    pub(crate) fn build_from_stream(
-        stream: &mut dyn EdgeStream,
-        chunk: usize,
-        shards: usize,
-    ) -> Self {
-        let n = stream.node_count();
-        assert!(shards <= u16::MAX as usize, "shard count {shards} exceeds u16 range");
+        let chunk = n.div_ceil(shards.max(1)).max(1);
 
         // Pass 1: count degrees into offsets[w + 1]. The sortedness
         // assert doubles as a uniqueness check (strictly increasing pairs
         // cannot repeat), so no dedup structure is ever needed.
         let mut offsets = vec![0u32; n + 1];
-        stream.reset();
         let mut prev: Option<(usize, usize)> = None;
         let mut total: u64 = 0;
-        while let Some((u, v)) = stream.next_edge() {
+        for (u, v) in source.edges() {
             assert!(u < v && v < n, "stream edge ({u}, {v}) must satisfy u < v < n = {n}");
             assert!(prev < Some((u, v)), "edge stream must be strictly lexicographically sorted");
             prev = Some((u, v));
@@ -205,37 +170,29 @@ impl Topology {
         }
         assert!(
             total < u64::from(u32::MAX),
-            "stream has {total} directed edges; flat plane is limited to u32 slots"
+            "topology has {total} directed edges; flat plane is limited to u32 slots"
         );
         for w in 0..n {
             offsets[w + 1] += offsets[w];
         }
 
-        // Pass 2: replay the stream and place both directions of each
-        // edge at its node's next free slot. Sorted replay hands every
-        // node its neighbors in increasing order, so slot assignment —
-        // and each record's back-pointing `dest_slot` — lands exactly
-        // where `build`'s binary search would put it.
+        // Pass 2: replay the edges and place both directions of each at
+        // its node's next free slot. Sorted replay hands every node its
+        // neighbors in increasing order, so slot assignment — and each
+        // record's back-pointing `dest_slot` — is the graph's CSR order.
         let mut route = vec![Route::default(); total as usize];
         let mut cursor = vec![0u32; n];
-        stream.reset();
         let mut placed: u64 = 0;
-        while let Some((u, v)) = stream.next_edge() {
+        for (u, v) in source.edges() {
             let slot_u = offsets[u] + cursor[u];
             cursor[u] += 1;
             let slot_v = offsets[v] + cursor[v];
             cursor[v] += 1;
             debug_assert!(slot_u < offsets[u + 1] && slot_v < offsets[v + 1]);
-            route[slot_u as usize] = Route {
-                dest_slot: slot_v,
-                dest_node: v as u32,
-                dest_shard: v.checked_div(chunk).unwrap_or(0) as u16,
-            };
-            route[slot_v as usize] = Route {
-                dest_slot: slot_u,
-                dest_node: u as u32,
-                dest_shard: u.checked_div(chunk).unwrap_or(0) as u16,
-            };
+            route[slot_u as usize] =
+                Route { dest_slot: slot_v, dest_node: v as u32, dest_shard: (v / chunk) as u16 };
+            route[slot_v as usize] =
+                Route { dest_slot: slot_u, dest_node: u as u32, dest_shard: (u / chunk) as u16 };
             placed += 2;
         }
         assert_eq!(placed, total, "edge stream must replay identically on its second pass");
@@ -253,6 +210,27 @@ impl Topology {
         let route = self.route[slot];
         let back = route.dest_slot - self.offsets[route.dest_node as usize];
         (slot, route.dest_node, back)
+    }
+}
+
+/// An edge source [`Topology::compile`] reads twice: every call to
+/// `edges` yields each undirected edge `(u, v)`, `u < v`, in strictly
+/// increasing lexicographic order, identically.
+trait Replay {
+    fn edges(&mut self) -> impl Iterator<Item = (usize, usize)> + '_;
+}
+
+/// [`Graph::edges`] already yields the sorted pairs — no edge list.
+impl Replay for &Graph {
+    fn edges(&mut self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        Graph::edges(self)
+    }
+}
+
+impl Replay for &mut dyn EdgeStream {
+    fn edges(&mut self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.reset();
+        std::iter::from_fn(|| self.next_edge())
     }
 }
 
@@ -288,16 +266,6 @@ impl<M> Chunk<M> {
     }
 }
 
-/// Per-round delivery counters, merged into [`crate::Metrics`] after the
-/// parallel phases join. All fields are commutative aggregates, so the
-/// merge is independent of shard count — a determinism requirement.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct Delta {
-    pub messages: u64,
-    pub bits: u64,
-    pub max_bits: usize,
-}
-
 /// Best-effort cache prefetch (no-op off x86_64). The chunk slab is the
 /// one random-access structure on the delivery hot path; prefetching the
 /// head chunks of a word's active ports overlaps their misses.
@@ -310,19 +278,6 @@ fn prefetch<T>(p: *const T) {
     };
     #[cfg(not(target_arch = "x86_64"))]
     let _ = p;
-}
-
-impl Delta {
-    #[inline]
-    fn record(&mut self, bits: usize) {
-        self.messages += 1;
-        self.bits += bits as u64;
-        self.max_bits = self.max_bits.max(bits);
-    }
-
-    pub fn take(&mut self) -> Delta {
-        std::mem::take(self)
-    }
 }
 
 /// A set of slab-backed per-port FIFOs: the queue half of the flat plane,
@@ -528,8 +483,9 @@ pub(crate) struct Shard<M> {
     /// `(port, train index)` within each bucket. Protocols step directly
     /// on these slices.
     pub bucket: Vec<(Port, M)>,
-    /// This round's delivery counters.
-    pub delta: Delta,
+    /// This round's delivery counters, merged into [`crate::Metrics`]
+    /// after the parallel phases join.
+    pub delta: RoundDelta,
 }
 
 impl<M: Message> Shard<M> {
@@ -554,7 +510,7 @@ impl<M: Message> Shard<M> {
             cursor: vec![0u32; node_count],
             starts: vec![0u32; node_count + 1],
             bucket: Vec::new(),
-            delta: Delta::default(),
+            delta: RoundDelta::default(),
         }
     }
 
@@ -841,7 +797,7 @@ mod tests {
         let mut b = GraphBuilder::new(3);
         b.add_edge(0, 1).add_edge(1, 2);
         let g = b.build();
-        let topo = Topology::build(&g, 2, 2);
+        let topo = Topology::from_graph(&g, 2);
         // Node 0 port 0 → node 1 port 0; node 1 has ports 1 (to 0) and 2
         // (to 2); node 2 port 3 (to 1).
         assert_eq!(topo.offsets.as_ref(), &[0, 1, 3, 4]);
@@ -876,9 +832,9 @@ mod tests {
         b.add_edge(0, 1).add_edge(1, 2);
         let g = b.build();
         let mut s = VecEdgeStream::from_graph(&g);
-        assert_same(&Topology::build(&g, 2, 2), &Topology::build_from_stream(&mut s, 2, 2));
+        assert_same(&Topology::from_graph(&g, 2), &Topology::from_edge_stream(&mut s, 2));
 
-        // A random instance, via the public constructors (same chunk rule).
+        // A random instance, on even and uneven splits.
         let (n, p, seed) = (80, 0.1, 9u64);
         let g = graphs::generators::gnp(n, p, &mut StdRng::seed_from_u64(seed));
         let mut s = GnpStream::new(n, p, seed);
@@ -911,7 +867,7 @@ mod tests {
                 }
             }
         }
-        let _ = Topology::build_from_stream(&mut Unsorted(0), 3, 1);
+        let _ = Topology::from_edge_stream(&mut Unsorted(0), 1);
     }
 
     #[test]
@@ -919,7 +875,7 @@ mod tests {
         let mut b = GraphBuilder::new(2);
         b.add_edge(0, 1);
         let g = b.build();
-        let topo = Topology::build(&g, 2, 1);
+        let topo = Topology::from_graph(&g, 1);
         let mut s: Shard<Ping> = Shard::new(0, 2, 0, 2, 1);
         s.push(0, Ping);
         s.push(0, Ping);
@@ -948,7 +904,7 @@ mod tests {
         let mut b = GraphBuilder::new(3);
         b.add_edge(0, 1).add_edge(1, 2);
         let g = b.build();
-        let topo = Topology::build(&g, 3, 1);
+        let topo = Topology::from_graph(&g, 1);
         let mut s: Shard<N> = Shard::new(0, 3, 0, 4, 1);
         // Deliveries to node 1 (slots 1 and 2), arriving out of order.
         s.incoming[0].push(((2u64 << 32) | 1, 1, N(31)));

@@ -370,9 +370,9 @@ impl ChurnSampler {
 }
 
 /// The epoch-versioned membership overlay over the immutable CSR
-/// [`Topology`]: presence flags, per-directed-port application
-/// liveness, and live degrees. Fully pre-reserved at build — epoch
-/// transitions mutate in place, steady-state pulses only read.
+/// [`Topology`]: presence flags and per-directed-port application
+/// liveness. Fully pre-reserved at build — epoch transitions mutate in
+/// place, steady-state pulses only read.
 #[derive(Clone, Debug)]
 pub(crate) struct EpochTopology {
     /// Per-node membership flag (transition detection: flipped exactly
@@ -382,8 +382,6 @@ pub(crate) struct EpochTopology {
     /// both endpoints are present. Retired ports carry no payloads
     /// (the synchronizer substrate still spans them).
     pub port_live: Vec<bool>,
-    /// Per-node count of live incident ports.
-    pub live_degree: Vec<u32>,
     /// The current epoch (0 = the initial member set).
     pub epoch: u64,
     /// Present members.
@@ -398,13 +396,7 @@ impl EpochTopology {
         let port_count = topo.offsets[node_count] as usize;
         let present: Vec<bool> = (0..node_count).map(|v| !sampler.absent_at(v, 1)).collect();
         let members = present.iter().filter(|&&p| p).count() as u32;
-        let mut overlay = Self {
-            present,
-            port_live: vec![false; port_count],
-            live_degree: vec![0; node_count],
-            epoch: 0,
-            members,
-        };
+        let mut overlay = Self { present, port_live: vec![false; port_count], epoch: 0, members };
         for v in 0..node_count {
             if !overlay.present[v] {
                 continue;
@@ -415,7 +407,6 @@ impl EpochTopology {
                 let (_slot, to, _back) = topo.resolve(v, port);
                 if overlay.present[to as usize] {
                     overlay.port_live[(base + port as u32) as usize] = true;
-                    overlay.live_degree[v] += 1;
                 }
             }
         }
@@ -424,8 +415,8 @@ impl EpochTopology {
 
     /// Applies one membership event in place: flips `v`'s presence,
     /// materializes or retires its incident ports (both directions),
-    /// adjusts live degrees and the member count, and opens the next
-    /// epoch. Allocation-free.
+    /// adjusts the member count, and opens the next epoch.
+    /// Allocation-free.
     pub fn apply(&mut self, topo: &Topology, v: usize, present: bool) {
         debug_assert_ne!(self.present[v], present, "membership events fire exactly once");
         self.present[v] = present;
@@ -442,16 +433,6 @@ impl EpochTopology {
             let peer_slot = (topo.offsets[to] + back) as usize;
             self.port_live[slot] = present;
             self.port_live[peer_slot] = present;
-            if present {
-                self.live_degree[v] += 1;
-                self.live_degree[to] += 1;
-            } else {
-                self.live_degree[v] -= 1;
-                self.live_degree[to] -= 1;
-            }
-        }
-        if !present {
-            debug_assert_eq!(self.live_degree[v], 0, "a retired node keeps no live ports");
         }
     }
 }
@@ -611,34 +592,26 @@ mod tests {
     #[test]
     fn overlay_applies_joins_and_leaves_in_place() {
         let g = Graph::complete(4);
-        let topo = Topology::build(&g, 4, 1);
+        let topo = Topology::from_graph(&g, 1);
         let model =
             ChurnModel::Join { joiners: 1, at_pulse: 3, spacing: 0, policy: ChurnPolicy::Continue };
         let mut plane = ChurnPlane::new(model, 13, &topo, 4);
         let joiner = (0..4).find(|&v| plane.sampler.absent_at(v, 1)).unwrap();
         assert_eq!(plane.overlay.members, 3);
         assert_eq!(plane.overlay.epoch, 0);
-        assert_eq!(plane.overlay.live_degree[joiner], 0);
-        for v in 0..4 {
-            if v != joiner {
-                assert_eq!(plane.overlay.live_degree[v], 2, "present peers see each other only");
-            }
-        }
         plane.overlay.apply(&topo, joiner, true);
         assert_eq!(plane.overlay.members, 4);
         assert_eq!(plane.overlay.epoch, 1);
         assert!(plane.overlay.port_live.iter().all(|&l| l), "a full clique is fully live");
-        assert!((0..4).all(|v| plane.overlay.live_degree[v] == 3));
         plane.overlay.apply(&topo, joiner, false);
         assert_eq!(plane.overlay.members, 3);
         assert_eq!(plane.overlay.epoch, 2);
-        assert_eq!(plane.overlay.live_degree[joiner], 0);
     }
 
     #[test]
     fn none_plane_reserves_no_log() {
         let g = Graph::complete(3);
-        let topo = Topology::build(&g, 3, 1);
+        let topo = Topology::from_graph(&g, 1);
         let plane = ChurnPlane::new(ChurnModel::None, 1, &topo, 3);
         assert_eq!(plane.log.capacity(), 0);
         assert_eq!(plane.timeline.capacity(), 0);

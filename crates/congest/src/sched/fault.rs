@@ -186,8 +186,9 @@ pub enum FaultEvent {
         /// First crashed pulse.
         pulse: u64,
     },
-    /// `node` recovered on entering `pulse` (empty queues, fresh start
-    /// mid-protocol).
+    /// `node` recovered on entering `pulse` (empty queues, protocol
+    /// state as it was at the crash — see
+    /// [`Protocol::on_peer_up`](crate::Protocol::on_peer_up)).
     NodeUp {
         /// The recovering node.
         node: u32,
@@ -342,10 +343,9 @@ impl FaultSampler {
 }
 
 /// The executor-side fault state: the compiled sampler plus the run's
-/// fault log and loss accounting. Owned by the asynchronous engine,
-/// borrowed into the synchronizer's
-/// [`ControlPlane`](crate::sched::sync::ControlPlane) so control
-/// envelopes ride the same faulty wire as payloads.
+/// fault log and loss accounting. Part of the asynchronous engine's
+/// [`Wire`](crate::sched::sync::Wire), so control envelopes ride the
+/// same faulty wire as payloads.
 #[derive(Clone, Debug)]
 pub(crate) struct FaultPlane {
     pub sampler: FaultSampler,

@@ -46,8 +46,10 @@
 //!   (self-stabilizing) or restart from `init` each epoch. Every churn
 //!   schedule is replayable from `(seed, ChurnModel)` alone.
 //! * [`SyncModel`] — the synchronizer itself ([`sync`]): the executor
-//!   core delegates pulse gating and all control traffic to a pluggable
-//!   `Synchronizer`. [`SyncModel::Alpha`] is Awerbuch's classic α
+//!   core delegates pulse gating and all control traffic to the
+//!   selected synchronizer, which reaches the network through one wire
+//!   (routes, delays, faults, timing wheel). [`SyncModel::Alpha`] is
+//!   Awerbuch's classic α
 //!   (per-payload `Ack`s + a `Safe` flood per edge per pulse), the
 //!   extracted reference; [`SyncModel::BatchedAlpha`] piggybacks safety
 //!   on payload envelopes and coalesces the pure-`Safe` flood into one

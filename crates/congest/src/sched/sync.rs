@@ -3,16 +3,19 @@
 //!
 //! The asynchronous engine (`crate::asynch`) is split in two:
 //!
-//! * the **executor core** owns the mechanics — the CSR route table, the
-//!   flat payload queues, the timing wheel of in-flight envelopes, the
-//!   rotating per-pulse inboxes, and the act of stepping protocols — and
-//! * a **`Synchronizer`** owns the *control plane*: it observes every
-//!   payload sent and received, emits whatever control traffic its
-//!   discipline requires, accounts that traffic in
-//!   [`SyncOverhead`], and decides, per node, when a pulse may execute.
+//! * the **executor core** owns the mechanics — the flat payload
+//!   queues, the rotating per-pulse inboxes, and the act of stepping
+//!   protocols — plus the `Wire`: the CSR route table, the (faulty)
+//!   link every envelope leaves through, and the timing wheel of
+//!   in-flight envelopes; and
+//! * the **synchronizer** (`SyncDriver`) owns the *control plane*: it
+//!   observes every payload sent and received, emits whatever control
+//!   traffic its discipline requires through the wire, accounts that
+//!   traffic in [`SyncOverhead`], and decides, per node, when a pulse
+//!   may execute.
 //!
-//! Two synchronizers implement the trait, selected by the public
-//! [`SyncModel`] knob on `Engine::Async { delay, sync }`:
+//! Two synchronizers exist, selected by the public [`SyncModel`] knob
+//! on `Engine::Async { delay, sync, .. }`:
 //!
 //! * [`SyncModel::Alpha`] — Awerbuch's classic synchronizer α, extracted
 //!   from the pre-split engine **bit for bit**: every payload is
@@ -172,8 +175,8 @@ pub(crate) enum Event<M> {
     },
     /// A retransmission timer: the attempt to send `msg` out of `from`'s
     /// local `port` was lost to a fault; when the timer fires the
-    /// envelope re-enters [`transmit`] (fresh delay draw, fresh fault
-    /// draw).
+    /// envelope re-enters [`Wire::transmit`] (fresh delay draw, fresh
+    /// fault draw).
     Resend {
         /// The original sender.
         from: u32,
@@ -184,116 +187,103 @@ pub(crate) enum Event<M> {
     },
 }
 
-/// The one wire choke point of the asynchronous engine: every envelope —
-/// application payload or synchronizer control — leaves node `from`'s
-/// local `port` through here. The fault plane rules first: a lost
-/// attempt is metered (`SyncOverhead::retransmissions`,
-/// `SyncOverhead::dropped_messages`), logged as
-/// [`FaultEvent::Dropped`], and parked as an [`Event::Resend`] timer
-/// (the RTO under `Drop`, the next up-edge under `LinkFlap`); a clean
-/// attempt rides the wheel as an [`Event::Deliver`] after the delay
-/// model's draw, exactly as in the fault-free engine.
-// Parameters stay loose: both callers (the executor and `ControlPlane`)
-// borrow these field-by-field from different owning structs, so bundling
-// them would just force a second borrow-splitting layer.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-pub(crate) fn transmit<M>(
-    topo: &Topology,
-    delays: &mut DelaySource,
-    faults: &mut FaultPlane,
-    events: &mut EventWheel<Event<M>>,
-    overhead: &mut SyncOverhead,
-    now: u64,
-    from: usize,
-    port: Port,
-    msg: SyncMsg<M>,
-) {
-    let (slot, to, back) = topo.resolve(from, port);
-    if faults.sampler.drops(slot, now) {
-        overhead.retransmissions += 1;
-        overhead.dropped_messages += 1;
-        faults.log.push(FaultEvent::Dropped { node: from as u32, port, at: now });
-        let at = now + faults.sampler.retry_wait(slot, now);
-        events.schedule(at, Event::Resend { from: from as u32, port: port as u32, msg });
-        return;
-    }
-    let at = now + delays.draw(slot);
-    events.schedule(at, Event::Deliver { to, port: back, msg });
-}
-
-/// The executor facilities a [`Synchronizer`] hook may use: route
-/// lookups, scheduling control envelopes onto the shared timing wheel
-/// (with a model-drawn delay), metering into [`SyncOverhead`], and
-/// waking nodes whose gate this hook may have completed.
-///
-/// Borrowed field-by-field from the executor for the duration of one
-/// hook call, so the synchronizer state itself stays a plain `&mut`.
-pub(crate) struct ControlPlane<'a, M> {
-    pub topo: &'a Topology,
-    pub delays: &'a mut DelaySource,
-    /// The fault plane: control envelopes ride the same faulty wire as
-    /// payloads, so `send_ctrl` consults it through [`transmit`].
-    pub faults: &'a mut FaultPlane,
-    pub events: &'a mut EventWheel<Event<M>>,
-    pub overhead: &'a mut SyncOverhead,
+/// The wire of the asynchronous engine: the executor state synchronizer
+/// hooks use next to their own gating state — route lookups, the
+/// (faulty) link every envelope leaves through, the shared timing
+/// wheel, [`SyncOverhead`] metering, the ready worklist and the trace
+/// slot. The executor owns it and hands it to each hook as `&mut`
+/// beside `&mut` [`SyncDriver`], two disjoint fields.
+#[derive(Clone)]
+pub(crate) struct Wire<M> {
+    /// CSR route table shared with the synchronous engine.
+    pub topo: Topology,
+    /// Where per-send delays come from: the compiled link-delay model in
+    /// a sampled run, or an explorer-scripted choice sequence (see
+    /// [`crate::sched`]).
+    pub delays: DelaySource,
+    /// The compiled fault model plus the run's fault log and loss
+    /// accounting (see [`crate::sched::fault`]). Control envelopes ride
+    /// the same faulty wire as payloads.
+    pub faults: FaultPlane,
+    /// In-flight events: the slab-backed timing wheel, sized to the
+    /// delay model's compiled bound. Pops come out in `(arrival time,
+    /// send order)` order; its cursor is the engine's virtual clock.
+    pub events: EventWheel<Event<M>>,
+    /// The synchronizer's accumulated overhead.
+    pub overhead: SyncOverhead,
     /// Nodes whose pulse gate may have just completed; the executor
-    /// drains this worklist (iteratively — no recursion) after the hook
-    /// returns. Only needed for signals resolved eagerly
-    /// (`BatchedAlpha`'s waves); wheel-delivered signals wake their
-    /// destination through the event loop.
-    pub ready: &'a mut Vec<u32>,
-    /// Current virtual time; scheduled envelopes depart now.
-    pub now: u64,
-    /// The observability sink (absent unless the session installed one):
-    /// control-plane sends and coalesced waves are recorded here. Pure
-    /// observation — recording never perturbs the run.
-    pub rec: &'a mut SinkSlot,
+    /// drains this worklist (iteratively — no recursion) after every
+    /// hook. Only needed for signals resolved eagerly (`BatchedAlpha`'s
+    /// waves); wheel-delivered signals wake their destination through
+    /// the event loop. Spurious wakes are harmless (the executor
+    /// re-checks the gate); a missing one stalls the run.
+    pub ready: Vec<u32>,
+    /// The observability sink (absent unless the session installed one).
+    /// Recording is a pure observation: it never draws randomness,
+    /// meters traffic, or reorders events.
+    pub rec: SinkSlot,
 }
 
-impl<M> ControlPlane<'_, M> {
+impl<M> Wire<M> {
+    /// The current virtual time: the arrival time of the event being
+    /// handled. Envelopes sent now depart at this time.
+    #[inline]
+    pub fn now(&self) -> u64 {
+        self.events.cursor()
+    }
+
+    /// Records `ev` at the current virtual time, if tracing is on.
+    #[inline]
+    pub fn trace(&mut self, ev: TraceEvent) {
+        let now = self.now();
+        emit(&mut self.rec, now, ev);
+    }
+
     /// Degree of node `v` (its port count in the CSR table).
     #[inline]
     pub fn degree(&self, v: usize) -> usize {
         (self.topo.offsets[v + 1] - self.topo.offsets[v]) as usize
     }
 
-    /// Resolves `(v, port)` to `(neighbor node, neighbor's local port)`.
+    /// The one wire choke point: every envelope — application payload or
+    /// synchronizer control — leaves node `from`'s local `port` through
+    /// here. The fault plane rules first: a lost attempt is metered
+    /// (`SyncOverhead::retransmissions`, `SyncOverhead::dropped_messages`),
+    /// logged as [`FaultEvent::Dropped`], and parked as an
+    /// [`Event::Resend`] timer (the RTO under `Drop`, the next up-edge
+    /// under `LinkFlap`); a clean attempt rides the wheel as an
+    /// [`Event::Deliver`] after the delay model's draw, keyed by the
+    /// sending port's CSR slot.
     #[inline]
-    pub fn route(&self, v: usize, port: Port) -> (u32, u32) {
-        let (_slot, to, back) = self.topo.resolve(v, port);
-        (to, back)
+    pub fn transmit(&mut self, from: usize, port: Port, msg: SyncMsg<M>) {
+        let now = self.now();
+        let (slot, to, back) = self.topo.resolve(from, port);
+        if self.faults.sampler.drops(slot, now) {
+            self.overhead.retransmissions += 1;
+            self.overhead.dropped_messages += 1;
+            self.faults.log.push(FaultEvent::Dropped { node: from as u32, port, at: now });
+            let at = now + self.faults.sampler.retry_wait(slot, now);
+            self.events.schedule(at, Event::Resend { from: from as u32, port: port as u32, msg });
+            return;
+        }
+        let at = now + self.delays.draw(slot);
+        self.events.schedule(at, Event::Deliver { to, port: back, msg });
     }
 
-    /// Schedules `ctrl` from node `from`'s local `port`, delayed by the
-    /// sending port's model draw — the same (faulty) wire payload
-    /// envelopes ride, so a dropped control envelope is retransmitted
-    /// like any payload. Metering is separate
-    /// ([`ControlPlane::meter_ctrl`]): α meters on receipt, coalesced
-    /// waves meter once at emission.
+    /// Sends `ctrl` out of node `from`'s local `port` over the same
+    /// (faulty) wire payloads ride, so a dropped control envelope is
+    /// retransmitted like any payload. Metering is separate
+    /// ([`Wire::meter_ctrl`]): α meters on receipt, coalesced waves
+    /// meter once at emission.
     #[inline]
     pub fn send_ctrl(&mut self, from: usize, port: Port, ctrl: Ctrl) {
-        transmit(
-            self.topo,
-            self.delays,
-            self.faults,
-            self.events,
-            self.overhead,
-            self.now,
-            from,
-            port,
-            SyncMsg::Ctrl(ctrl),
-        );
-        emit(
-            self.rec,
-            self.now,
-            TraceEvent::Ctrl {
-                node: from as u32,
-                kind: ctrl.kind.tag(),
-                pulse: ctrl.pulse,
-                bits: ENVELOPE_BITS as u32,
-            },
-        );
+        self.transmit(from, port, SyncMsg::Ctrl(ctrl));
+        self.trace(TraceEvent::Ctrl {
+            node: from as u32,
+            kind: ctrl.kind.tag(),
+            pulse: ctrl.pulse,
+            bits: ENVELOPE_BITS as u32,
+        });
     }
 
     /// Accounts `messages` control messages (and their envelopes) in
@@ -303,74 +293,6 @@ impl<M> ControlPlane<'_, M> {
         self.overhead.control_messages += messages;
         self.overhead.control_bits += messages * ENVELOPE_BITS as u64;
     }
-
-    /// Enqueues node `v` on the executor's ready worklist: its pulse gate
-    /// may now be satisfied. Spurious wakes are harmless (the executor
-    /// re-checks the gate); missing one stalls the run.
-    #[inline]
-    pub fn wake(&mut self, v: u32) {
-        self.ready.push(v);
-    }
-}
-
-/// A pulse-gating control plane for the asynchronous executor.
-///
-/// The executor calls the hooks in a fixed shape per node and pulse:
-///
-/// 1. entering a pulse, it drains one payload per non-empty port (in
-///    port order) and calls [`Synchronizer::on_idle_port`] for each port
-///    with nothing queued, then [`Synchronizer::on_pulse_begun`] once;
-/// 2. every delivered payload triggers [`Synchronizer::on_payload`] (the
-///    payload is already staged in the pulse inbox), every delivered
-///    control envelope triggers [`Synchronizer::on_ctrl`];
-/// 3. after any hook, the executor consults [`Synchronizer::ready`] and,
-///    while it grants the gate, executes the pulse, calls
-///    [`Synchronizer::on_executed`], advances the node and re-enters
-///    step 1 — iteratively, alongside a worklist of nodes woken via
-///    [`ControlPlane::wake`].
-///
-/// Implementations own all per-node control state (the synchronizer is
-/// network-wide, so a hook for node `v` may update any node's state —
-/// that is how eagerly resolved waves work) and all control metering.
-pub(crate) trait Synchronizer {
-    /// Node `v`, entering `pulse`, has no payload queued on `port`.
-    /// Called before [`Synchronizer::on_pulse_begun`], in port order,
-    /// interleaved with the payload sends of the non-empty ports.
-    fn on_idle_port<M>(&mut self, cp: &mut ControlPlane<'_, M>, v: usize, port: Port, pulse: u64);
-
-    /// Node `v` entered `pulse` and sent `sent` payloads (one per
-    /// non-empty port). Emit whatever the discipline requires for the
-    /// node's send phase.
-    fn on_pulse_begun<M>(
-        &mut self,
-        cp: &mut ControlPlane<'_, M>,
-        v: usize,
-        pulse: u64,
-        sent: usize,
-    );
-
-    /// A pulse-`pulse` payload arrived at node `v` on local `port` (the
-    /// executor has already staged and metered it).
-    fn on_payload<M>(&mut self, cp: &mut ControlPlane<'_, M>, v: usize, port: Port, pulse: u64);
-
-    /// A control envelope arrived at node `v` (currently waiting on
-    /// `node_pulse`) on local `port`.
-    fn on_ctrl<M>(
-        &mut self,
-        cp: &mut ControlPlane<'_, M>,
-        v: usize,
-        node_pulse: u64,
-        port: Port,
-        ctrl: Ctrl,
-    );
-
-    /// May node `v` (degree `degree`) execute `pulse` now? The executor
-    /// guarantees `v` has entered the pulse budget and is not done.
-    fn ready(&self, v: usize, pulse: u64, degree: usize) -> bool;
-
-    /// Node `v` executed `pulse`: retire its gating state so the slot
-    /// can serve `pulse + 2` (the ±1 skew bound keeps two pulses live).
-    fn on_executed(&mut self, v: usize, pulse: u64);
 }
 
 /// Synchronizer α, extracted verbatim from the pre-split engine.
@@ -403,53 +325,39 @@ impl Alpha {
 
     /// Floods `Safe { pulse }` on every incident edge once the node has
     /// no unacknowledged payloads left (and has not announced yet).
-    fn try_announce_safe<M>(&mut self, cp: &mut ControlPlane<'_, M>, v: usize, pulse: u64) {
+    fn try_announce_safe<M>(&mut self, wire: &mut Wire<M>, v: usize, pulse: u64) {
         if self.safe_sent[v] || self.pending_acks[v] > 0 {
             return;
         }
         self.safe_sent[v] = true;
-        for port in 0..cp.degree(v) {
-            cp.send_ctrl(v, port, Ctrl { kind: CtrlKind::Safe, pulse });
+        for port in 0..wire.degree(v) {
+            wire.send_ctrl(v, port, Ctrl { kind: CtrlKind::Safe, pulse });
         }
     }
-}
 
-impl Synchronizer for Alpha {
-    fn on_idle_port<M>(&mut self, _cp: &mut ControlPlane<'_, M>, _v: usize, _port: Port, _p: u64) {
-        // α says nothing per idle port; its Safe flood covers all edges.
-    }
-
-    fn on_pulse_begun<M>(
-        &mut self,
-        cp: &mut ControlPlane<'_, M>,
-        v: usize,
-        pulse: u64,
-        sent: usize,
-    ) {
+    /// Node `v` entered `pulse` and sent `sent` payloads: it announces
+    /// safety once all of them are acknowledged (at once, if none).
+    fn on_pulse_begun<M>(&mut self, wire: &mut Wire<M>, v: usize, pulse: u64, sent: usize) {
         self.pending_acks[v] = sent;
         self.safe_sent[v] = false;
-        self.try_announce_safe(cp, v, pulse);
+        self.try_announce_safe(wire, v, pulse);
     }
 
-    fn on_payload<M>(&mut self, cp: &mut ControlPlane<'_, M>, v: usize, port: Port, pulse: u64) {
-        // Acknowledge the payload back over the same edge.
-        cp.send_ctrl(v, port, Ctrl { kind: CtrlKind::Ack, pulse });
+    /// A pulse-`pulse` payload arrived at `v` on `port`: acknowledge it
+    /// back over the same edge.
+    fn on_payload<M>(&self, wire: &mut Wire<M>, v: usize, port: Port, pulse: u64) {
+        wire.send_ctrl(v, port, Ctrl { kind: CtrlKind::Ack, pulse });
     }
 
-    fn on_ctrl<M>(
-        &mut self,
-        cp: &mut ControlPlane<'_, M>,
-        v: usize,
-        node_pulse: u64,
-        _port: Port,
-        ctrl: Ctrl,
-    ) {
-        cp.meter_ctrl(1);
+    /// A control envelope arrived at node `v`, currently waiting on
+    /// `node_pulse`; α meters control traffic on receipt.
+    fn on_ctrl<M>(&mut self, wire: &mut Wire<M>, v: usize, node_pulse: u64, ctrl: Ctrl) {
+        wire.meter_ctrl(1);
         match ctrl.kind {
             CtrlKind::Ack => {
                 debug_assert_eq!(ctrl.pulse, node_pulse, "ack for a stale pulse");
                 self.pending_acks[v] -= 1;
-                self.try_announce_safe(cp, v, node_pulse);
+                self.try_announce_safe(wire, v, node_pulse);
             }
             CtrlKind::Safe => {
                 // Safe{r} from a neighbor certifies all its pulse-r
@@ -514,65 +422,33 @@ impl BatchedAlpha {
         Self { begun: vec![false; n], tokens: vec![[0, 0]; n] }
     }
 
-    /// Grants a pulse-`pulse` edge token to node `w` and wakes it if the
-    /// token set is now complete.
-    #[inline]
-    fn grant<M>(&mut self, cp: &mut ControlPlane<'_, M>, w: u32, pulse: u64) {
+    /// Node `v`, entering `pulse`, has nothing queued on `port`: part of
+    /// its pulse wave clears the edge at the receiver eagerly. Delivery
+    /// timing of pure clears is unobservable in outputs (the gate, not
+    /// the clock, orders execution), so no wheel event is spent on them.
+    fn on_idle_port<M>(&mut self, wire: &mut Wire<M>, v: usize, port: Port, pulse: u64) {
+        let (_slot, w, _back) = wire.topo.resolve(v, port);
         let slot = &mut self.tokens[w as usize][(pulse & 1) as usize];
         *slot += 1;
-        if self.begun[w as usize] && *slot as usize >= cp.degree(w as usize) {
-            cp.wake(w);
+        if self.begun[w as usize] && *slot as usize >= wire.degree(w as usize) {
+            wire.ready.push(w);
         }
     }
-}
 
-impl Synchronizer for BatchedAlpha {
-    fn on_idle_port<M>(&mut self, cp: &mut ControlPlane<'_, M>, v: usize, port: Port, pulse: u64) {
-        // Part of v's pulse wave: clear this edge at the receiver
-        // eagerly. Delivery timing of pure clears is unobservable in
-        // outputs (the gate, not the clock, orders execution), so no
-        // wheel event is spent on them.
-        let (w, _back) = cp.route(v, port);
-        self.grant(cp, w, pulse);
-    }
-
-    fn on_pulse_begun<M>(
-        &mut self,
-        cp: &mut ControlPlane<'_, M>,
-        v: usize,
-        pulse: u64,
-        sent: usize,
-    ) {
+    /// Node `v` entered `pulse` and sent `sent` payloads; if any port
+    /// was idle, one coalesced Safe wave covered them all.
+    fn on_pulse_begun<M>(&mut self, wire: &mut Wire<M>, v: usize, pulse: u64, sent: usize) {
         self.begun[v] = true;
-        if sent < cp.degree(v) {
-            // The node's coalesced Safe wave: one announcement covers
-            // every idle port this pulse.
-            cp.meter_ctrl(1);
-            emit(
-                cp.rec,
-                cp.now,
-                TraceEvent::SafeWave { node: v as u32, pulse, bits: ENVELOPE_BITS as u32 },
-            );
+        if sent < wire.degree(v) {
+            wire.meter_ctrl(1);
+            wire.trace(TraceEvent::SafeWave { node: v as u32, pulse, bits: ENVELOPE_BITS as u32 });
         }
     }
 
-    fn on_payload<M>(&mut self, cp: &mut ControlPlane<'_, M>, v: usize, _port: Port, pulse: u64) {
-        // The payload is its edge's token — piggybacked safety, nothing
-        // to send back. The executor re-checks v's gate right after.
-        let slot = &mut self.tokens[v][(pulse & 1) as usize];
-        *slot += 1;
-        let _ = cp;
-    }
-
-    fn on_ctrl<M>(
-        &mut self,
-        _cp: &mut ControlPlane<'_, M>,
-        _v: usize,
-        _node_pulse: u64,
-        _port: Port,
-        _ctrl: Ctrl,
-    ) {
-        unreachable!("BatchedAlpha never schedules control envelopes on the wheel");
+    /// A pulse-`pulse` payload arrived at `v`: it is its edge's token —
+    /// piggybacked safety, nothing to send back.
+    fn on_payload(&mut self, v: usize, pulse: u64) {
+        self.tokens[v][(pulse & 1) as usize] += 1;
     }
 
     fn ready(&self, v: usize, pulse: u64, degree: usize) -> bool {
@@ -585,8 +461,24 @@ impl Synchronizer for BatchedAlpha {
     }
 }
 
-/// The engine-held synchronizer: static dispatch over the implemented
-/// disciplines, constructed from the public [`SyncModel`] knob.
+/// The engine-held synchronizer, constructed from the public
+/// [`SyncModel`] knob. It owns all per-node control state (the
+/// synchronizer is network-wide, so a hook for node `v` may update any
+/// node's state — that is how eagerly resolved waves work) and all
+/// control metering.
+///
+/// The executor calls the hooks in a fixed shape per node and pulse:
+///
+/// 1. entering a pulse, it drains one payload per non-empty port (in
+///    port order), calling [`SyncDriver::on_idle_port`] for each port
+///    with nothing queued, then [`SyncDriver::on_pulse_begun`] once;
+/// 2. every delivered payload triggers [`SyncDriver::on_payload`] (the
+///    payload is already staged in the pulse inbox), every delivered
+///    control envelope [`SyncDriver::on_ctrl`];
+/// 3. after any hook, the executor consults [`SyncDriver::ready`] and,
+///    while it grants the gate, executes the pulse, calls
+///    [`SyncDriver::on_executed`], advances the node and re-enters
+///    step 1 — iteratively, alongside the [`Wire::ready`] worklist.
 #[derive(Clone, Debug, Hash)]
 pub(crate) enum SyncDriver {
     Alpha(Alpha),
@@ -609,58 +501,58 @@ impl SyncDriver {
             SyncDriver::Batched(_) => SyncModel::BatchedAlpha,
         }
     }
-}
 
-impl Synchronizer for SyncDriver {
-    fn on_idle_port<M>(&mut self, cp: &mut ControlPlane<'_, M>, v: usize, port: Port, pulse: u64) {
-        match self {
-            SyncDriver::Alpha(s) => s.on_idle_port(cp, v, port, pulse),
-            SyncDriver::Batched(s) => s.on_idle_port(cp, v, port, pulse),
+    /// Node `v`, entering `pulse`, has no payload queued on `port` (α
+    /// says nothing per idle port; its Safe flood covers all edges).
+    #[inline]
+    pub fn on_idle_port<M>(&mut self, wire: &mut Wire<M>, v: usize, port: Port, pulse: u64) {
+        if let SyncDriver::Batched(s) = self {
+            s.on_idle_port(wire, v, port, pulse);
         }
     }
 
-    fn on_pulse_begun<M>(
-        &mut self,
-        cp: &mut ControlPlane<'_, M>,
-        v: usize,
-        pulse: u64,
-        sent: usize,
-    ) {
+    /// Node `v` entered `pulse` and sent `sent` payloads (one per
+    /// non-empty port).
+    #[inline]
+    pub fn on_pulse_begun<M>(&mut self, wire: &mut Wire<M>, v: usize, pulse: u64, sent: usize) {
         match self {
-            SyncDriver::Alpha(s) => s.on_pulse_begun(cp, v, pulse, sent),
-            SyncDriver::Batched(s) => s.on_pulse_begun(cp, v, pulse, sent),
+            SyncDriver::Alpha(s) => s.on_pulse_begun(wire, v, pulse, sent),
+            SyncDriver::Batched(s) => s.on_pulse_begun(wire, v, pulse, sent),
         }
     }
 
-    fn on_payload<M>(&mut self, cp: &mut ControlPlane<'_, M>, v: usize, port: Port, pulse: u64) {
+    /// A pulse-`pulse` payload arrived at node `v` on local `port`.
+    #[inline]
+    pub fn on_payload<M>(&mut self, wire: &mut Wire<M>, v: usize, port: Port, pulse: u64) {
         match self {
-            SyncDriver::Alpha(s) => s.on_payload(cp, v, port, pulse),
-            SyncDriver::Batched(s) => s.on_payload(cp, v, port, pulse),
+            SyncDriver::Alpha(s) => s.on_payload(wire, v, port, pulse),
+            SyncDriver::Batched(s) => s.on_payload(v, pulse),
         }
     }
 
-    fn on_ctrl<M>(
-        &mut self,
-        cp: &mut ControlPlane<'_, M>,
-        v: usize,
-        node_pulse: u64,
-        port: Port,
-        ctrl: Ctrl,
-    ) {
-        match self {
-            SyncDriver::Alpha(s) => s.on_ctrl(cp, v, node_pulse, port, ctrl),
-            SyncDriver::Batched(s) => s.on_ctrl(cp, v, node_pulse, port, ctrl),
+    /// A control envelope arrived at node `v` (currently waiting on
+    /// `node_pulse`). Only α puts control envelopes on the wheel.
+    #[inline]
+    pub fn on_ctrl<M>(&mut self, wire: &mut Wire<M>, v: usize, node_pulse: u64, ctrl: Ctrl) {
+        if let SyncDriver::Alpha(s) = self {
+            s.on_ctrl(wire, v, node_pulse, ctrl);
         }
     }
 
-    fn ready(&self, v: usize, pulse: u64, degree: usize) -> bool {
+    /// May node `v` (degree `degree`) execute `pulse` now? The executor
+    /// guarantees `v` has entered the pulse budget and is not done.
+    #[inline]
+    pub fn ready(&self, v: usize, pulse: u64, degree: usize) -> bool {
         match self {
             SyncDriver::Alpha(s) => s.ready(v, pulse, degree),
             SyncDriver::Batched(s) => s.ready(v, pulse, degree),
         }
     }
 
-    fn on_executed(&mut self, v: usize, pulse: u64) {
+    /// Node `v` executed `pulse`: retire its gating state so the slot
+    /// can serve `pulse + 2` (the ±1 skew bound keeps two pulses live).
+    #[inline]
+    pub fn on_executed(&mut self, v: usize, pulse: u64) {
         match self {
             SyncDriver::Alpha(s) => s.on_executed(v, pulse),
             SyncDriver::Batched(s) => s.on_executed(v, pulse),

@@ -13,8 +13,12 @@
 //!   test-only fixture behind the `legacy-engine` cargo feature), or
 //!   [`Engine::Async`] (event-driven delivery with seeded link delays
 //!   under a pluggable synchronizer).
-//! * [`Session`] configures a run — graph, seed, mode, ID assignment,
-//!   engine, limits, observers — and builds a [`SessionDriver`].
+//! * [`Session`] configures a run — graph or edge stream, seed, mode,
+//!   ID assignment, engine, limits, tracing — and builds a
+//!   [`SessionDriver`]. Both production engines are built from the same
+//!   parts, compiled once: route table, IDs, endpoints, protocols and
+//!   RNG streams, from a [`Graph`] ([`Session::on`]) or an
+//!   [`EdgeStream`] ([`Session::on_stream`]).
 //! * [`Driver`] is the uniform handle every engine implements:
 //!   `drive` advances rounds (pulses, for α), then outputs, endpoints
 //!   and protocols are read back uniformly.
@@ -23,9 +27,11 @@
 //!   across engines for the same seed), and the synchronizer's
 //!   [`SyncOverhead`] (zero for the synchronous engines).
 //! * [`Observer`] streams per-round [`RoundDelta`]s and quiescence
-//!   barriers (phase transitions) while the run executes. Observers are
-//!   the *user-facing* streaming hook: boxed trait objects fed
-//!   round-granular aggregates, free to allocate and do arbitrary work.
+//!   barriers (phase transitions) while the run executes; pass one to
+//!   [`Driver::drive`], [`SessionDriver::run_observed`] or
+//!   [`SessionDriver::run_phased`]. Observers are the *user-facing*
+//!   streaming hook: trait objects fed round-granular aggregates, free
+//!   to allocate and do arbitrary work.
 //!   The engine-facing counterpart is the [`crate::obs`] recording
 //!   plane — [`Session::trace`] installs a preallocated
 //!   [`crate::TraceSink`] *inside* the engine hot paths, which captures
@@ -108,7 +114,7 @@ use crate::asynch::AsyncNetwork;
 #[cfg(feature = "legacy-engine")]
 use crate::legacy::LegacyNetwork;
 use crate::metrics::Metrics;
-use crate::network::{IdAssignment, Mode, Network};
+use crate::network::{IdAssignment, Mode, Network, Nodes};
 use crate::obs::{MetricsMode, RunProfile, TraceConfig, TraceSink};
 use crate::protocol::{Endpoint, Protocol, Round};
 use crate::sched::{
@@ -329,13 +335,21 @@ pub struct RoundDelta {
 
 impl RoundDelta {
     /// Folds one delivered payload of `bits` width in — the single
-    /// metering implementation shared by the engines that attribute
-    /// deliveries message by message (legacy, α).
+    /// metering implementation shared by every engine (flat shards,
+    /// legacy, α pulses).
     #[inline]
     pub(crate) fn record(&mut self, bits: usize) {
         self.messages += 1;
         self.bits += bits as u64;
         self.max_bits = self.max_bits.max(bits);
+    }
+
+    /// Folds another delta's aggregates in (commutative, so the flat
+    /// plane's shard merge order cannot matter).
+    pub(crate) fn merge(&mut self, other: RoundDelta) {
+        self.messages += other.messages;
+        self.bits += other.bits;
+        self.max_bits = self.max_bits.max(other.max_bits);
     }
 }
 
@@ -383,32 +397,6 @@ pub trait Observer {
 impl Observer for () {
     #[inline]
     fn on_round(&mut self, _round: Round, _delta: &RoundDelta) {}
-}
-
-/// Chains two observers (used to combine a [`Session`]-installed
-/// observer with one passed to [`SessionDriver::run_observed`]).
-struct Chain<'a>(&'a mut dyn Observer, &'a mut dyn Observer);
-
-impl Observer for Chain<'_> {
-    fn on_round(&mut self, round: Round, delta: &RoundDelta) {
-        self.0.on_round(round, delta);
-        self.1.on_round(round, delta);
-    }
-
-    fn on_barrier(&mut self, round: Round) {
-        self.0.on_barrier(round);
-        self.1.on_barrier(round);
-    }
-
-    fn on_fault(&mut self, event: FaultEvent) {
-        self.0.on_fault(event);
-        self.1.on_fault(event);
-    }
-
-    fn on_churn(&mut self, event: ChurnEvent) {
-        self.0.on_churn(event);
-        self.1.on_churn(event);
-    }
 }
 
 /// The uniform execution handle: [`SessionDriver`] implements it over
@@ -481,7 +469,6 @@ pub struct Session<'g> {
     /// engines then fall back to [`RunLimits::default`], while
     /// [`Engine::Async`] insists on an explicit budget.
     limits: Option<RunLimits>,
-    observer: Option<Box<dyn Observer>>,
     trace: Option<TraceConfig>,
     metrics_mode: MetricsMode,
 }
@@ -490,23 +477,10 @@ pub struct Session<'g> {
 pub(crate) enum Source<'g> {
     /// A materialized graph — every engine accepts this.
     Graph(&'g Graph),
-    /// A restartable edge stream ([`Engine::Flat`] only): the scale-tier
-    /// path, which constructs the CSR route table directly from the
-    /// stream and never allocates a `Graph` or an edge list.
+    /// A restartable edge stream ([`Engine::Flat`] and [`Engine::Async`]):
+    /// the scale-tier path, which constructs the CSR route table directly
+    /// from the stream and never allocates a `Graph` or an edge list.
     Stream(&'g mut dyn EdgeStream),
-}
-
-/// Unwraps the graph the engines that need one run over, with a pointer
-/// at the flat engine when the session was built on a stream.
-fn require_graph<'g>(source: Source<'g>, engine: &str) -> &'g Graph {
-    match source {
-        Source::Graph(graph) => graph,
-        Source::Stream(_) => panic!(
-            "{engine} executes over a materialized graph; Session::on_stream drives \
-             Engine::Flat only — materialize the stream first \
-             (graphs::generators::materialize) or switch to Engine::Flat"
-        ),
-    }
 }
 
 impl<'g> Session<'g> {
@@ -517,15 +491,17 @@ impl<'g> Session<'g> {
     }
 
     /// Starts configuring a run over a restartable [`EdgeStream`] —
-    /// topology construction streams straight into the flat engine's CSR
+    /// topology construction streams straight into the engine's CSR
     /// route table, so no `Graph` (and no edge list) is ever
     /// materialized. This is the million-node path: peak memory is the
     /// engine's final arrays, not the instance. For the same stream and
     /// seed the run is bit-identical to [`Session::on`] with the
-    /// materialized graph.
+    /// materialized graph, on [`Engine::Flat`] and [`Engine::Async`]
+    /// alike (both compile graphs and streams through the same two
+    /// counted passes).
     ///
-    /// Only [`Engine::Flat`] can execute directly from a stream;
-    /// building another engine from a streamed session panics.
+    /// [`Engine::Legacy`], the frozen reference fixture, needs a `Graph`:
+    /// building it from a streamed session panics.
     #[must_use]
     pub fn on_stream(stream: &'g mut dyn EdgeStream) -> Self {
         Self::from_source(Source::Stream(stream))
@@ -539,7 +515,6 @@ impl<'g> Session<'g> {
             ids: IdAssignment::Hashed,
             engine: Engine::default(),
             limits: None,
-            observer: None,
             trace: None,
             metrics_mode: MetricsMode::Full,
         }
@@ -586,14 +561,6 @@ impl<'g> Session<'g> {
         self
     }
 
-    /// Installs a streaming observer; it receives every round delta and
-    /// barrier of every subsequent `run` on the built driver.
-    #[must_use]
-    pub fn observer(mut self, observer: impl Observer + 'static) -> Self {
-        self.observer = Some(Box::new(observer));
-        self
-    }
-
     /// Installs an in-engine recorder ([`TraceSink`]): the engine emits
     /// typed [`crate::TraceEvent`]s from its hot paths into a ring
     /// buffer preallocated to `config.capacity` records and folds them
@@ -621,6 +588,10 @@ impl<'g> Session<'g> {
 
     /// Builds the selected engine's driver, creating each node's
     /// protocol via `factory` (called with the node's [`Endpoint`]).
+    /// Both production engines start from the same parts, compiled once
+    /// from the graph or stream: the CSR route table, the node IDs
+    /// behind one shared neighbor-id arena, the protocols and the
+    /// per-node RNG streams.
     ///
     /// # Panics
     ///
@@ -637,19 +608,25 @@ impl<'g> Session<'g> {
     {
         let inner = match self.engine {
             Engine::Flat { shards } => {
-                let mut net =
-                    Network::build(self.source, self.mode, self.seed, self.ids, shards, factory);
+                let shards = shards.max(1);
+                let nodes = Nodes::build(self.source, self.seed, self.ids, shards, factory);
+                let mut net = Network::new(nodes, self.mode, shards);
                 net.configure_obs(self.trace, self.metrics_mode);
                 EngineDriver::Flat(net)
             }
             #[cfg(feature = "legacy-engine")]
-            Engine::Legacy => EngineDriver::Legacy(LegacyNetwork::build_with(
-                require_graph(self.source, "Engine::Legacy"),
-                self.mode,
-                self.seed,
-                self.ids,
-                factory,
-            )),
+            Engine::Legacy => {
+                let Source::Graph(graph) = self.source else {
+                    panic!(
+                        "Engine::Legacy executes over a materialized graph: materialize the \
+                         stream first (graphs::generators::materialize) or switch to \
+                         Engine::Flat"
+                    )
+                };
+                EngineDriver::Legacy(LegacyNetwork::build_with(
+                    graph, self.mode, self.seed, self.ids, factory,
+                ))
+            }
             #[cfg(not(feature = "legacy-engine"))]
             Engine::Legacy => panic!(
                 "Engine::Legacy is a test-only fixture: enable congest's `legacy-engine` cargo \
@@ -668,15 +645,13 @@ impl<'g> Session<'g> {
                      Session::limits(RunLimits::rounds(b)) — pulses never quiesce, the \
                      budget is the §4.1 termination rule"
                 );
-                let graph = require_graph(self.source, "Engine::Async");
-                let mut net = AsyncNetwork::build_with(
-                    graph, self.seed, delay, sync, fault, churn, self.ids, factory,
-                );
+                let nodes = Nodes::build(self.source, self.seed, self.ids, 1, factory);
+                let mut net = AsyncNetwork::new(nodes, self.seed, delay, sync, fault, churn);
                 net.configure_obs(self.trace, self.metrics_mode);
                 EngineDriver::Async(net)
             }
         };
-        SessionDriver { inner, limits: self.limits.unwrap_or_default(), observer: self.observer }
+        SessionDriver { inner, limits: self.limits.unwrap_or_default() }
     }
 
     /// Builds the driver, drives it to the configured limits, and
@@ -740,12 +715,10 @@ impl<P: Protocol> EngineDriver<P> {
 }
 
 /// The driver a [`Session`] builds: the selected engine plus the
-/// session's limits and installed observer, behind the uniform
-/// [`Driver`] interface.
+/// session's limits, behind the uniform [`Driver`] interface.
 pub struct SessionDriver<P: Protocol> {
     inner: EngineDriver<P>,
     limits: RunLimits,
-    observer: Option<Box<dyn Observer>>,
 }
 
 impl<P: Protocol> SessionDriver<P> {
@@ -775,16 +748,15 @@ impl<P: Protocol> SessionDriver<P> {
         }
     }
 
-    /// Drives to the session's configured limits, notifying the
-    /// installed observer (if any). Resumable after a `RoundLimit` stop.
+    /// Drives to the session's configured limits. Resumable after a
+    /// `RoundLimit` stop.
     pub fn run(&mut self) -> RunReport {
         let limits = self.limits;
         self.drive(limits, &mut ())
     }
 
-    /// Like [`SessionDriver::run`], additionally streaming to `obs`
-    /// (chained after the installed observer). Use this to collect into
-    /// borrowed state without `'static` gymnastics.
+    /// Like [`SessionDriver::run`], streaming every round delta,
+    /// barrier, fault and churn event to `obs`.
     pub fn run_observed(&mut self, obs: &mut dyn Observer) -> RunReport {
         let limits = self.limits;
         self.drive(limits, obs)
@@ -802,22 +774,9 @@ impl<P: Protocol> SessionDriver<P> {
     /// [`SessionDriver::run`] with that budget — the same plan drives
     /// every engine.
     pub fn run_phased(&mut self, plan: &PhasePlan, obs: &mut dyn Observer) -> RunReport {
-        self.with_observers(obs, |inner, obs| match inner {
+        match &mut self.inner {
             EngineDriver::Async(net) => net.run_phases(plan, obs),
             sync => sync.as_driver_mut().drive(RunLimits::rounds(plan.total_pulses()), obs),
-        })
-    }
-
-    /// Runs `run` on the engine with `obs` chained after the installed
-    /// observer, if any.
-    fn with_observers(
-        &mut self,
-        obs: &mut dyn Observer,
-        run: impl FnOnce(&mut EngineDriver<P>, &mut dyn Observer) -> RunReport,
-    ) -> RunReport {
-        match self.observer.as_deref_mut() {
-            Some(installed) => run(&mut self.inner, &mut Chain(installed, obs)),
-            None => run(&mut self.inner, obs),
         }
     }
 }
@@ -826,7 +785,7 @@ impl<P: Protocol> Driver for SessionDriver<P> {
     type P = P;
 
     fn drive(&mut self, limits: RunLimits, obs: &mut dyn Observer) -> RunReport {
-        self.with_observers(obs, |inner, obs| inner.as_driver_mut().drive(limits, obs))
+        self.inner.as_driver_mut().drive(limits, obs)
     }
 
     fn node_count(&self) -> usize {
@@ -1017,28 +976,5 @@ mod tests {
                 Session::on(&g).seed(3).limits(RunLimits::rounds(12)).run_with(factory).0;
             assert_eq!(driver.outputs(), full, "{engine:?}: split run diverged");
         }
-    }
-
-    #[test]
-    fn installed_observer_chains_with_passed_observer() {
-        struct CountRounds(std::rc::Rc<std::cell::Cell<u64>>);
-        impl Observer for CountRounds {
-            fn on_round(&mut self, _round: Round, _delta: &RoundDelta) {
-                self.0.set(self.0.get() + 1);
-            }
-        }
-
-        let installed = std::rc::Rc::new(std::cell::Cell::new(0));
-        let g = ring(6);
-        let mut driver = Session::on(&g)
-            .seed(5)
-            .limits(RunLimits::rounds(4))
-            .observer(CountRounds(installed.clone()))
-            .build_with(factory);
-        let passed = std::rc::Rc::new(std::cell::Cell::new(0));
-        let mut counter = CountRounds(passed.clone());
-        let report = driver.run_observed(&mut counter);
-        assert_eq!(installed.get(), report.rounds);
-        assert_eq!(passed.get(), report.rounds);
     }
 }

@@ -12,8 +12,8 @@
 use std::collections::BTreeSet;
 
 use congest::{
-    ChurnEvent, ChurnModel, ChurnPolicy, Context, DelayModel, Driver, Engine, Message, Port,
-    Protocol, RoundDelta, RunLimits, RunReport, Session, SyncModel, Termination,
+    ChurnEvent, ChurnModel, ChurnPolicy, Context, DelayModel, Driver, Engine, FaultModel, Message,
+    Port, Protocol, RoundDelta, RunLimits, RunReport, Session, SyncModel, Termination,
 };
 use graphs::{Graph, GraphBuilder};
 
@@ -356,4 +356,85 @@ fn streamed_events_agree_with_the_epoch_timeline() {
         .collect();
     let timeline: Vec<(u64, u64)> = report.epochs.iter().map(|e| (e.epoch, e.pulse)).collect();
     assert_eq!(boundaries, timeline, "streamed epoch boundaries must match the report timeline");
+}
+
+/// Gossip that counts every crash or membership hook reaching it before
+/// its own `init`: a node outside the member set observes nothing.
+struct EarlyHookProbe {
+    initialized: bool,
+    early_hooks: u32,
+}
+
+impl EarlyHookProbe {
+    fn hook(&mut self) {
+        if !self.initialized {
+            self.early_hooks += 1;
+        }
+    }
+}
+
+impl Protocol for EarlyHookProbe {
+    type Msg = Word;
+    type Output = u32;
+
+    fn init(&mut self, ctx: &mut Context<'_, Word>) {
+        self.initialized = true;
+        ctx.broadcast(Word(ctx.id()));
+    }
+
+    fn step(&mut self, ctx: &mut Context<'_, Word>, _inbox: &[(Port, Word)]) {
+        ctx.broadcast(Word(ctx.id()));
+    }
+
+    fn is_idle(&self) -> bool {
+        true
+    }
+
+    fn on_peer_down(&mut self, _ctx: &mut Context<'_, Word>, _port: Port) {
+        self.hook();
+    }
+
+    fn on_peer_up(&mut self, _ctx: &mut Context<'_, Word>, _port: Port) {
+        self.hook();
+    }
+
+    fn on_join(&mut self, _ctx: &mut Context<'_, Word>, _port: Port) {
+        self.hook();
+    }
+
+    fn on_leave(&mut self, _ctx: &mut Context<'_, Word>, _port: Port) {
+        self.hook();
+    }
+
+    fn output(&self) -> u32 {
+        self.early_hooks
+    }
+}
+
+/// Crash hooks respect the member set: while late joiners are still
+/// absent, a neighbor's crash and recovery must not reach them — they
+/// have not run `init` yet.
+#[test]
+fn crash_hooks_skip_nodes_outside_the_member_set() {
+    let g = clique(8);
+    for seed in 0..20 {
+        let (outputs, report) = Session::on(&g)
+            .seed(seed)
+            .engine(Engine::Async {
+                delay: DelayModel::Uniform { max_delay: 3 },
+                sync: SyncModel::Alpha,
+                fault: FaultModel::Crash { victims: 2, at_pulse: 2, recover_after: 2 },
+                churn: ChurnModel::Join {
+                    joiners: 3,
+                    at_pulse: 8,
+                    spacing: 1,
+                    policy: ChurnPolicy::Continue,
+                },
+            })
+            .limits(RunLimits::rounds(12))
+            .run_with(|_| EarlyHookProbe { initialized: false, early_hooks: 0 });
+        assert_eq!(report.overhead.joins, 3, "seed {seed}: all three joiners arrive");
+        let early: u32 = outputs.iter().sum();
+        assert_eq!(early, 0, "seed {seed}: {early} hooks reached nodes before their init");
+    }
 }

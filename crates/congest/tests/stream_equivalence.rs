@@ -1,8 +1,8 @@
 //! Streamed construction is *observationally invisible*: a session built
 //! with [`Session::on_stream`] must be bit-identical — outputs, metrics,
-//! round counts, per-node RNG streams — to one built with [`Session::on`]
-//! over the materialized form of the same stream, across shard counts
-//! and metrics modes.
+//! synchronizer overhead, round counts, per-node RNG streams — to one
+//! built with [`Session::on`] over the materialized form of the same
+//! stream, across shard counts, both synchronizers and metrics modes.
 //!
 //! This is the congest-side companion of
 //! `crates/graphs/tests/stream_equivalence.rs` (which pins generator ≡
@@ -10,7 +10,8 @@
 //! construction paths and every observable is compared.
 
 use congest::{
-    Context, Driver, Engine, Message, MetricsMode, Port, Protocol, RunLimits, RunReport, Session,
+    ChurnModel, Context, DelayModel, Driver, Engine, FaultModel, Message, MetricsMode, Port,
+    Protocol, RunLimits, RunReport, Session, SyncModel,
 };
 use graphs::generators::{materialize, GnpStream, PlantedNearCliqueStream};
 use graphs::EdgeStream;
@@ -77,10 +78,25 @@ impl Protocol for Mixer {
 
 const ROUNDS: u64 = 12;
 
-fn run(session: Session<'_>, shards: usize, metrics: MetricsMode) -> (Vec<u64>, RunReport) {
+/// The flat engine at 1, 2 and 4 shards, then α under both
+/// synchronizers.
+fn engines() -> Vec<Engine> {
+    let mut engines: Vec<Engine> = [1, 2, 4].map(|shards| Engine::Flat { shards }).to_vec();
+    for sync in [SyncModel::Alpha, SyncModel::BatchedAlpha] {
+        engines.push(Engine::Async {
+            delay: DelayModel::Uniform { max_delay: 3 },
+            sync,
+            fault: FaultModel::None,
+            churn: ChurnModel::None,
+        });
+    }
+    engines
+}
+
+fn run(session: Session<'_>, engine: Engine, metrics: MetricsMode) -> (Vec<u64>, RunReport) {
     let mut driver = session
         .seed(42)
-        .engine(Engine::Flat { shards })
+        .engine(engine)
         .metrics(metrics)
         .limits(RunLimits::rounds(ROUNDS + 4))
         .build_with(|_| Mixer { checksum: 0, rounds: ROUNDS });
@@ -90,18 +106,22 @@ fn run(session: Session<'_>, shards: usize, metrics: MetricsMode) -> (Vec<u64>, 
 
 fn assert_paths_agree(mut stream: impl EdgeStream, label: &str) {
     let graph = materialize(&mut stream);
-    for shards in [1, 2, 4] {
+    for engine in engines() {
         for metrics in [MetricsMode::Full, MetricsMode::Streaming] {
-            let (graph_out, graph_rep) = run(Session::on(&graph), shards, metrics);
-            let (stream_out, stream_rep) = run(Session::on_stream(&mut stream), shards, metrics);
+            let (graph_out, graph_rep) = run(Session::on(&graph), engine, metrics);
+            let (stream_out, stream_rep) = run(Session::on_stream(&mut stream), engine, metrics);
             assert_eq!(
                 graph_out, stream_out,
-                "{label}, shards = {shards}, {metrics:?}: outputs diverge between \
+                "{label}, {engine:?}, {metrics:?}: outputs diverge between \
                  Session::on and Session::on_stream"
             );
             assert_eq!(
                 graph_rep.metrics, stream_rep.metrics,
-                "{label}, shards = {shards}, {metrics:?}: metrics diverge"
+                "{label}, {engine:?}, {metrics:?}: metrics diverge"
+            );
+            assert_eq!(
+                graph_rep.overhead, stream_rep.overhead,
+                "{label}, {engine:?}, {metrics:?}: synchronizer overhead diverges"
             );
             assert_eq!(graph_rep.rounds, stream_rep.rounds, "{label}: round counts diverge");
             assert_eq!(
@@ -135,7 +155,8 @@ fn planted_stream_session_matches_materialized() {
 #[test]
 fn stream_is_reusable_across_builds() {
     let mut stream = GnpStream::new(150, 0.06, 3);
-    let (first, _) = run(Session::on_stream(&mut stream), 2, MetricsMode::Full);
-    let (second, _) = run(Session::on_stream(&mut stream), 2, MetricsMode::Full);
+    let engine = Engine::Flat { shards: 2 };
+    let (first, _) = run(Session::on_stream(&mut stream), engine, MetricsMode::Full);
+    let (second, _) = run(Session::on_stream(&mut stream), engine, MetricsMode::Full);
     assert_eq!(first, second, "rebuilding from the same stream must be deterministic");
 }

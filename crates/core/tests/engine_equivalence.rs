@@ -758,8 +758,8 @@ fn alpha_and_batched_alpha_match_flat_on_every_schedule() {
     let g = path(3);
     for sync in [SyncModel::Alpha, SyncModel::BatchedAlpha] {
         // Flood needs two pulses to cross the path; gossip needs two for
-        // the max to travel end to end. check_flat is on by default, so
-        // every completed schedule is held against the flat reference.
+        // the max to travel end to end. The explorer always holds every
+        // completed schedule against the flat reference.
         let flood = Explore::on(&g)
             .seed(17)
             .bound(2)
