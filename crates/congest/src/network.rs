@@ -28,10 +28,14 @@
 //! * The link table is CSR-flattened (`crate::plane::Topology`): one
 //!   `u32` lookup maps a sender port to the matching receiver port, a
 //!   second recovers the receiver node on scatter.
-//! * Outgoing queues live in per-shard slabs of fixed-size chunks strung
-//!   on a free list; per-port state is 16 bytes, and pushes/pops recycle
-//!   chunks instead of allocating. Non-empty ports are tracked in a
-//!   bitset whose scan order is port order — no sorted insert on push.
+//! * Each outgoing queue keeps its oldest message inline in a per-port
+//!   header (16 bytes of cursors plus one message); only messages queued
+//!   behind it go to per-shard slabs of fixed-size chunks strung on a
+//!   free list, and pushes/pops recycle chunks instead of allocating.
+//!   Under CONGEST a port rarely holds two messages, so delivery reads
+//!   the headers in port order and almost never visits a chunk.
+//!   Non-empty ports are tracked in a bitset whose scan order is port
+//!   order — no sorted insert on push.
 //! * Delivery and inbox buffers are double-buffered and reused across
 //!   rounds; per-round growth only happens until the workload's
 //!   high-water mark is reached.

@@ -13,13 +13,16 @@
 //!
 //! # Queues
 //!
-//! Outgoing per-port FIFOs live in a per-shard slab: fixed-size chunks of
-//! messages strung on intrusive `u32` links, recycled through a free
-//! list. Per-port state is one 16-byte [`PortQ`]; pushes and pops never
-//! allocate once the chunk pool is warm. Non-empty ports are tracked in a
-//! bitset whose scan order *is* port order, so delivery costs `O(active
-//! ports)` with no sorted-insert on push (the old engine's `Outbox` paid
-//! `O(degree)` per first push on a port).
+//! Each outgoing per-port FIFO is one [`PortQ`] header: 16 bytes of
+//! cursors plus its oldest message, stored inline. Messages queued behind
+//! that one overflow into a per-shard slab: fixed-size chunks strung on
+//! intrusive `u32` links, recycled through a free list. A CONGEST port
+//! rarely holds more than one message, so the common case never touches
+//! the slab, and pushes and pops never allocate once the chunk pool is
+//! warm. Non-empty ports are tracked in a bitset whose scan order *is*
+//! port order, so delivery costs `O(active ports)` with no sorted-insert
+//! on push (the old engine's `Outbox` paid `O(degree)` per first push on
+//! a port).
 //!
 //! # Delivery without a global sort
 //!
@@ -44,8 +47,11 @@ use crate::message::Message;
 use crate::protocol::Port;
 use crate::session::RoundDelta;
 
-/// Messages per chunk. Eight keeps a chunk of small messages within one or
-/// two cache lines while bounding per-queue slack to seven slots.
+/// Messages per overflow chunk. Chunks hold only the messages queued
+/// behind a port's inline head, so they serve deep queues: LOCAL trains,
+/// the α wheel's buckets and inboxes. Eight keeps a chunk of small
+/// messages within one or two cache lines while bounding per-queue slack
+/// to seven slots.
 pub(crate) const CHUNK: usize = 8;
 
 /// Null link / "no chunk" marker.
@@ -234,14 +240,18 @@ impl Replay for &mut dyn EdgeStream {
     }
 }
 
-/// One outgoing FIFO: a chain of chunks plus cursors. 16 bytes per port.
-#[derive(Clone, Copy, Debug)]
-struct PortQ {
-    /// First chunk of the chain (`NIL` when empty).
+/// One outgoing FIFO: the oldest message inline, later ones on a chain of
+/// chunks. 16 bytes of cursors plus one `Option<M>` per port.
+#[derive(Clone, Debug)]
+struct PortQ<M> {
+    /// The FIFO head, when it arrived at an empty port. `push` fills it
+    /// only while `len == 0`, so a `Some` is always the oldest message.
+    first: Option<M>,
+    /// First chunk of the chain (`NIL` when the chain is empty).
     head: u32,
-    /// Last chunk of the chain (`NIL` when empty).
+    /// Last chunk of the chain (`NIL` when the chain is empty).
     tail: u32,
-    /// Queued message count.
+    /// Queued message count, `first` included.
     len: u32,
     /// Next slot to pop within `head`.
     head_off: u8,
@@ -249,8 +259,9 @@ struct PortQ {
     tail_off: u8,
 }
 
-impl PortQ {
-    const EMPTY: PortQ = PortQ { head: NIL, tail: NIL, len: 0, head_off: 0, tail_off: 0 };
+impl<M> PortQ<M> {
+    const EMPTY: Self =
+        PortQ { first: None, head: NIL, tail: NIL, len: 0, head_off: 0, tail_off: 0 };
 }
 
 /// A pooled block of queue slots.
@@ -266,33 +277,25 @@ impl<M> Chunk<M> {
     }
 }
 
-/// Best-effort cache prefetch (no-op off x86_64). The chunk slab is the
-/// one random-access structure on the delivery hot path; prefetching the
-/// head chunks of a word's active ports overlaps their misses.
-#[inline(always)]
-fn prefetch<T>(p: *const T) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: prefetch is a hint with no memory effects.
-    unsafe {
-        core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(p as *const i8)
-    };
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
-}
-
-/// A set of slab-backed per-port FIFOs: the queue half of the flat plane,
-/// shared by every engine. The synchronous [`Shard`] embeds one per node
-/// range; the asynchronous executor ([`crate::asynch`]) owns a single set
-/// covering the whole port space — one queue implementation, three
-/// engines. The element type is unconstrained: the α engine also reuses
-/// this machinery for structures that queue things other than
-/// application messages (the timing wheel's in-flight envelopes and the
-/// rotating per-pulse inboxes — see [`crate::sched::EventWheel`]).
+/// A set of per-port FIFOs: the queue half of the flat plane, shared by
+/// every engine. The synchronous [`Shard`] embeds one per node range; the
+/// asynchronous executor ([`crate::asynch`]) owns a single set covering
+/// the whole port space — one queue implementation, three engines. The
+/// element type is unconstrained: the α engine also reuses this
+/// machinery for structures that queue things other than application
+/// messages (the timing wheel's in-flight envelopes and the rotating
+/// per-pulse inboxes — see [`crate::sched::EventWheel`]).
+///
+/// A message pushed onto an empty port is stored inline in its
+/// [`PortQ`]; only messages queued behind it go to the chunk slab. A
+/// CONGEST port rarely holds more than one message, so it rarely touches
+/// a chunk, while deep queues (wheel buckets, inboxes) pay one branch per
+/// operation.
 #[derive(Clone, Debug)]
 pub(crate) struct PortQueues<M> {
     /// Queue state per local port.
-    ports: Vec<PortQ>,
-    /// Chunk slab shared by all queues of this set.
+    ports: Vec<PortQ<M>>,
+    /// Chunk slab shared by the overflow chains of this set.
     chunks: Vec<Chunk<M>>,
     /// Head of the free-chunk list.
     free_head: u32,
@@ -310,7 +313,7 @@ impl<M> PortQueues<M> {
     /// An empty queue set over `port_count` ports.
     pub fn new(port_count: usize) -> Self {
         Self {
-            ports: vec![PortQ::EMPTY; port_count],
+            ports: std::iter::repeat_with(|| PortQ::EMPTY).take(port_count).collect(),
             chunks: Vec::new(),
             free_head: NIL,
             active: vec![0u64; port_count.div_ceil(64)],
@@ -337,21 +340,6 @@ impl<M> PortQueues<M> {
         self.ports[p as usize].len
     }
 
-    /// Prefetches the head chunk of every active port in word `wi`,
-    /// overlapping the slab's cache misses ahead of the pop loop.
-    #[inline]
-    fn prefetch_word_heads(&self, wi: usize) {
-        let mut word = self.active[wi];
-        while word != 0 {
-            let p = wi * 64 + word.trailing_zeros() as usize;
-            word &= word - 1;
-            let head = self.ports[p].head;
-            if head != NIL {
-                prefetch(&self.chunks[head as usize]);
-            }
-        }
-    }
-
     fn alloc_chunk(&mut self) -> u32 {
         if self.free_head != NIL {
             let c = self.free_head;
@@ -365,46 +353,57 @@ impl<M> PortQueues<M> {
     }
 
     /// Enqueues `msg` on local port `p`. Allocates only while the chunk
-    /// pool is still growing toward the steady-state watermark.
+    /// pool is still growing toward the steady-state watermark, and never
+    /// for a message that finds its port empty.
     pub fn push(&mut self, p: u32, msg: M) {
-        let q = self.ports[p as usize];
-        let (tail, tail_off) = if q.tail == NIL {
+        let q = &mut self.ports[p as usize];
+        q.len += 1;
+        if q.len == 1 {
+            q.first = Some(msg);
+            self.active[p as usize / 64] |= 1u64 << (p % 64);
+        } else {
+            self.push_chain(p, msg);
+        }
+        self.queued += 1;
+        self.high_water = self.high_water.max(self.queued);
+    }
+
+    /// Appends `msg` to port `p`'s chunk chain (cursors only; the caller
+    /// counts it).
+    fn push_chain(&mut self, p: u32, msg: M) {
+        let PortQ { tail, tail_off, .. } = self.ports[p as usize];
+        let (tail, tail_off) = if tail == NIL {
             let c = self.alloc_chunk();
             let q = &mut self.ports[p as usize];
             q.head = c;
             q.tail = c;
             q.head_off = 0;
             (c, 0u8)
-        } else if q.tail_off as usize == CHUNK {
+        } else if tail_off as usize == CHUNK {
             let c = self.alloc_chunk();
-            self.chunks[q.tail as usize].next = c;
-            let q = &mut self.ports[p as usize];
-            q.tail = c;
+            self.chunks[tail as usize].next = c;
+            self.ports[p as usize].tail = c;
             (c, 0u8)
         } else {
-            (q.tail, q.tail_off)
+            (tail, tail_off)
         };
         self.chunks[tail as usize].slots[tail_off as usize] = Some(msg);
-        let q = &mut self.ports[p as usize];
-        q.tail_off = tail_off + 1;
-        q.len += 1;
-        if q.len == 1 {
-            self.active[p as usize / 64] |= 1u64 << (p % 64);
-        }
-        self.queued += 1;
-        self.high_water = self.high_water.max(self.queued);
+        self.ports[p as usize].tail_off = tail_off + 1;
     }
 
     /// Visits port `p`'s queued messages in FIFO order **without**
-    /// draining them, walking the chunk chain from the head cursor. The
-    /// interleaving explorer's state fingerprint hashes queue contents
-    /// through this — destructive iteration would perturb the very state
-    /// being identified.
+    /// draining them: the inline head first, then the chunk chain from
+    /// its head cursor. The interleaving explorer's state fingerprint
+    /// hashes queue contents through this — destructive iteration would
+    /// perturb the very state being identified.
     pub fn for_each(&self, p: u32, mut f: impl FnMut(&M)) {
-        let q = self.ports[p as usize];
+        let q = &self.ports[p as usize];
+        if let Some(msg) = &q.first {
+            f(msg);
+        }
         let mut chunk = q.head;
         let mut off = q.head_off as usize;
-        let mut remaining = q.len;
+        let mut remaining = q.len - u32::from(q.first.is_some());
         while remaining > 0 {
             let c = &self.chunks[chunk as usize];
             let msg = c.slots[off].as_ref().expect("queue cursor spans filled slots");
@@ -423,33 +422,36 @@ impl<M> PortQueues<M> {
         self.ports.len()
     }
 
-    /// Dequeues from local port `p`, recycling exhausted chunks.
+    /// Dequeues from local port `p`: the inline head if present, else the
+    /// chain's head, recycling exhausted chunks.
     pub fn pop(&mut self, p: u32) -> Option<M> {
-        let q = self.ports[p as usize];
+        let q = &mut self.ports[p as usize];
         if q.len == 0 {
             return None;
         }
-        let msg = self.chunks[q.head as usize].slots[q.head_off as usize]
+        q.len -= 1;
+        self.queued -= 1;
+        if q.len == 0 {
+            self.active[p as usize / 64] &= !(1u64 << (p % 64));
+        }
+        if let Some(msg) = q.first.take() {
+            return Some(msg);
+        }
+        let head = q.head;
+        let msg = self.chunks[head as usize].slots[q.head_off as usize]
             .take()
             .expect("queue cursor points at a filled slot");
-        self.queued -= 1;
-        let q = &mut self.ports[p as usize];
         q.head_off += 1;
-        q.len -= 1;
         if q.len == 0 {
             // Return the whole (single remaining) chain to the free list.
-            let (head, tail) = (q.head, q.tail);
-            *q = PortQ::EMPTY;
-            self.chunks[tail as usize].next = self.free_head;
+            self.chunks[q.tail as usize].next = self.free_head;
             self.free_head = head;
-            self.active[p as usize / 64] &= !(1u64 << (p % 64));
+            *q = PortQ::EMPTY;
         } else if q.head_off as usize == CHUNK {
-            let exhausted = q.head;
-            let next = self.chunks[exhausted as usize].next;
-            q.head = next;
+            q.head = self.chunks[head as usize].next;
             q.head_off = 0;
-            self.chunks[exhausted as usize].next = self.free_head;
-            self.free_head = exhausted;
+            self.chunks[head as usize].next = self.free_head;
+            self.free_head = head;
         }
         Some(msg)
     }
@@ -541,7 +543,6 @@ impl<M: Message> Shard<M> {
             // Pops may clear bits of the word being scanned; the snapshot
             // is taken before any pop of this word, so each active port is
             // visited exactly once, in port order.
-            self.queues.prefetch_word_heads(wi);
             let mut word = self.queues.active[wi];
             while word != 0 {
                 let p = (wi * 64) as u32 + word.trailing_zeros();
@@ -610,7 +611,6 @@ impl<M: Message> Shard<M> {
         let bucket_ptr = self.bucket.as_mut_ptr();
         let mut placed = 0usize;
         for wi in 0..self.queues.active.len() {
-            self.queues.prefetch_word_heads(wi);
             let mut word = self.queues.active[wi];
             while word != 0 {
                 let p = (wi * 64) as u32 + word.trailing_zeros();
@@ -738,6 +738,8 @@ mod tests {
     use super::*;
     use crate::message::Ping;
     use graphs::GraphBuilder;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
 
     fn shard_for(ports: u32) -> Shard<Ping> {
         Shard::new(0, 1, 0, ports, 1)
@@ -777,6 +779,88 @@ mod tests {
         }
         // Steady state: the pool high-water mark is one burst's worth.
         assert!(s.queues.chunks.len() <= 3, "pool grew to {} chunks", s.queues.chunks.len());
+    }
+
+    #[test]
+    fn inline_head_hands_over_to_the_chain() {
+        let mut q: PortQueues<u32> = PortQueues::new(1);
+        q.push(0, 0);
+        assert!(q.chunks.is_empty(), "a message at an empty port stays inline");
+        // Queue a two-chunk chain behind the inline head.
+        let chained = 1..=CHUNK as u32 + 1;
+        for i in chained.clone() {
+            q.push(0, i);
+        }
+        assert_eq!(q.chunks.len(), 2);
+        // Pop the slot while the chain is non-empty; the next push must
+        // queue behind the chain, not refill the slot.
+        assert_eq!(q.pop(0), Some(0));
+        q.push(0, 100);
+        let mut seen = Vec::new();
+        q.for_each(0, |&m| seen.push(m));
+        let expected: Vec<u32> = chained.chain([100]).collect();
+        assert_eq!(seen, expected);
+        let mut drained = Vec::new();
+        while let Some(m) = q.pop(0) {
+            drained.push(m);
+        }
+        assert_eq!(drained, expected);
+        assert_eq!((q.len(0), q.queued(), q.active[0]), (0, 0, 0));
+        // Empty again: the next message goes inline and both chunks wait
+        // on the free list.
+        q.push(0, 7);
+        assert_eq!(q.chunks.len(), 2);
+        assert!(q.ports[0].first.is_some() && q.ports[0].head == NIL);
+        assert_eq!(q.pop(0), Some(7));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// `PortQueues` against one `VecDeque` per port, over random push
+        /// and pop bursts up to three chunks long: popped values, `len`,
+        /// `queued`, `high_water`, `for_each` order and the active bits
+        /// agree after every burst. In a `shallow` case a push only lands
+        /// on an empty port (CONGEST traffic), and no chunk may exist
+        /// while no port has ever held two messages.
+        #[test]
+        fn queues_match_a_vecdeque_model(
+            port_count in 1usize..5,
+            shallow in any::<bool>(),
+            bursts in prop::collection::vec((0usize..4, 1usize..3 * CHUNK + 2, any::<bool>()), 1..120),
+        ) {
+            let mut q: PortQueues<u64> = PortQueues::new(port_count);
+            let mut model: Vec<VecDeque<u64>> = vec![VecDeque::new(); port_count];
+            let (mut next, mut high_water, mut ever_deep) = (0u64, 0u64, false);
+            for (port, burst, is_push) in bursts {
+                let p = port % port_count;
+                for _ in 0..burst {
+                    if is_push && (!shallow || model[p].is_empty()) {
+                        q.push(p as u32, next);
+                        model[p].push_back(next);
+                        next += 1;
+                    } else {
+                        prop_assert_eq!(q.pop(p as u32), model[p].pop_front());
+                    }
+                    let queued: usize = model.iter().map(VecDeque::len).sum();
+                    high_water = high_water.max(queued as u64);
+                    ever_deep |= model[p].len() > 1;
+                    prop_assert!(ever_deep || q.chunks.is_empty(), "a chunk held a lone message");
+                }
+                let queued: usize = model.iter().map(VecDeque::len).sum();
+                prop_assert_eq!(q.queued(), queued as u64);
+                prop_assert_eq!(q.high_water(), high_water);
+                for (i, fifo) in model.iter().enumerate() {
+                    prop_assert_eq!(q.len(i as u32) as usize, fifo.len());
+                    let mut seen = Vec::new();
+                    q.for_each(i as u32, |&m| seen.push(m));
+                    prop_assert!(seen.iter().eq(fifo.iter()), "port {i}: for_each order");
+                    let active = q.active[i / 64] >> (i % 64) & 1 == 1;
+                    prop_assert_eq!(active, !fifo.is_empty(), "port {i}: active bit");
+                }
+            }
+            prop_assert!(!shallow || q.chunks.is_empty());
+        }
     }
 
     #[test]

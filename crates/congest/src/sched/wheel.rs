@@ -15,20 +15,22 @@
 //! * **push** is O(1): append to the FIFO of bucket `at % horizon`;
 //! * **pop** is O(1) amortized: drain the current bucket in FIFO order,
 //!   then advance the cursor to the next non-empty bucket (the scan is
-//!   bounded by the horizon and touches only 16-byte bucket headers);
+//!   bounded by the horizon and touches only bucket headers: 16 bytes of
+//!   cursors plus one inline event slot);
 //! * **order is exactly the heap's**: arrival times ascend bucket by
 //!   bucket, and within one bucket FIFO order *is* global insertion
 //!   order — the heap's `seq` tiebreak — because insertion sequence
 //!   numbers increase monotonically over the run. No `seq` needs to be
 //!   stored at all.
 //!
-//! Storage is the flat plane's chunked-slab machinery
-//! (`plane::PortQueues` with buckets as "ports"): events are strung
-//! eight to a chunk on intrusive `u32` links and chunks recycle through
-//! a free list, so the wheel performs **zero heap allocations** once the
-//! slab has grown to the run's high-water mark. The envelope travels
-//! *inside* its wheel entry — the old side-table of parked envelopes
-//! (and its per-insert tree-node allocation) is gone entirely.
+//! Storage is the flat plane's queue machinery (`plane::PortQueues` with
+//! buckets as "ports"): a bucket's oldest event sits inline in its
+//! header, the events behind it are strung eight to a chunk on intrusive
+//! `u32` links, and chunks recycle through a free list, so the wheel
+//! performs **zero heap allocations** once the slab has grown to the
+//! run's high-water mark. The envelope travels *inside* its wheel entry
+//! — the old side-table of parked envelopes (and its per-insert
+//! tree-node allocation) is gone entirely.
 //!
 //! The wheel is generic and public: the engine instantiates it with its
 //! envelope type, and the `wheel_vs_heap` micro-bench (`cargo bench -p
@@ -39,8 +41,10 @@
 
 use crate::plane::PortQueues;
 
-/// Ceiling on the bucket count: headers are 16 bytes, so a horizon of
-/// 2²⁴ would already cost 256 MiB of headers. Delays are *virtual* time
+/// Ceiling on the bucket count: a bucket header holds 16 bytes of
+/// cursors plus one inline `Option<T>` (16 bytes in all only for a
+/// zero-sized `T`), so a horizon of 2²⁴ would already cost 2²⁴ headers
+/// of at least 16 bytes — 256 MiB and up. Delays are *virtual* time
 /// units — real workloads use small bounds — and the engine sizes the
 /// wheel off the sampler's *compiled* per-port maximum (at most the
 /// model's declared [`DelayModel::bound`](crate::sched::DelayModel::bound),
@@ -118,9 +122,14 @@ impl<T> EventWheel<T> {
     /// `at` must lie in `(cursor, cursor + max_delay]` — guaranteed by
     /// construction when `at = now + delay` with a bounded positive
     /// delay. Never allocates once the chunk slab is warm.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` lies outside that window: its bucket would hold
+    /// events of another time, and pops would come out of order.
     #[inline]
     pub fn schedule(&mut self, at: u64, item: T) {
-        debug_assert!(
+        assert!(
             at > self.cursor && at - self.cursor < self.horizon,
             "event at {at} outside the wheel window ({}, {}]",
             self.cursor,
@@ -229,6 +238,23 @@ mod tests {
     #[should_panic(expected = "positive delay bound")]
     fn zero_bound_is_rejected() {
         let _ = EventWheel::<u8>::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the wheel window")]
+    fn schedule_at_the_cursor_is_rejected() {
+        let mut w: EventWheel<u8> = EventWheel::new(4);
+        w.schedule(2, 1);
+        assert_eq!(w.pop_next(), Some((2, 1)));
+        w.schedule(2, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the wheel window")]
+    fn schedule_past_the_horizon_is_rejected() {
+        // Horizon 5: bucket 9 % 5 = 4 would pop the item at time 4.
+        let mut w: EventWheel<u8> = EventWheel::new(4);
+        w.schedule(w.cursor() + w.horizon(), 7);
     }
 
     proptest! {

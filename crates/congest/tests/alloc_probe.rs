@@ -32,6 +32,8 @@ use congest::{
 };
 use graphs::generators::GnpStream;
 use graphs::{EdgeStream, GraphBuilder};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 struct CountingAlloc;
 
@@ -543,6 +545,88 @@ fn batched_sparse_pulses_do_not_allocate() {
         wrapper,
         "sparse batched steady state performed {} heap allocations",
         with_pulses.saturating_sub(wrapper)
+    );
+}
+
+/// A 24-byte message, the size of `DistNearClique`'s `Msg`. The `bool`
+/// gives `Option<Word>` a niche, as `Msg`'s enum tag does, so an inline
+/// queue slot costs the message's own 24 bytes.
+#[derive(Clone, Debug)]
+struct Word {
+    /// The last two senders' IDs.
+    ids: [u64; 2],
+    hops: u32,
+    echo: bool,
+}
+
+impl Message for Word {
+    fn bit_size(&self) -> usize {
+        64
+    }
+}
+
+/// [`Echo`] with a [`Word`] payload: every directed port holds one
+/// message between rounds.
+struct WordEcho;
+
+impl Protocol for WordEcho {
+    type Msg = Word;
+    type Output = ();
+
+    fn init(&mut self, ctx: &mut Context<'_, Word>) {
+        ctx.broadcast(Word { ids: [0, ctx.id()], hops: 0, echo: false });
+    }
+
+    fn step(&mut self, ctx: &mut Context<'_, Word>, inbox: &[(Port, Word)]) {
+        for (port, w) in inbox {
+            ctx.send(*port, Word { ids: [w.ids[1], ctx.id()], hops: w.hops + 1, echo: !w.echo });
+        }
+    }
+
+    fn is_idle(&self) -> bool {
+        true
+    }
+
+    fn output(&self) {}
+}
+
+/// The run-time memory contract, byte-accounted: a CONGEST echo on a
+/// G(n, p) instance of expected degree 16 keeps one 24-byte message
+/// queued on every directed port between rounds, and the run's peak
+/// live bytes — build included — come to what each port needs and no
+/// more: its 12-byte route, its 8-byte neighbor ID in the endpoint
+/// arena, its queue header with the message inline, and its entry in
+/// the delivery bucket. Per-node state must fit in 10% on top. A chunk
+/// per busy port (200 bytes for this message) would more than double
+/// the figure.
+#[test]
+fn congest_run_holds_one_message_per_port() {
+    let _probe = serialized();
+    assert_eq!(std::mem::size_of::<Option<Word>>(), 24, "Word must keep its niche");
+    let n = 4000;
+    let g = graphs::generators::gnp(n, 16.0 / (n - 1) as f64, &mut StdRng::seed_from_u64(16));
+    let ports = 2 * g.edge_count();
+
+    let base = reset_peak_bytes();
+    let mut net = Session::on(&g).seed(3).build_with(|_| WordEcho);
+    let report = net.drive(RunLimits::rounds(16), &mut ());
+    let per_port = peak_bytes_since(base) as f64 / ports as f64;
+
+    assert_eq!(
+        report.metrics.messages,
+        16 * ports as u64,
+        "every port carries one message a round"
+    );
+    let route = 12;
+    let arena = std::mem::size_of::<u64>();
+    let header = 16 + std::mem::size_of::<Option<Word>>();
+    let bucket_entry = std::mem::size_of::<(Port, Word)>();
+    let model = (route + arena + header + bucket_entry) as f64;
+    assert!(
+        (model..=model * 1.1).contains(&per_port),
+        "a CONGEST run peaked at {per_port:.1} B per directed port; the per-port model is \
+         {model} B (route {route} + arena {arena} + header {header} + bucket entry \
+         {bucket_entry}), plus at most 10% for per-node state"
     );
 }
 
