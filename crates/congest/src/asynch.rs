@@ -61,6 +61,10 @@
 //!   the event loop; affected nodes land on a reused worklist and are
 //!   executed iteratively — cascades of any length, no recursion.
 //!
+//! Fault and churn events are recorded where they happen, as
+//! [`TraceEvent`]s through the wire's trace slot; the trace sink is
+//! their only itemized record.
+//!
 //! Scheduling is pluggable through [`crate::sched`]: link delays come
 //! from a seeded [`DelayModel`] (uniform, per-link, heavy-tailed or
 //! adversarial-within-bound), and staged protocols that rely on the
@@ -75,14 +79,13 @@ use rand::rngs::StdRng;
 use crate::message::Message;
 use crate::metrics::Metrics;
 use crate::network::Nodes;
-use crate::obs::{emit, MetricsMode, RunProfile, TraceConfig, TraceEvent, TraceSink};
+use crate::obs::{MetricsMode, RunProfile, TraceConfig, TraceEvent, TraceSink};
 use crate::plane::PortQueues;
 use crate::protocol::{Context, Endpoint, OutboxHandle, Port, Protocol};
-use crate::sched::fault::FaultEvent;
 use crate::sched::sync::{Event, SyncDriver, SyncMsg, Wire, ENVELOPE_BITS};
 use crate::sched::{
-    ChurnEvent, ChurnModel, ChurnPlane, ChurnPolicy, DelayModel, DelaySource, EpochInfo,
-    EventWheel, FaultModel, FaultPlane, PhasePlan, SyncModel,
+    ChurnModel, ChurnPlane, ChurnPolicy, DelayModel, DelaySource, EventWheel, FaultModel,
+    FaultPlane, PhasePlan, SyncModel,
 };
 use crate::session::{
     Driver, Engine, Observer, RoundDelta, RunLimits, RunReport, SyncOverhead, Termination,
@@ -124,8 +127,7 @@ pub(crate) struct AsyncNetwork<P: Protocol> {
     /// and the trace slot.
     wire: Wire<P::Msg>,
     /// The compiled churn model plus the epoch-versioned membership
-    /// overlay, the run's churn log and the per-epoch timeline (see
-    /// [`crate::sched::churn`]).
+    /// overlay (see [`crate::sched::churn`]).
     churn: ChurnPlane,
     /// Absolute pulse target of the current drive.
     budget: u64,
@@ -295,29 +297,27 @@ impl<P: Protocol> AsyncNetwork<P> {
         faults.down[v] = crashed;
         if crashed {
             faults.crash_seen = true;
-            faults.log.push(FaultEvent::NodeDown { node: v as u32, pulse });
+            self.wire.trace(TraceEvent::NodeDown { node: v as u32, pulse });
             // Fail-silent: whatever the protocol queued but had not yet
-            // transmitted dies with the host — each discard itemized in
-            // the fault log, so observers can account for every loss.
-            let now = self.wire.now();
+            // transmitted dies with the host — each discard itemized as
+            // lost, so every loss is accounted for.
             let base = self.wire.topo.offsets[v];
             for port in 0..self.endpoints[v].degree() {
                 while self.queues.pop(base + port as u32).is_some() {
-                    self.wire.faults.lost += 1;
-                    self.wire.overhead.dropped_messages += 1;
-                    self.wire.faults.log.push(FaultEvent::Lost { node: v as u32, port, at: now });
+                    self.wire.lose(v, port);
                 }
             }
         } else {
-            faults.log.push(FaultEvent::NodeUp { node: v as u32, pulse });
+            self.wire.trace(TraceEvent::NodeUp { node: v as u32, pulse });
         }
-        self.notify_peers(v, crashed);
+        self.notify_neighbors(v, if crashed { P::on_peer_down } else { P::on_peer_up });
         crashed
     }
 
-    /// Fires the peer-loss hook on each of `v`'s present, uncrashed
-    /// neighbors, each in its own context at its own current pulse.
-    fn notify_peers(&mut self, v: usize, down: bool) {
+    /// Fires `hook` (a crash or membership hook) on each of `v`'s
+    /// present, uncrashed neighbors, each in its own context at its own
+    /// current pulse, with the port `v` sits behind.
+    fn notify_neighbors(&mut self, v: usize, hook: fn(&mut P, &mut Context<'_, P::Msg>, Port)) {
         for port in 0..self.endpoints[v].degree() {
             let (_slot, to, back) = self.wire.topo.resolve(v, port);
             let to = to as usize;
@@ -328,21 +328,15 @@ impl<P: Protocol> AsyncNetwork<P> {
             {
                 continue;
             }
-            let back = back as usize;
-            self.with_ctx(to, self.pulse[to], |p, ctx| {
-                if down {
-                    p.on_peer_down(ctx, back);
-                } else {
-                    p.on_peer_up(ctx, back);
-                }
-            });
+            self.with_ctx(to, self.pulse[to], |p, ctx| hook(p, ctx, back as usize));
         }
     }
 
     /// Membership bookkeeping at node `v`'s entry into `pulse`: detects
     /// the scheduled join/leave transition (each exactly once, opening a
-    /// new epoch), applies the [`EpochTopology`](crate::sched::churn)
-    /// overlay in place, retires a leaver's queued payloads itemized,
+    /// new epoch, recorded with the new member count), applies the
+    /// [`EpochTopology`](crate::sched::churn) overlay in place, retires
+    /// a leaver's queued payloads itemized,
     /// fires [`Protocol::on_join`]/[`Protocol::on_leave`] on present
     /// peers (and the [`ChurnPolicy::Restart`] re-init), and reports
     /// whether the node is outside the member set for this pulse.
@@ -354,20 +348,18 @@ impl<P: Protocol> AsyncNetwork<P> {
             return absent;
         }
         self.churn.overlay.apply(&self.wire.topo, v, !absent);
-        let epoch = self.churn.overlay.epoch;
+        let (epoch, members) = (self.churn.overlay.epoch, self.churn.overlay.members);
         self.wire.overhead.epochs += 1;
         if absent {
             self.wire.overhead.leaves += 1;
-            self.churn.log.push(ChurnEvent::Leave { node: v as u32, pulse, epoch });
+            self.wire.trace(TraceEvent::Leave { node: v as u32, pulse, epoch, members });
             // A graceful leave retires whatever the protocol queued but
-            // had not yet transmitted — each payload itemized in the
-            // churn log, never silently dropped.
-            let now = self.wire.now();
+            // had not yet transmitted — each payload itemized, never
+            // silently dropped.
             let base = self.wire.topo.offsets[v];
             for port in 0..self.endpoints[v].degree() {
                 while self.queues.pop(base + port as u32).is_some() {
-                    self.wire.overhead.retired_messages += 1;
-                    self.churn.retire(v as u32, port, now);
+                    self.wire.retire(v, port);
                 }
             }
         } else {
@@ -377,42 +369,17 @@ impl<P: Protocol> AsyncNetwork<P> {
                 "a join transition fires exactly at the scheduled pulse"
             );
             self.wire.overhead.joins += 1;
-            self.churn.log.push(ChurnEvent::Join { node: v as u32, pulse, epoch });
+            self.wire.trace(TraceEvent::Join { node: v as u32, pulse, epoch, members });
             // The joiner's protocol initializes at the joining pulse;
             // whatever it queues drains in this same pulse entry, right
             // after this hook returns.
             self.with_ctx(v, pulse, |p, ctx| p.init(ctx));
         }
-        self.churn.timeline.push(EpochInfo { epoch, pulse, members: self.churn.overlay.members });
-        self.notify_members(v, absent);
+        self.notify_neighbors(v, if absent { P::on_leave } else { P::on_join });
         if self.churn.model().policy() == ChurnPolicy::Restart {
             self.restart_epoch(v);
         }
         absent
-    }
-
-    /// Fires the membership handoff hook on each of `v`'s present,
-    /// uncrashed neighbors, each in its own context at its own current
-    /// pulse.
-    fn notify_members(&mut self, v: usize, left: bool) {
-        for port in 0..self.endpoints[v].degree() {
-            let (_slot, to, back) = self.wire.topo.resolve(v, port);
-            let to = to as usize;
-            // A node outside the member set (or down) observes nothing.
-            if !self.churn.overlay.present[to]
-                || self.wire.faults.sampler.crashed_at(to, self.pulse[to])
-            {
-                continue;
-            }
-            let back = back as usize;
-            self.with_ctx(to, self.pulse[to], |p, ctx| {
-                if left {
-                    p.on_leave(ctx, back);
-                } else {
-                    p.on_join(ctx, back);
-                }
-            });
-        }
     }
 
     /// [`ChurnPolicy::Restart`]: re-runs [`Protocol::init`] on every
@@ -476,8 +443,7 @@ impl<P: Protocol> AsyncNetwork<P> {
             // spans the static topology.
             if !self.churn.overlay.port_live[p as usize] {
                 while self.queues.pop(p).is_some() {
-                    self.wire.overhead.retired_messages += 1;
-                    self.churn.retire(v as u32, port, self.wire.now());
+                    self.wire.retire(v, port);
                 }
             }
             match self.queues.pop(p) {
@@ -577,7 +543,6 @@ impl<P: Protocol> AsyncNetwork<P> {
 
     /// Handles one popped wheel event at the current virtual time.
     fn handle(&mut self, event: Event<P::Msg>) {
-        let now = self.wire.now();
         let (to, port, msg) = match event {
             Event::Deliver { to, port, msg } => (to as usize, port as usize, msg),
             Event::Resend { from, port, msg } => {
@@ -591,13 +556,12 @@ impl<P: Protocol> AsyncNetwork<P> {
         match msg {
             SyncMsg::Payload { pulse, msg: _ } if self.churn.sampler.absent_at(to, pulse) => {
                 // The receiver is outside the member set for this pulse:
-                // the payload is retired at delivery — itemized in the
-                // churn log, not metered, not staged. The synchronizer
+                // the payload is retired at delivery — itemized, not
+                // metered, not staged. The synchronizer
                 // still observes the arrival: the control plane spans
                 // the static topology, which is what keeps neighbors'
                 // gates filling across the epoch boundary.
-                self.wire.overhead.retired_messages += 1;
-                self.churn.retire(to as u32, port, now);
+                self.wire.retire(to, port);
                 self.sync.on_payload(&mut self.wire, to, port, pulse);
             }
             SyncMsg::Payload { pulse, msg: _ }
@@ -610,9 +574,7 @@ impl<P: Protocol> AsyncNetwork<P> {
                 // the control plane survives the crash, which is what
                 // keeps the neighbors' gates filling and the waves
                 // self-healing.
-                self.wire.faults.lost += 1;
-                self.wire.overhead.dropped_messages += 1;
-                self.wire.faults.log.push(FaultEvent::Lost { node: to as u32, port, at: now });
+                self.wire.lose(to, port);
                 self.sync.on_payload(&mut self.wire, to, port, pulse);
             }
             SyncMsg::Payload { pulse, msg } => {
@@ -755,7 +717,6 @@ impl<P: Protocol> AsyncNetwork<P> {
             rounds: self.executed,
             metrics: self.metrics.clone(),
             overhead: self.wire.overhead,
-            epochs: self.churn.timeline.clone(),
             profile: self.snapshot_profile(),
         }
     }
@@ -832,13 +793,13 @@ impl<P: Protocol> AsyncNetwork<P> {
             // 0 match the synchronous engines'.
             self.initialize();
         } else {
-            self.begin_segment(max_rounds, obs);
-            while self.step_event(obs) {}
+            self.begin_segment(max_rounds);
+            while self.step_event() {}
             self.settle();
         }
 
         // Streaming mode keeps no per-pulse ledger, so there is nothing
-        // to replay: observers see barriers and faults only.
+        // to replay: observers see barriers only.
         if self.metrics_mode == MetricsMode::Full {
             for pulse in previous + 1..=self.executed {
                 obs.on_round(pulse, &self.per_pulse[(pulse - 1) as usize]);
@@ -861,9 +822,8 @@ impl<P: Protocol> AsyncNetwork<P> {
     }
 
     /// The entry step: lazy `init`, budget arming, and the pulse-1 (or
-    /// resume) sweep, up to but excluding the event loop; the fault and
-    /// churn events the sweep logged stream to `obs`.
-    pub(crate) fn begin_segment(&mut self, max_rounds: u64, obs: &mut dyn Observer) {
+    /// resume) sweep, up to but excluding the event loop.
+    pub(crate) fn begin_segment(&mut self, max_rounds: u64) {
         debug_assert!(max_rounds > 0, "a drive segment needs a pulse budget");
         self.initialize();
         self.budget = self.executed.saturating_add(max_rounds);
@@ -887,14 +847,13 @@ impl<P: Protocol> AsyncNetwork<P> {
             self.try_execute(v);
         }
         self.drain_ready();
-        self.flush_logs(obs);
     }
 
-    /// One event-loop iteration: pop the next event, handle it, drain
-    /// the ready cascade, and stream the logged fault and churn events
-    /// to `obs`. Returns `false` when the wheel is empty (the segment is
-    /// over — completed if every node is done, deadlocked otherwise).
-    pub(crate) fn step_event(&mut self, obs: &mut dyn Observer) -> bool {
+    /// One event-loop iteration: pop the next event, handle it, and
+    /// drain the ready cascade. Returns `false` when the wheel is empty
+    /// (the segment is over — completed if every node is done,
+    /// deadlocked otherwise).
+    pub(crate) fn step_event(&mut self) -> bool {
         let Some((now, event)) = self.wire.events.pop_next() else {
             return false;
         };
@@ -904,7 +863,6 @@ impl<P: Protocol> AsyncNetwork<P> {
             sink.sample_wheel(self.wire.events.pending());
         }
         self.drain_ready();
-        self.flush_logs(obs);
         true
     }
 
@@ -923,43 +881,6 @@ impl<P: Protocol> AsyncNetwork<P> {
             // ledger, so it cannot drift from what observers saw.
             self.metrics.messages_per_round.clear();
             self.metrics.messages_per_round.extend(self.per_pulse.iter().map(|d| d.messages));
-        }
-    }
-
-    /// Streams the buffered fault events, then the buffered churn events,
-    /// to `obs` in occurrence order. Explored branches pass `&mut ()`:
-    /// they have no observer, and a stale log would leak into the state
-    /// fingerprint.
-    fn flush_logs(&mut self, obs: &mut dyn Observer) {
-        self.flush_faults(obs);
-        self.flush_churn(obs);
-    }
-
-    /// Streams buffered fault events to the observer, in occurrence
-    /// order. The log is drained in place and reused — no steady-state
-    /// allocation once its capacity is warm.
-    fn flush_faults(&mut self, obs: &mut dyn Observer) {
-        let wire = &mut self.wire;
-        let at = wire.now();
-        for event in wire.faults.log.drain(..) {
-            emit(&mut wire.rec, at, event.trace_event());
-            obs.on_fault(event);
-        }
-    }
-
-    /// Streams buffered churn events to the observer, in occurrence
-    /// order; each epoch boundary additionally emits the
-    /// [`TraceEvent::Epoch`] record carrying the post-event member
-    /// count. The log is drained in place and reused, like the fault
-    /// log.
-    fn flush_churn(&mut self, obs: &mut dyn Observer) {
-        for event in self.churn.log.drain(..) {
-            self.wire.trace(event.trace_event());
-            if let ChurnEvent::Join { epoch, .. } | ChurnEvent::Leave { epoch, .. } = event {
-                let members = self.churn.timeline[(epoch - 1) as usize].members;
-                self.wire.trace(TraceEvent::Epoch { epoch, members });
-            }
-            obs.on_churn(event);
         }
     }
 }
@@ -1011,7 +932,7 @@ impl<P: Protocol> AsyncNetwork<P> {
     /// excludes absolute virtual time (`overhead.virtual_time`, the
     /// wheel cursor — pending events hash at cursor-relative arrival
     /// times) and everything that merely records the past (the delay
-    /// tape, the fault log). Everything else goes in: pulse counters,
+    /// tape). Everything else goes in: pulse counters,
     /// protocol and RNG state, queued application messages, in-flight
     /// events, staged inboxes, synchronizer gates, fault-plane state,
     /// and the payload ledger.
@@ -1021,8 +942,8 @@ impl<P: Protocol> AsyncNetwork<P> {
     /// decisions read absolute time — the explorer rejects the rest.
     /// Churn state is deliberately not hashed: the explorer rejects
     /// every model but [`ChurnModel::None`] (membership schedules are
-    /// pulse-indexed, like `Crash`), and under `None` the overlay,
-    /// log and timeline are constant for the whole run.
+    /// pulse-indexed, like `Crash`), and under `None` the overlay is
+    /// constant for the whole run.
     pub(crate) fn explore_hash<H: std::hash::Hasher>(&self, h: &mut H)
     where
         P: std::hash::Hash,

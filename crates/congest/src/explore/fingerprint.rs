@@ -28,9 +28,7 @@
 //!   cursor): two branches can reach the same configuration at
 //!   different absolute times; pending wheel events hash at
 //!   cursor-*relative* arrival times instead,
-//! * **the delay tape and script cursors**: pure history,
-//! * **the fault event log**: streamed-out diagnostics (cleared per
-//!   step during exploration).
+//! * **the delay tape and script cursors**: pure history.
 //!
 //! Time-shift invariance is also why the explorer only admits
 //! [`FaultModel::None`] and [`FaultModel::Drop`]: their fault streams

@@ -876,13 +876,13 @@ mod tests {
         let mut b = build(9);
         a.delays_mut().begin_step(&[]);
         b.delays_mut().begin_step(&[]);
-        a.begin_segment(1, &mut ());
-        b.begin_segment(1, &mut ());
+        a.begin_segment(1);
+        b.begin_segment(1);
         assert_eq!(fingerprint(&a), fingerprint(&b));
         while a.pending_events() > 0 {
             a.delays_mut().begin_step(&[]);
             b.delays_mut().begin_step(&[]);
-            assert!(a.step_event(&mut ()) && b.step_event(&mut ()));
+            assert!(a.step_event() && b.step_event());
             assert_eq!(fingerprint(&a), fingerprint(&b), "fingerprints diverged mid-drive");
         }
         // Distinct protocol state (different source node) → different
@@ -900,8 +900,8 @@ mod tests {
         *d.delays_mut() = DelaySource::script(2);
         c.delays_mut().begin_step(&[]);
         d.delays_mut().begin_step(&[]);
-        c.begin_segment(1, &mut ());
-        d.begin_segment(1, &mut ());
+        c.begin_segment(1);
+        d.begin_segment(1);
         assert_ne!(fingerprint(&c), fingerprint(&d), "distinct protocol states must differ");
     }
 

@@ -126,7 +126,7 @@ where
     /// Branches over the entry step of segment `seg`.
     fn enter_segment(&mut self, net: AsyncNetwork<P>, seg: usize, depth: usize) {
         let pulses = self.segments[seg];
-        self.branch_step(net, depth, &|n| n.begin_segment(pulses, &mut ()), &|this, n, d| {
+        self.branch_step(net, depth, &|n| n.begin_segment(pulses), &|this, n, d| {
             this.after_step(n, seg, d);
         });
     }
@@ -138,7 +138,7 @@ where
             net,
             depth,
             &|n| {
-                let progressed = n.step_event(&mut ());
+                let progressed = n.step_event();
                 debug_assert!(progressed, "branch_event requires a pending event");
             },
             &|this, n, d| {

@@ -218,7 +218,6 @@ impl<P: Protocol> Driver for LegacyNetwork<P> {
             rounds: self.metrics.rounds,
             metrics: self.metrics.clone(),
             overhead: SyncOverhead::default(),
-            epochs: Vec::new(),
             profile: None,
         }
     }

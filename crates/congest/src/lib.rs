@@ -54,13 +54,15 @@
 //!
 //! All three sit behind [`Driver`] (drive rounds → read outputs /
 //! metrics / termination), report through one [`RunReport`], and stream
-//! to [`Observer`]s. Per-node outputs — and the payload-side
-//! [`Metrics`] — are bit-identical across engines for the same seed.
-//! The observability plane ([`obs`]) adds a zero-allocation recording
-//! layer on top: [`Session::trace`] installs a ring-buffer
-//! [`TraceSink`] that captures typed per-pulse events, aggregates a
-//! streaming [`RunProfile`], and exports deterministic JSONL / Chrome
-//! trace-event timelines — without perturbing a single recorded bit.
+//! per-round deltas and barriers to [`Observer`]s. Per-node outputs —
+//! and the payload-side [`Metrics`] — are bit-identical across engines
+//! for the same seed. The observability plane ([`obs`]) adds a
+//! zero-allocation recording layer on top: [`Session::trace`] installs
+//! a ring-buffer [`TraceSink`] that captures typed per-pulse events
+//! (fault and churn events included, which only it itemizes),
+//! aggregates a streaming [`RunProfile`], and exports deterministic
+//! JSONL / Chrome trace-event timelines — without perturbing a single
+//! recorded bit.
 //!
 //! # Example: flooding, on all three engines
 //!
@@ -149,8 +151,8 @@ pub use obs::{
 pub use plane::Topology;
 pub use protocol::{Context, Endpoint, Port, Protocol, Round};
 pub use sched::{
-    ChurnEvent, ChurnModel, ChurnPolicy, DelayModel, EpochInfo, EventWheel, FaultEvent, FaultModel,
-    PhaseBudget, PhasePlan, SyncModel, TraceHandle,
+    ChurnModel, ChurnPolicy, DelayModel, EventWheel, FaultModel, PhaseBudget, PhasePlan, SyncModel,
+    TraceHandle,
 };
 pub use session::{
     Driver, Engine, Observer, RoundDelta, RunLimits, RunReport, Session, SessionDriver,

@@ -432,7 +432,6 @@ impl<P: Protocol> Driver for Network<P> {
             rounds: self.metrics.rounds,
             metrics: self.metrics.clone(),
             overhead: SyncOverhead::default(),
-            epochs: Vec::new(),
             profile: self.snapshot_profile(),
         }
     }

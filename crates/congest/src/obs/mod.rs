@@ -30,7 +30,7 @@
 //!   in Perfetto / `chrome://tracing`, one track per node plus a
 //!   control-plane track). Both are pure functions of the recorded
 //!   ring, built from integers with a stable field order: the same
-//!   `(seed, delay, sync, fault)` tuple yields **byte-identical**
+//!   `(seed, delay, sync, fault, churn)` tuple yields **byte-identical**
 //!   exports, so traces can be committed as fixtures exactly like the
 //!   PR 7 `DelayTrace`s.
 //!
@@ -38,7 +38,11 @@
 //! [`crate::Session::trace`] installs a sink, the run attaches a
 //! [`RunProfile`] to its [`crate::RunReport`], and
 //! [`crate::SessionDriver::trace_sink`] hands the ring back for
-//! export.
+//! export. The sink is the only itemized record of the asynchronous
+//! engine's fault and churn events ([`TraceEvent::Dropped`], `Lost`,
+//! `NodeDown`, `NodeUp`, `Join`, `Leave`, `Retired`), emitted where they
+//! happen like every other event; a run whose [`RunProfile::dropped`]
+//! is `0` kept them all.
 //!
 //! # Per-pulse bit attribution
 //!
@@ -50,9 +54,9 @@
 //! advances, then flush into the histograms. Under the synchronous
 //! engines the frontier advances exactly once per round, so the
 //! distribution is exactly per-round there; under the asynchronous
-//! engine it is a deterministic per-frontier-window aggregate.
-
-use crate::sched::FaultEvent;
+//! engine it is a deterministic per-frontier-window aggregate. A window
+//! is flushed only if it received a record, so a run split over several
+//! drives, zero-budget ones included, attributes bits like one drive.
 
 /// How much per-round metrics history a run keeps.
 ///
@@ -181,10 +185,41 @@ pub enum TraceEvent {
         /// The node-local port being retried.
         port: u32,
     },
-    /// A fault was injected (or a masked loss surfaced).
-    Fault(FaultEvent),
+    /// A send attempt left `node`'s local `port` and was lost on the
+    /// wire; a retransmission has been scheduled (masked faults).
+    Dropped {
+        /// The sending node.
+        node: u32,
+        /// The sender's local port.
+        port: u32,
+    },
+    /// An application payload was lost to a crash: discarded from
+    /// crashing `node`'s queue on `port`, or delivered on `port` during
+    /// one of its crashed pulses. Never retransmitted.
+    Lost {
+        /// The crashed node.
+        node: u32,
+        /// The node's local port.
+        port: u32,
+    },
+    /// `node` crashed on entering `pulse`: its queues were discarded and
+    /// its protocol is silent until recovery.
+    NodeDown {
+        /// The crashing node.
+        node: u32,
+        /// First crashed pulse.
+        pulse: u64,
+    },
+    /// `node` recovered on entering `pulse`, with empty queues and the
+    /// protocol state it had at the crash.
+    NodeUp {
+        /// The recovering node.
+        node: u32,
+        /// First recovered pulse.
+        pulse: u64,
+    },
     /// A node joined the member set (membership churn), opening a new
-    /// epoch.
+    /// epoch; its protocol was initialized at that pulse.
     Join {
         /// The joining node.
         node: u32,
@@ -192,9 +227,11 @@ pub enum TraceEvent {
         pulse: u64,
         /// The epoch the join opened (1-based).
         epoch: u64,
+        /// Present members after the join.
+        members: u32,
     },
     /// A node left the member set (membership churn), opening a new
-    /// epoch.
+    /// epoch; its queued payloads follow as [`TraceEvent::Retired`].
     Leave {
         /// The leaving node.
         node: u32,
@@ -202,18 +239,12 @@ pub enum TraceEvent {
         pulse: u64,
         /// The epoch the leave opened (1-based).
         epoch: u64,
-    },
-    /// An epoch boundary was crossed: the member count after the
-    /// membership event that opened it.
-    Epoch {
-        /// The epoch just opened (1-based).
-        epoch: u64,
-        /// Present members after the event.
+        /// Present members after the leave.
         members: u32,
     },
     /// An application payload was retired by a membership change —
     /// drained from a retired port or swallowed at delivery to an
-    /// absent node.
+    /// absent node. One record per retired payload.
     Retired {
         /// The node whose port the payload was retired at.
         node: u32,
@@ -365,10 +396,10 @@ pub struct RunProfile {
     pub safe_waves: u64,
     /// Retransmit timers fired.
     pub retransmits: u64,
-    /// Fault events injected or surfaced.
+    /// Fault records: wire drops, crash losses and node down/up
+    /// transitions.
     pub faults: u64,
-    /// Membership churn records (joins, leaves, epoch boundaries and
-    /// retired payloads).
+    /// Membership churn records: joins, leaves and retired payloads.
     pub churn: u64,
     /// High-water mark of the event wheel (scheduled, not yet popped).
     pub max_wheel_occupancy: u64,
@@ -390,6 +421,9 @@ pub struct TraceSink {
     profile: RunProfile,
     /// Pulse frontier for bit attribution.
     frontier: u64,
+    /// Whether the frontier window received a record since its last
+    /// flush.
+    window_open: bool,
     ctrl_acc: u64,
     payload_acc: u64,
 }
@@ -405,6 +439,7 @@ impl TraceSink {
             nodes,
             profile: RunProfile::default(),
             frontier: 0,
+            window_open: false,
             ctrl_acc: 0,
             payload_acc: 0,
         }
@@ -413,11 +448,18 @@ impl TraceSink {
     #[inline]
     fn advance_frontier(&mut self, pulse: u64) {
         if pulse > self.frontier {
-            if self.frontier > 0 {
-                self.profile.ctrl_bits_per_pulse.record(self.ctrl_acc);
-                self.profile.payload_bits_per_pulse.record(self.payload_acc);
-            }
+            self.flush_window();
             self.frontier = pulse;
+        }
+        self.window_open = true;
+    }
+
+    /// Records the frontier window's bits, if it received any record
+    /// since the last flush.
+    fn flush_window(&mut self) {
+        if std::mem::take(&mut self.window_open) {
+            self.profile.ctrl_bits_per_pulse.record(self.ctrl_acc);
+            self.profile.payload_bits_per_pulse.record(self.payload_acc);
             self.ctrl_acc = 0;
             self.payload_acc = 0;
         }
@@ -439,17 +481,10 @@ impl TraceSink {
 
     /// Flush the trailing frontier window and note external high-water
     /// marks, then hand back the profile. Engines call this once at
-    /// the end of a drive.
+    /// the end of a drive; a drive that recorded nothing flushes
+    /// nothing, so resumed drives attribute exactly like one drive.
     pub fn finish(&mut self, max_wheel: u64, max_queue: u64) -> RunProfile {
-        if self.frontier > 0 {
-            self.profile.ctrl_bits_per_pulse.record(self.ctrl_acc);
-            self.profile.payload_bits_per_pulse.record(self.payload_acc);
-            self.ctrl_acc = 0;
-            self.payload_acc = 0;
-            // Re-flushing the same frontier on a later finish() (resumed
-            // drives) must not double-count: bump past it.
-            self.frontier += 1;
-        }
+        self.flush_window();
         self.profile.max_wheel_occupancy = self.profile.max_wheel_occupancy.max(max_wheel);
         self.profile.max_queue_depth = self.profile.max_queue_depth.max(max_queue);
         self.profile.clone()
@@ -548,11 +583,13 @@ impl TraceSink {
                 self.profile.safe_waves += 1;
             }
             TraceEvent::Retransmit { .. } => self.profile.retransmits += 1,
-            TraceEvent::Fault(_) => self.profile.faults += 1,
-            TraceEvent::Join { .. }
-            | TraceEvent::Leave { .. }
-            | TraceEvent::Epoch { .. }
-            | TraceEvent::Retired { .. } => self.profile.churn += 1,
+            TraceEvent::Dropped { .. }
+            | TraceEvent::Lost { .. }
+            | TraceEvent::NodeDown { .. }
+            | TraceEvent::NodeUp { .. } => self.profile.faults += 1,
+            TraceEvent::Join { .. } | TraceEvent::Leave { .. } | TraceEvent::Retired { .. } => {
+                self.profile.churn += 1;
+            }
             TraceEvent::Phase { .. } => {}
             TraceEvent::Round { round, messages, bits } => {
                 self.advance_frontier(round);
@@ -602,36 +639,28 @@ fn jsonl_line(out: &mut String, r: &TraceRecord) {
         TraceEvent::Retransmit { node, port } => {
             write!(out, "{{\"at\":{at},\"ev\":\"retransmit\",\"node\":{node},\"port\":{port}}}")
         }
-        TraceEvent::Fault(f) => match f {
-            FaultEvent::Dropped { node, port, at: when } => write!(
-                out,
-                "{{\"at\":{at},\"ev\":\"fault_dropped\",\"node\":{node},\"port\":{port},\
-                 \"when\":{when}}}"
-            ),
-            FaultEvent::Lost { node, port, at: when } => write!(
-                out,
-                "{{\"at\":{at},\"ev\":\"fault_lost\",\"node\":{node},\"port\":{port},\
-                 \"when\":{when}}}"
-            ),
-            FaultEvent::NodeDown { node, pulse } => write!(
-                out,
-                "{{\"at\":{at},\"ev\":\"node_down\",\"node\":{node},\"pulse\":{pulse}}}"
-            ),
-            FaultEvent::NodeUp { node, pulse } => {
-                write!(out, "{{\"at\":{at},\"ev\":\"node_up\",\"node\":{node},\"pulse\":{pulse}}}")
-            }
-        },
-        TraceEvent::Join { node, pulse, epoch } => write!(
-            out,
-            "{{\"at\":{at},\"ev\":\"join\",\"node\":{node},\"pulse\":{pulse},\"epoch\":{epoch}}}"
-        ),
-        TraceEvent::Leave { node, pulse, epoch } => write!(
-            out,
-            "{{\"at\":{at},\"ev\":\"leave\",\"node\":{node},\"pulse\":{pulse},\"epoch\":{epoch}}}"
-        ),
-        TraceEvent::Epoch { epoch, members } => {
-            write!(out, "{{\"at\":{at},\"ev\":\"epoch\",\"epoch\":{epoch},\"members\":{members}}}")
+        TraceEvent::Dropped { node, port } => {
+            write!(out, "{{\"at\":{at},\"ev\":\"fault_dropped\",\"node\":{node},\"port\":{port}}}")
         }
+        TraceEvent::Lost { node, port } => {
+            write!(out, "{{\"at\":{at},\"ev\":\"fault_lost\",\"node\":{node},\"port\":{port}}}")
+        }
+        TraceEvent::NodeDown { node, pulse } => {
+            write!(out, "{{\"at\":{at},\"ev\":\"node_down\",\"node\":{node},\"pulse\":{pulse}}}")
+        }
+        TraceEvent::NodeUp { node, pulse } => {
+            write!(out, "{{\"at\":{at},\"ev\":\"node_up\",\"node\":{node},\"pulse\":{pulse}}}")
+        }
+        TraceEvent::Join { node, pulse, epoch, members } => write!(
+            out,
+            "{{\"at\":{at},\"ev\":\"join\",\"node\":{node},\"pulse\":{pulse},\"epoch\":{epoch},\
+             \"members\":{members}}}"
+        ),
+        TraceEvent::Leave { node, pulse, epoch, members } => write!(
+            out,
+            "{{\"at\":{at},\"ev\":\"leave\",\"node\":{node},\"pulse\":{pulse},\"epoch\":{epoch},\
+             \"members\":{members}}}"
+        ),
         TraceEvent::Retired { node, port } => {
             write!(out, "{{\"at\":{at},\"ev\":\"retired\",\"node\":{node},\"port\":{port}}}")
         }
@@ -659,8 +688,10 @@ fn chrome_tid(ev: &TraceEvent) -> u32 {
         TraceEvent::Ctrl { .. }
         | TraceEvent::SafeWave { .. }
         | TraceEvent::Retransmit { .. }
-        | TraceEvent::Fault(_)
-        | TraceEvent::Epoch { .. }
+        | TraceEvent::Dropped { .. }
+        | TraceEvent::Lost { .. }
+        | TraceEvent::NodeDown { .. }
+        | TraceEvent::NodeUp { .. }
         | TraceEvent::Phase { .. }
         | TraceEvent::Round { .. } => 0,
     }
@@ -689,42 +720,35 @@ fn chrome_args(ev: &TraceEvent) -> (&'static str, String) {
         TraceEvent::Payload { pulse, bits, .. } => {
             ("payload", format!("\"pulse\":{pulse},\"bits\":{bits}"))
         }
-        TraceEvent::Ctrl { node, kind, pulse, bits } => (
-            match kind {
-                CtrlTag::Ack => "ack",
-                CtrlTag::Safe => "safe",
-            },
-            format!("\"node\":{node},\"pulse\":{pulse},\"bits\":{bits}"),
-        ),
+        TraceEvent::Ctrl { node, kind, pulse, bits } => {
+            (kind.name(), format!("\"node\":{node},\"pulse\":{pulse},\"bits\":{bits}"))
+        }
         TraceEvent::SafeWave { node, pulse, bits } => {
             ("safe_wave", format!("\"node\":{node},\"pulse\":{pulse},\"bits\":{bits}"))
         }
         TraceEvent::Retransmit { node, port } => {
             ("retransmit", format!("\"node\":{node},\"port\":{port}"))
         }
-        TraceEvent::Fault(f) => match f {
-            FaultEvent::Dropped { node, port, at } => {
-                ("fault_dropped", format!("\"node\":{node},\"port\":{port},\"when\":{at}"))
-            }
-            FaultEvent::Lost { node, port, at } => {
-                ("fault_lost", format!("\"node\":{node},\"port\":{port},\"when\":{at}"))
-            }
-            FaultEvent::NodeDown { node, pulse } => {
-                ("node_down", format!("\"node\":{node},\"pulse\":{pulse}"))
-            }
-            FaultEvent::NodeUp { node, pulse } => {
-                ("node_up", format!("\"node\":{node},\"pulse\":{pulse}"))
-            }
-        },
-        TraceEvent::Join { node, pulse, epoch } => {
-            ("join", format!("\"node\":{node},\"pulse\":{pulse},\"epoch\":{epoch}"))
+        TraceEvent::Dropped { node, port } => {
+            ("fault_dropped", format!("\"node\":{node},\"port\":{port}"))
         }
-        TraceEvent::Leave { node, pulse, epoch } => {
-            ("leave", format!("\"node\":{node},\"pulse\":{pulse},\"epoch\":{epoch}"))
+        TraceEvent::Lost { node, port } => {
+            ("fault_lost", format!("\"node\":{node},\"port\":{port}"))
         }
-        TraceEvent::Epoch { epoch, members } => {
-            ("epoch", format!("\"epoch\":{epoch},\"members\":{members}"))
+        TraceEvent::NodeDown { node, pulse } => {
+            ("node_down", format!("\"node\":{node},\"pulse\":{pulse}"))
         }
+        TraceEvent::NodeUp { node, pulse } => {
+            ("node_up", format!("\"node\":{node},\"pulse\":{pulse}"))
+        }
+        TraceEvent::Join { node, pulse, epoch, members } => (
+            "join",
+            format!("\"node\":{node},\"pulse\":{pulse},\"epoch\":{epoch},\"members\":{members}"),
+        ),
+        TraceEvent::Leave { node, pulse, epoch, members } => (
+            "leave",
+            format!("\"node\":{node},\"pulse\":{pulse},\"epoch\":{epoch},\"members\":{members}"),
+        ),
         TraceEvent::Retired { node, port } => {
             ("retired", format!("\"node\":{node},\"port\":{port}"))
         }

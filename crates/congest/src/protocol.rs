@@ -353,8 +353,10 @@ pub trait Protocol: Send {
 
     /// Membership handoff hook: the neighbor behind local `port` left
     /// the member set gracefully, opening a new epoch. Its queued and
-    /// in-flight payloads are retired (each itemized as
-    /// [`ChurnEvent::Retired`](crate::ChurnEvent::Retired)); nothing
+    /// in-flight payloads are retired (each counted in
+    /// [`SyncOverhead::retired_messages`](crate::SyncOverhead) and, in a
+    /// traced run, recorded as
+    /// [`TraceEvent::Retired`](crate::TraceEvent::Retired)); nothing
     /// sent on `port` will be delivered anymore. Called at this node's
     /// current pulse. Default: no reaction.
     fn on_leave(&mut self, ctx: &mut Context<'_, Self::Msg>, port: Port) {

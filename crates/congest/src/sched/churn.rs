@@ -18,9 +18,13 @@
 //! per-directed-port application liveness, and live degrees, all
 //! pre-reserved at build for the model's compiled maximum membership so
 //! steady-state pulses stay zero-alloc. At each epoch boundary the
-//! overlay materializes or retires the affected ports in place; the
-//! epoch index, the event, and the resulting member count are itemized
-//! to observers ([`ChurnEvent`]) and the trace stream.
+//! overlay materializes or retires the affected ports in place, and the
+//! engine records the event, the epoch index and the resulting member
+//! count as one [`TraceEvent::Join`](crate::TraceEvent::Join) or
+//! [`TraceEvent::Leave`](crate::TraceEvent::Leave) in the session's
+//! trace sink ([`crate::Session::trace`]), the only itemized record.
+//! The initial member set, epoch 0, is taken before pulse 1, so an
+//! event scheduled at pulse 1 opens an epoch like any other.
 //!
 //! # Why the synchronizer survives reconfiguration
 //!
@@ -38,7 +42,8 @@
 //! What changes at an epoch boundary is the application plane:
 //!
 //! * a **leave** retires the node's ports — its queued outgoing
-//!   payloads are drained and itemized ([`ChurnEvent::Retired`], never
+//!   payloads are drained and counted, one
+//!   [`TraceEvent::Retired`](crate::TraceEvent::Retired) each (never
 //!   silently dropped), in-flight payloads to or from it are retired at
 //!   delivery, live peers observe
 //!   [`Protocol::on_leave`](crate::Protocol::on_leave);
@@ -56,7 +61,6 @@
 //! epoch-restart protocols rebuild from scratch each epoch.
 
 use crate::plane::Topology;
-use crate::protocol::Port;
 use crate::rng::splitmix64;
 
 /// Stream salt of the seeded joiner/leaver pick of [`ChurnModel`].
@@ -210,93 +214,17 @@ impl ChurnModel {
     }
 }
 
-/// One observable membership event, streamed to
-/// [`Observer::on_churn`](crate::Observer::on_churn) as the run
-/// executes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ChurnEvent {
-    /// `node` joined the member set on entering `pulse`, opening
-    /// `epoch`; its protocol was initialized at that pulse.
-    Join {
-        /// The joining node.
-        node: u32,
-        /// The pulse the node joined on entering.
-        pulse: u64,
-        /// The epoch the join opened (1-based).
-        epoch: u64,
-    },
-    /// `node` left the member set on entering `pulse`, opening `epoch`;
-    /// its ports were retired and its queued payloads itemized as
-    /// [`ChurnEvent::Retired`].
-    Leave {
-        /// The leaving node.
-        node: u32,
-        /// The pulse the node left on entering.
-        pulse: u64,
-        /// The epoch the leave opened (1-based).
-        epoch: u64,
-    },
-    /// An application payload was retired by a membership change at
-    /// virtual time `at` — drained from a retired port's queue or
-    /// swallowed at delivery to/from an absent node. Never silent: one
-    /// event per retired payload.
-    Retired {
-        /// The node whose port the payload was retired at.
-        node: u32,
-        /// The node's local port.
-        port: Port,
-        /// Virtual time of the retirement.
-        at: u64,
-    },
-}
-
-impl ChurnEvent {
-    /// This membership event as an observability-plane record: the
-    /// engine emits one per logged event when it streams the churn log
-    /// to observers (epoch boundaries additionally emit
-    /// [`crate::obs::TraceEvent::Epoch`], which carries the member
-    /// count).
-    pub(crate) fn trace_event(self) -> crate::obs::TraceEvent {
-        match self {
-            ChurnEvent::Join { node, pulse, epoch } => {
-                crate::obs::TraceEvent::Join { node, pulse, epoch }
-            }
-            ChurnEvent::Leave { node, pulse, epoch } => {
-                crate::obs::TraceEvent::Leave { node, pulse, epoch }
-            }
-            ChurnEvent::Retired { node, port, at: _ } => {
-                crate::obs::TraceEvent::Retired { node, port: port as u32 }
-            }
-        }
-    }
-}
-
-/// One epoch-boundary snapshot: which membership event opened the epoch
-/// and the member count after it. [`RunReport::epochs`](crate::RunReport)
-/// carries the full per-epoch timeline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EpochInfo {
-    /// The epoch index (1-based; epoch 0 is the initial member set).
-    pub epoch: u64,
-    /// The pulse whose entry opened the epoch.
-    pub pulse: u64,
-    /// Present members after the event.
-    pub members: u32,
-}
-
 /// The runtime form of a [`ChurnModel`]: the per-node join/leave pulse
 /// schedule, compiled once at engine build. All queries are pure and
 /// allocation-free — the schedule never changes after compilation.
 #[derive(Clone, Debug, Hash)]
 pub(crate) struct ChurnSampler {
     model: ChurnModel,
-    /// Per-node pulse at which the node joins (`1` = present from the
+    /// Per-node pulse at which the node joins (`0` = present from the
     /// start).
     join_at: Vec<u64>,
     /// Per-node pulse at which the node leaves (`u64::MAX` = never).
     leave_at: Vec<u64>,
-    /// Compiled event count: scheduled joins + leaves.
-    events: u32,
 }
 
 impl ChurnSampler {
@@ -307,9 +235,8 @@ impl ChurnSampler {
     /// Panics if the model is malformed (see [`ChurnModel::validate`]).
     pub fn new(model: ChurnModel, seed: u64, node_count: usize) -> Self {
         model.validate();
-        let mut join_at = vec![1u64; node_count];
+        let mut join_at = vec![0u64; node_count];
         let mut leave_at = vec![u64::MAX; node_count];
-        let mut events = 0u32;
         let (joiners, leavers, at_pulse, spacing) = match model {
             ChurnModel::None => (0, 0, 1, 0),
             ChurnModel::Join { joiners, at_pulse, spacing, .. } => (joiners, 0, at_pulse, spacing),
@@ -334,15 +261,13 @@ impl ChurnSampler {
             for i in 0..joins {
                 let v = pick(&mut picked);
                 join_at[v] = at_pulse + i as u64 * spacing;
-                events += 1;
             }
             for j in 0..leaves {
                 let v = pick(&mut picked);
                 leave_at[v] = at_pulse + (joins + j) as u64 * spacing;
-                events += 1;
             }
         }
-        Self { model, join_at, leave_at, events }
+        Self { model, join_at, leave_at }
     }
 
     /// The compiled model.
@@ -351,21 +276,17 @@ impl ChurnSampler {
     }
 
     /// Whether node `v` is outside the member set for pulse `pulse`
-    /// (pure — the membership schedule is fixed at build).
+    /// (pure — the membership schedule is fixed at build). Pulse `0` is
+    /// the initial member set, taken before pulse 1, so an event
+    /// scheduled at pulse 1 is a transition like any other.
     #[inline]
     pub fn absent_at(&self, v: usize, pulse: u64) -> bool {
         pulse < self.join_at[v] || pulse >= self.leave_at[v]
     }
 
-    /// The pulse node `v` joins at (`1` = present from the start).
+    /// The pulse node `v` joins at (`0` = present from the start).
     pub fn join_pulse(&self, v: usize) -> u64 {
         self.join_at[v]
-    }
-
-    /// Total scheduled membership events (joins + leaves): the number
-    /// of epochs a long-enough run opens.
-    pub fn scheduled_events(&self) -> u32 {
-        self.events
     }
 }
 
@@ -389,12 +310,12 @@ pub(crate) struct EpochTopology {
 }
 
 impl EpochTopology {
-    /// Builds the initial overlay: joiners scheduled after pulse 1
-    /// start absent, everyone else present, port liveness derived from
-    /// the CSR table.
+    /// Builds the initial overlay, the member set before pulse 1:
+    /// joiners start absent, everyone else present, port liveness
+    /// derived from the CSR table.
     fn new(sampler: &ChurnSampler, topo: &Topology, node_count: usize) -> Self {
         let port_count = topo.offsets[node_count] as usize;
-        let present: Vec<bool> = (0..node_count).map(|v| !sampler.absent_at(v, 1)).collect();
+        let present: Vec<bool> = (0..node_count).map(|v| !sampler.absent_at(v, 0)).collect();
         let members = present.iter().filter(|&&p| p).count() as u32;
         let mut overlay = Self { present, port_live: vec![false; port_count], epoch: 0, members };
         for v in 0..node_count {
@@ -437,54 +358,28 @@ impl EpochTopology {
     }
 }
 
-/// The executor-side churn state: the compiled sampler, the membership
-/// overlay, the run's churn log, and the per-epoch timeline. Owned by
-/// the asynchronous engine.
+/// The executor-side churn state: the compiled sampler and the
+/// membership overlay. Owned by the asynchronous engine. The scalar
+/// churn counters live in [`SyncOverhead`](crate::SyncOverhead); the
+/// events themselves are recorded only as
+/// [`TraceEvent`](crate::TraceEvent)s, in the trace sink.
 #[derive(Clone, Debug)]
 pub(crate) struct ChurnPlane {
     pub sampler: ChurnSampler,
     /// The epoch-versioned membership overlay.
     pub overlay: EpochTopology,
-    /// Churn events buffered since the last observer flush (reused —
-    /// drained every event-loop iteration).
-    pub log: Vec<ChurnEvent>,
-    /// Per-epoch membership timeline, pre-reserved at build for the
-    /// model's compiled event count — cloned into
-    /// [`RunReport::epochs`](crate::RunReport) when a drive completes.
-    /// (The scalar churn counters live in
-    /// [`SyncOverhead`](crate::SyncOverhead).)
-    pub timeline: Vec<EpochInfo>,
 }
 
 impl ChurnPlane {
     pub fn new(model: ChurnModel, seed: u64, topo: &Topology, node_count: usize) -> Self {
         let sampler = ChurnSampler::new(model, seed, node_count);
         let overlay = EpochTopology::new(&sampler, topo, node_count);
-        let port_count = topo.offsets[node_count] as usize;
-        // Sized for the worst burst between two observer flushes: one
-        // membership event per node plus a retirement per directed
-        // port (a leaving node's full queue sweep rides one flush) —
-        // zero when churn is off, so the fixed-membership engine
-        // carries no log at all.
-        let log_cap = if model.is_none() { 0 } else { node_count + 2 * port_count };
-        let events = sampler.scheduled_events() as usize;
-        Self {
-            sampler,
-            overlay,
-            log: Vec::with_capacity(log_cap),
-            timeline: Vec::with_capacity(events),
-        }
+        Self { sampler, overlay }
     }
 
     /// The compiled model.
     pub fn model(&self) -> ChurnModel {
         self.sampler.model()
-    }
-
-    /// Logs one retired payload at `node`'s local `port` (the caller
-    /// bumps [`SyncOverhead::retired_messages`](crate::SyncOverhead)).
-    pub fn retire(&mut self, node: u32, port: Port, at: u64) {
-        self.log.push(ChurnEvent::Retired { node, port, at });
     }
 }
 
@@ -519,9 +414,8 @@ mod tests {
     #[test]
     fn none_schedules_nothing_and_everyone_is_always_present() {
         let s = sampler(ChurnModel::None, 7, 6);
-        assert_eq!(s.scheduled_events(), 0);
         for v in 0..6 {
-            assert_eq!(s.join_pulse(v), 1);
+            assert_eq!(s.join_pulse(v), 0);
             assert!(!s.absent_at(v, 1));
             assert!(!s.absent_at(v, 1_000_000));
         }
@@ -545,7 +439,6 @@ mod tests {
         }
         let t = sampler(model, 9, 10);
         assert!((0..10).all(|v| s.join_pulse(v) == t.join_pulse(v)));
-        assert_eq!(s.scheduled_events(), 3);
     }
 
     #[test]
@@ -557,7 +450,6 @@ mod tests {
             policy: ChurnPolicy::Continue,
         };
         let s = sampler(model, 5, 4);
-        assert_eq!(s.scheduled_events(), 4, "leavers clamp to n");
         for v in 0..4 {
             assert!(!s.absent_at(v, 1), "leavers start present");
             assert!(s.absent_at(v, 3 + 3), "everyone is gone after the last leave");
@@ -585,7 +477,6 @@ mod tests {
         let min_leave =
             leavers.iter().map(|&v| (1..100).find(|&p| s.absent_at(v, p)).unwrap()).min().unwrap();
         assert!(max_join < min_leave, "mixed schedules joins before leaves");
-        assert_eq!(s.scheduled_events(), 7);
         assert_eq!(model.policy(), ChurnPolicy::Restart);
     }
 
@@ -613,8 +504,10 @@ mod tests {
         let g = Graph::complete(3);
         let topo = Topology::from_graph(&g, 1);
         let plane = ChurnPlane::new(ChurnModel::None, 1, &topo, 3);
-        assert_eq!(plane.log.capacity(), 0);
-        assert_eq!(plane.timeline.capacity(), 0);
+        // Its only storage is the overlay: a flag per node and per
+        // directed port, nothing per event.
+        assert_eq!(plane.overlay.present.len(), 3);
+        assert_eq!(plane.overlay.port_live.len(), 6);
         assert_eq!(plane.overlay.members, 3);
         assert!(plane.overlay.port_live.iter().all(|&l| l));
     }

@@ -45,6 +45,10 @@
 //!   [`Termination::Degraded`](crate::Termination::Degraded) with the
 //!   count of application payloads lost.
 //!
+//! Each fault is recorded where it happens, as a
+//! [`TraceEvent`](crate::TraceEvent) (`Dropped`, `Lost`, `NodeDown`,
+//! `NodeUp`) in the session's trace sink, its only itemized record.
+//!
 //! # Retransmission timing
 //!
 //! A send attempt lost under [`FaultModel::Drop`] is retried after a
@@ -57,7 +61,6 @@
 //! normal send path (fresh delay draw, fresh fault draw), and every
 //! retry is metered in `SyncOverhead::retransmissions`.
 
-use crate::protocol::Port;
 use crate::rng::splitmix64;
 
 /// Stream salt of the per-send drop coin of [`FaultModel::Drop`].
@@ -149,60 +152,6 @@ impl FaultModel {
                 assert!(at_pulse >= 1, "crash: at_pulse is 1-based and must be at least 1");
             }
         }
-    }
-}
-
-/// One observable fault, streamed to
-/// [`Observer::on_fault`](crate::Observer::on_fault) as the run
-/// executes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaultEvent {
-    /// A send attempt left `node`'s local `port` and was lost on the
-    /// wire at virtual time `at`; a retransmission has been scheduled.
-    Dropped {
-        /// The sending node.
-        node: u32,
-        /// The sender's local port.
-        port: Port,
-        /// Virtual time of the lost attempt.
-        at: u64,
-    },
-    /// A payload addressed to crashed `node` (for one of its crashed
-    /// pulses) arrived at virtual time `at` and was discarded — it is
-    /// *not* retransmitted; the loss is application-visible.
-    Lost {
-        /// The crashed receiver.
-        node: u32,
-        /// The receiver's local port the payload arrived on.
-        port: Port,
-        /// Virtual time of the discarded arrival.
-        at: u64,
-    },
-    /// `node` crashed on entering `pulse`: queued state discarded, its
-    /// protocol is silent until recovery.
-    NodeDown {
-        /// The crashing node.
-        node: u32,
-        /// First crashed pulse.
-        pulse: u64,
-    },
-    /// `node` recovered on entering `pulse` (empty queues, protocol
-    /// state as it was at the crash — see
-    /// [`Protocol::on_peer_up`](crate::Protocol::on_peer_up)).
-    NodeUp {
-        /// The recovering node.
-        node: u32,
-        /// First recovered pulse.
-        pulse: u64,
-    },
-}
-
-impl FaultEvent {
-    /// This fault as an observability-plane record
-    /// ([`crate::obs::TraceEvent::Fault`]): the engine emits one per
-    /// logged fault when it streams the log to observers.
-    pub(crate) fn trace_event(self) -> crate::obs::TraceEvent {
-        crate::obs::TraceEvent::Fault(self)
     }
 }
 
@@ -343,15 +292,13 @@ impl FaultSampler {
 }
 
 /// The executor-side fault state: the compiled sampler plus the run's
-/// fault log and loss accounting. Part of the asynchronous engine's
+/// loss accounting. Part of the asynchronous engine's
 /// [`Wire`](crate::sched::sync::Wire), so control envelopes ride the
-/// same faulty wire as payloads.
+/// same faulty wire as payloads. Fault events themselves are recorded
+/// only as [`TraceEvent`](crate::TraceEvent)s, in the trace sink.
 #[derive(Clone, Debug)]
 pub(crate) struct FaultPlane {
     pub sampler: FaultSampler,
-    /// Fault events buffered since the last observer flush (reused —
-    /// drained every event-loop iteration).
-    pub log: Vec<FaultEvent>,
     /// Per-node "currently crashed" flag, so pulse entry detects
     /// onset/offset transitions exactly once.
     pub down: Vec<bool>,
@@ -371,15 +318,8 @@ impl FaultPlane {
         node_count: usize,
         bound: u64,
     ) -> Self {
-        // Sized for the worst burst between two observer flushes: one
-        // `Dropped` per directed port (a full pulse wave), coincident
-        // `Lost` deliveries riding the in-flight horizon, and a down/up
-        // transition per node — so steady-state logging never grows the
-        // buffer (the alloc probe pins this).
-        let log_cap = if model.is_none() { 0 } else { 2 * port_count + 2 * node_count };
         Self {
             sampler: FaultSampler::new(model, seed, port_count, node_count, bound),
-            log: Vec::with_capacity(log_cap),
             down: vec![false; node_count],
             lost: 0,
             crash_seen: false,

@@ -33,13 +33,15 @@
 //!   and the run reports
 //!   [`Termination::Degraded`](crate::Termination::Degraded). Every
 //!   fault schedule is replayable from `(seed, FaultModel)` alone.
+//!   Faults are recorded where they happen, as
+//!   [`crate::TraceEvent`]s in the trace sink.
 //! * [`ChurnModel`] — how the *member set* changes ([`churn`]): seeded
 //!   staggered joins ([`ChurnModel::Join`]), graceful leaves
 //!   ([`ChurnModel::Leave`]), or both ([`ChurnModel::Mixed`]). Each
 //!   membership event opens a new **epoch**: the engine's
 //!   epoch-versioned overlay retires or materializes the affected CSR
 //!   ports in place, every retired in-flight payload is itemized
-//!   ([`churn::ChurnEvent::Retired`]), live peers observe
+//!   (one [`crate::TraceEvent::Retired`] each), live peers observe
 //!   [`Protocol::on_join`](crate::Protocol::on_join) /
 //!   [`Protocol::on_leave`](crate::Protocol::on_leave), and
 //!   [`churn::ChurnPolicy`] selects whether protocols continue
@@ -79,11 +81,11 @@ pub mod sync;
 pub mod wheel;
 
 pub(crate) use churn::ChurnPlane;
-pub use churn::{ChurnEvent, ChurnModel, ChurnPolicy, EpochInfo};
+pub use churn::{ChurnModel, ChurnPolicy};
 pub(crate) use delay::{intern_trace, DelaySource};
 pub use delay::{DelayModel, TraceHandle};
+pub use fault::FaultModel;
 pub(crate) use fault::FaultPlane;
-pub use fault::{FaultEvent, FaultModel};
 pub use phase::{PhaseBudget, PhasePlan};
 pub use sync::SyncModel;
 pub use wheel::EventWheel;

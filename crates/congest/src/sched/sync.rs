@@ -62,7 +62,7 @@ use crate::message::TAG_BITS;
 use crate::obs::{emit, CtrlTag, SinkSlot, TraceEvent};
 use crate::plane::Topology;
 use crate::protocol::Port;
-use crate::sched::fault::{FaultEvent, FaultPlane};
+use crate::sched::fault::FaultPlane;
 use crate::sched::{DelaySource, EventWheel};
 use crate::session::SyncOverhead;
 
@@ -201,9 +201,9 @@ pub(crate) struct Wire<M> {
     /// a sampled run, or an explorer-scripted choice sequence (see
     /// [`crate::sched`]).
     pub delays: DelaySource,
-    /// The compiled fault model plus the run's fault log and loss
-    /// accounting (see [`crate::sched::fault`]). Control envelopes ride
-    /// the same faulty wire as payloads.
+    /// The compiled fault model plus the run's loss accounting (see
+    /// [`crate::sched::fault`]). Control envelopes ride the same faulty
+    /// wire as payloads.
     pub faults: FaultPlane,
     /// In-flight events: the slab-backed timing wheel, sized to the
     /// delay model's compiled bound. Pops come out in `(arrival time,
@@ -218,7 +218,8 @@ pub(crate) struct Wire<M> {
     /// the event loop. Spurious wakes are harmless (the executor
     /// re-checks the gate); a missing one stalls the run.
     pub ready: Vec<u32>,
-    /// The observability sink (absent unless the session installed one).
+    /// The observability sink (absent unless the session installed one),
+    /// and the only itemized record of fault and churn events.
     /// Recording is a pure observation: it never draws randomness,
     /// meters traffic, or reorders events.
     pub rec: SinkSlot,
@@ -239,6 +240,21 @@ impl<M> Wire<M> {
         emit(&mut self.rec, now, ev);
     }
 
+    /// Meters one application payload lost to a crash at node `v`'s
+    /// local `port` and records it as [`TraceEvent::Lost`].
+    pub fn lose(&mut self, v: usize, port: Port) {
+        self.faults.lost += 1;
+        self.overhead.dropped_messages += 1;
+        self.trace(TraceEvent::Lost { node: v as u32, port: port as u32 });
+    }
+
+    /// Meters one application payload retired by a membership change at
+    /// node `v`'s local `port` and records it as [`TraceEvent::Retired`].
+    pub fn retire(&mut self, v: usize, port: Port) {
+        self.overhead.retired_messages += 1;
+        self.trace(TraceEvent::Retired { node: v as u32, port: port as u32 });
+    }
+
     /// Degree of node `v` (its port count in the CSR table).
     #[inline]
     pub fn degree(&self, v: usize) -> usize {
@@ -249,7 +265,7 @@ impl<M> Wire<M> {
     /// synchronizer control — leaves node `from`'s local `port` through
     /// here. The fault plane rules first: a lost attempt is metered
     /// (`SyncOverhead::retransmissions`, `SyncOverhead::dropped_messages`),
-    /// logged as [`FaultEvent::Dropped`], and parked as an
+    /// recorded as [`TraceEvent::Dropped`], and parked as an
     /// [`Event::Resend`] timer (the RTO under `Drop`, the next up-edge
     /// under `LinkFlap`); a clean attempt rides the wheel as an
     /// [`Event::Deliver`] after the delay model's draw, keyed by the
@@ -261,7 +277,7 @@ impl<M> Wire<M> {
         if self.faults.sampler.drops(slot, now) {
             self.overhead.retransmissions += 1;
             self.overhead.dropped_messages += 1;
-            self.faults.log.push(FaultEvent::Dropped { node: from as u32, port, at: now });
+            self.trace(TraceEvent::Dropped { node: from as u32, port: port as u32 });
             let at = now + self.faults.sampler.retry_wait(slot, now);
             self.events.schedule(at, Event::Resend { from: from as u32, port: port as u32, msg });
             return;

@@ -36,11 +36,14 @@
 //!   plane — [`Session::trace`] installs a preallocated
 //!   [`crate::TraceSink`] *inside* the engine hot paths, which captures
 //!   typed event-granular records (pulse begins, control sends, Safe
-//!   waves, retransmits, faults) with zero steady-state allocation and
-//!   zero cost when absent. Use an [`Observer`] to react to a run as it
-//!   executes; use [`Session::trace`] to profile or export a timeline
-//!   of *how* the engine executed it ([`RunReport::profile`],
-//!   [`SessionDriver::trace_sink`]).
+//!   waves, retransmits, faults, membership changes) with zero
+//!   steady-state allocation and zero cost when absent. Use an
+//!   [`Observer`] to react to a run as it executes; use
+//!   [`Session::trace`] to profile or export a timeline of *how* the
+//!   engine executed it ([`RunReport::profile`],
+//!   [`SessionDriver::trace_sink`]). The sink is the only itemized
+//!   record of fault and churn events; [`crate::RunProfile::dropped`]
+//!   `== 0` says its ring kept them all.
 //! * [`Session::metrics`] picks the [`crate::MetricsMode`]: the default
 //!   [`crate::MetricsMode::Full`] keeps the O(rounds)
 //!   `messages_per_round` history, while
@@ -117,9 +120,7 @@ use crate::metrics::Metrics;
 use crate::network::{IdAssignment, Mode, Network, Nodes};
 use crate::obs::{MetricsMode, RunProfile, TraceConfig, TraceSink};
 use crate::protocol::{Endpoint, Protocol, Round};
-use crate::sched::{
-    ChurnEvent, ChurnModel, DelayModel, EpochInfo, FaultEvent, FaultModel, PhasePlan, SyncModel,
-};
+use crate::sched::{ChurnModel, DelayModel, FaultModel, PhasePlan, SyncModel};
 
 /// Which execution engine a [`Session`] drives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -172,7 +173,7 @@ pub enum Engine {
     /// see [`crate::sched::churn`]), each opening a new epoch in which
     /// the engine's membership overlay retires or materializes the
     /// affected ports in place, retired in-flight payloads are itemized
-    /// to observers, and protocols take their
+    /// in the trace sink, and protocols take their
     /// [`Protocol::on_join`] /
     /// [`Protocol::on_leave`] handoff hooks
     /// (or restart from `init`, under
@@ -268,17 +269,19 @@ pub struct SyncOverhead {
     /// [`Termination::Degraded`]).
     pub dropped_messages: u64,
     /// Epochs opened by membership events ([`ChurnModel`]); zero for a
-    /// fixed member set. The per-epoch membership timeline is in
-    /// [`RunReport::epochs`].
+    /// fixed member set. A traced run records each epoch's membership
+    /// event and member count as a [`crate::TraceEvent::Join`] or
+    /// [`crate::TraceEvent::Leave`].
     pub epochs: u64,
     /// Nodes that joined the member set mid-run.
     pub joins: u64,
     /// Nodes that left the member set mid-run.
     pub leaves: u64,
     /// Application payloads retired by membership changes (drained from
-    /// retired ports or swallowed in flight), each itemized as a
-    /// [`ChurnEvent::Retired`]. Disjoint from `dropped_messages`: churn
-    /// retirement is planned reconfiguration, not a fault.
+    /// retired ports or swallowed in flight), each recorded as a
+    /// [`crate::TraceEvent::Retired`] in a traced run. Disjoint from
+    /// `dropped_messages`: churn retirement is planned reconfiguration,
+    /// not a fault.
     pub retired_messages: u64,
 }
 
@@ -304,10 +307,6 @@ pub struct RunReport {
     pub metrics: Metrics,
     /// Synchronizer control-plane overhead (zero for synchronous runs).
     pub overhead: SyncOverhead,
-    /// Per-epoch membership timeline: one [`EpochInfo`] per membership
-    /// event, in occurrence order. Empty for a fixed member set and for
-    /// the synchronous engines.
-    pub epochs: Vec<EpochInfo>,
     /// Streaming run profile (histograms, high-water marks, event
     /// counters) — `Some` only when the session installed a recorder
     /// via [`Session::trace`]. See [`RunProfile`].
@@ -362,7 +361,9 @@ impl RoundDelta {
 /// event order across nodes, so it reports pulse deltas when `drive`
 /// returns, in pulse order; the synchronous engines call back live,
 /// after each round, from the control thread (never from a shard
-/// worker).
+/// worker). Fault and churn events are not observer callbacks: they are
+/// [`crate::TraceEvent`]s, recorded in the sink [`Session::trace`]
+/// installs and read back through [`SessionDriver::trace_sink`].
 pub trait Observer {
     /// Called after round `round` (1-based) executed.
     fn on_round(&mut self, round: Round, delta: &RoundDelta);
@@ -372,24 +373,6 @@ pub trait Observer {
     /// last executed round.
     fn on_barrier(&mut self, round: Round) {
         let _ = round;
-    }
-
-    /// Called when the fault plane acts: a send attempt lost on the wire
-    /// (and retransmitted), a payload swallowed by a crashed node, or a
-    /// node crashing / recovering (see [`FaultEvent`]). Only
-    /// [`Engine::Async`] with a non-[`FaultModel::None`] fault model
-    /// ever calls this; events arrive in occurrence order.
-    fn on_fault(&mut self, event: FaultEvent) {
-        let _ = event;
-    }
-
-    /// Called when the churn plane acts: a node joining or leaving the
-    /// member set, or a payload retired by a membership change (see
-    /// [`ChurnEvent`]). Only [`Engine::Async`] with a
-    /// non-[`ChurnModel::None`] churn model ever calls this; events
-    /// arrive in occurrence order.
-    fn on_churn(&mut self, event: ChurnEvent) {
-        let _ = event;
     }
 }
 
@@ -755,8 +738,8 @@ impl<P: Protocol> SessionDriver<P> {
         self.drive(limits, &mut ())
     }
 
-    /// Like [`SessionDriver::run`], streaming every round delta,
-    /// barrier, fault and churn event to `obs`.
+    /// Like [`SessionDriver::run`], streaming every round delta and
+    /// barrier to `obs`.
     pub fn run_observed(&mut self, obs: &mut dyn Observer) -> RunReport {
         let limits = self.limits;
         self.drive(limits, obs)

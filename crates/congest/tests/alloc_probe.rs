@@ -311,9 +311,9 @@ fn async_pulses_do_not_allocate() {
 /// per-send drop sampling is one splitmix64 step on a pre-seeded
 /// stream, link-flap schedules are compiled into per-port phase tables
 /// at build time (same pattern as the delay tables), retransmissions
-/// ride the same slab-backed wheel chunks as first sends, and the
-/// fault-event log drains into the observer every iteration without
-/// ever shrinking its warmed capacity. Once past the warm-up (which
+/// ride the same slab-backed wheel chunks as first sends, and fault
+/// events go to the trace sink, which is absent here. Once past the
+/// warm-up (which
 /// includes the crash/recover transition for [`FaultModel::Crash`]),
 /// hundreds of faulty pulses must allocate exactly as much as a
 /// zero-pulse drive, under every fault model × both synchronizers.
@@ -338,9 +338,8 @@ fn faulty_pulses_do_not_allocate() {
                 .limits(RunLimits::rounds(1024))
                 .build_with(|_| Echo);
 
-            // Warm-up: wheel buckets absorb the retransmit horizon, the
-            // fault log reaches its high-water mark, and the crash model
-            // plays out its one-time down/up transition.
+            // Warm-up: wheel buckets absorb the retransmit horizon and
+            // the crash model plays out its one-time down/up transition.
             net.reserve_rounds(1024);
             net.drive(RunLimits::rounds(256), &mut ());
 
@@ -367,13 +366,10 @@ fn faulty_pulses_do_not_allocate() {
 /// membership schedule is compiled into per-node join/leave pulse
 /// tables at build time, the [`congest::ChurnModel`] overlay
 /// (presence flags, per-port liveness, live degrees) is fully
-/// pre-reserved and epoch transitions mutate it in place, the churn log
-/// drains into the observer every iteration without shrinking its
-/// warmed capacity, and the per-epoch timeline is capacity-reserved for
-/// the model's compiled event count. With **every membership
-/// transition placed inside the warm-up drive** (so the zero-pulse and
-/// measured drives clone an identical epoch timeline into their
-/// reports), hundreds of churned steady-state pulses must allocate
+/// pre-reserved and epoch transitions mutate it in place, and churn
+/// events go to the trace sink, which is absent here. With **every
+/// membership transition placed inside the warm-up drive**, hundreds of
+/// churned steady-state pulses must allocate
 /// exactly as much as a zero-pulse drive, under every churn model ×
 /// both synchronizers.
 #[test]
@@ -399,10 +395,7 @@ fn churned_pulses_do_not_allocate() {
                 .build_with(|_| Echo);
 
             // Warm-up: every scheduled join and leave fires (the last
-            // membership event lands by pulse 32 ≪ 256), the churn log
-            // reaches its high-water mark, and the epoch timeline is
-            // complete — so both measured drives below snapshot the
-            // same epochs into their reports.
+            // membership event lands by pulse 32 ≪ 256).
             net.reserve_rounds(1024);
             let report = net.drive(RunLimits::rounds(256), &mut ());
             assert!(report.overhead.epochs > 0, "{churn:?}: warm-up must play out the churn");
@@ -432,11 +425,14 @@ fn churned_pulses_do_not_allocate() {
 /// zero-round drive. The ring is preallocated at build time and
 /// overwrites in place once full; the streaming profile is fixed-size
 /// arrays and scalars, so even the per-drive profile snapshot cloned
-/// into the `RunReport` stays off the heap.
+/// into the `RunReport` stays off the heap. Fault and churn events are
+/// recorded into the same ring, so a faulty and a churned engine (every
+/// membership transition inside the warm-up) hold the same contract.
 #[test]
 fn traced_pulses_do_not_allocate() {
     let _probe = serialized();
     let g = ring_with_chords(32);
+    let policy = congest::ChurnPolicy::Continue;
     let engines = [
         Engine::Flat { shards: 1 },
         Engine::Async {
@@ -450,6 +446,18 @@ fn traced_pulses_do_not_allocate() {
             sync: SyncModel::BatchedAlpha,
             fault: FaultModel::None,
             churn: ChurnModel::None,
+        },
+        Engine::Async {
+            delay: DelayModel::Uniform { max_delay: 4 },
+            sync: SyncModel::Alpha,
+            fault: FaultModel::Drop { p_millis: 100 },
+            churn: ChurnModel::None,
+        },
+        Engine::Async {
+            delay: DelayModel::Uniform { max_delay: 4 },
+            sync: SyncModel::BatchedAlpha,
+            fault: FaultModel::None,
+            churn: ChurnModel::Mixed { joiners: 2, leavers: 2, at_pulse: 8, spacing: 8, policy },
         },
     ];
     for engine in engines {

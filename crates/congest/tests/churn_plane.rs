@@ -1,7 +1,8 @@
 //! Engine-level contract of the membership churn plane
 //! (`sched::churn`): joins and leaves open epochs, peers observe
 //! [`Protocol::on_join`] / [`Protocol::on_leave`], in-flight payloads of
-//! a leaver are retired and itemized (never silently dropped),
+//! a leaver are retired and itemized in the trace sink (never silently
+//! dropped),
 //! survivors re-converge across epochs, [`ChurnPolicy::Restart`]
 //! visibly diverges from [`ChurnPolicy::Continue`] — and every
 //! membership schedule replays **bit for bit** from
@@ -12,8 +13,9 @@
 use std::collections::BTreeSet;
 
 use congest::{
-    ChurnEvent, ChurnModel, ChurnPolicy, Context, DelayModel, Driver, Engine, FaultModel, Message,
-    Port, Protocol, RoundDelta, RunLimits, RunReport, Session, SyncModel, Termination,
+    ChurnModel, ChurnPolicy, Context, DelayModel, Driver, Engine, FaultModel, Message, Port,
+    Protocol, RunLimits, RunReport, Session, SyncModel, Termination, TraceConfig, TraceEvent,
+    TraceRecord,
 };
 use graphs::{Graph, GraphBuilder};
 
@@ -71,20 +73,6 @@ impl Protocol for Census {
     }
 }
 
-/// Collects the streamed churn-event log.
-#[derive(Default)]
-struct ChurnLog {
-    events: Vec<ChurnEvent>,
-}
-
-impl congest::Observer for ChurnLog {
-    fn on_round(&mut self, _round: u64, _delta: &RoundDelta) {}
-
-    fn on_churn(&mut self, event: ChurnEvent) {
-        self.events.push(event);
-    }
-}
-
 fn clique(n: usize) -> Graph {
     let mut b = GraphBuilder::new(n);
     b.add_clique(&(0..n).collect::<Vec<_>>());
@@ -94,8 +82,9 @@ fn clique(n: usize) -> Graph {
 /// A node's Census output: `(best id, on_join count, on_leave count, inits)`.
 type CensusOutput = (u64, usize, usize, u32);
 
-/// One churned Census run: outputs, report and the streamed churn log.
-fn run(churn: ChurnModel, seed: u64) -> (Vec<CensusOutput>, RunReport, Vec<ChurnEvent>) {
+/// One churned, traced Census run: outputs, report and the churn records
+/// the trace sink kept — all of them, since its ring dropped none.
+fn run(churn: ChurnModel, seed: u64) -> (Vec<CensusOutput>, RunReport, Vec<TraceRecord>) {
     let g = clique(10);
     let mut driver = Session::on(&g)
         .seed(seed)
@@ -106,41 +95,66 @@ fn run(churn: ChurnModel, seed: u64) -> (Vec<CensusOutput>, RunReport, Vec<Churn
             churn,
         })
         .limits(RunLimits::rounds(30))
+        .trace(TraceConfig::default())
         .build_with(|_| Census { best: 0, joins: 0, leaves: 0, inits: 0 });
-    let mut log = ChurnLog::default();
-    let report = driver.drive(RunLimits::rounds(30), &mut log);
-    (driver.outputs(), report, log.events)
+    let report = driver.drive(RunLimits::rounds(30), &mut ());
+    let profile = report.profile.as_ref().expect("traced runs attach a profile");
+    assert_eq!(profile.dropped, 0, "{churn:?}: the ring must keep every record");
+    let mut events = Vec::new();
+    driver.trace_sink().expect("recorder installed").for_each(|r| {
+        if matches!(
+            r.ev,
+            TraceEvent::Join { .. } | TraceEvent::Leave { .. } | TraceEvent::Retired { .. }
+        ) {
+            events.push(*r);
+        }
+    });
+    (driver.outputs(), report, events)
 }
 
-fn joiners_of(events: &[ChurnEvent]) -> BTreeSet<u32> {
+fn joiners_of(events: &[TraceRecord]) -> BTreeSet<u32> {
     events
         .iter()
-        .filter_map(|e| match e {
-            ChurnEvent::Join { node, .. } => Some(*node),
+        .filter_map(|r| match r.ev {
+            TraceEvent::Join { node, .. } => Some(node),
             _ => None,
         })
         .collect()
 }
 
-fn leavers_of(events: &[ChurnEvent]) -> BTreeSet<u32> {
+fn leavers_of(events: &[TraceRecord]) -> BTreeSet<u32> {
     events
         .iter()
-        .filter_map(|e| match e {
-            ChurnEvent::Leave { node, .. } => Some(*node),
+        .filter_map(|r| match r.ev {
+            TraceEvent::Leave { node, .. } => Some(node),
             _ => None,
         })
         .collect()
 }
 
-fn retired_of(events: &[ChurnEvent]) -> usize {
-    events.iter().filter(|e| matches!(e, ChurnEvent::Retired { .. })).count()
+fn retired_of(events: &[TraceRecord]) -> usize {
+    events.iter().filter(|r| matches!(r.ev, TraceEvent::Retired { .. })).count()
 }
 
-/// Shared epoch-ledger sanity: the per-epoch timeline in the report
-/// agrees with the scalar overhead counters and is ordered.
-fn check_epoch_ledger(report: &RunReport, ctx: &str) {
+/// The per-epoch timeline the sink recorded: `(epoch, pulse, members)`
+/// for each join or leave, in occurrence order.
+fn timeline_of(events: &[TraceRecord]) -> Vec<(u64, u64, u32)> {
+    events
+        .iter()
+        .filter_map(|r| match r.ev {
+            TraceEvent::Join { pulse, epoch, members, .. }
+            | TraceEvent::Leave { pulse, epoch, members, .. } => Some((epoch, pulse, members)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Shared epoch-ledger sanity: the recorded per-epoch timeline agrees
+/// with the scalar overhead counters and is ordered.
+fn check_epoch_ledger(report: &RunReport, events: &[TraceRecord], ctx: &str) {
+    let timeline = timeline_of(events);
     assert_eq!(
-        report.epochs.len() as u64,
+        timeline.len() as u64,
         report.overhead.epochs,
         "{ctx}: timeline length must equal the epoch counter"
     );
@@ -149,13 +163,10 @@ fn check_epoch_ledger(report: &RunReport, ctx: &str) {
         report.overhead.joins + report.overhead.leaves,
         "{ctx}: every epoch is opened by exactly one join or leave"
     );
-    for (i, info) in report.epochs.iter().enumerate() {
-        assert_eq!(info.epoch, i as u64 + 1, "{ctx}: epochs are numbered 1..=k in order");
+    for (i, &(epoch, pulse, _)) in timeline.iter().enumerate() {
+        assert_eq!(epoch, i as u64 + 1, "{ctx}: epochs are numbered 1..=k in order");
         if i > 0 {
-            assert!(
-                info.pulse >= report.epochs[i - 1].pulse,
-                "{ctx}: epoch pulses must be nondecreasing"
-            );
+            assert!(pulse >= timeline[i - 1].1, "{ctx}: epoch pulses must be nondecreasing");
         }
     }
 }
@@ -185,7 +196,11 @@ fn churn_schedules_replay_from_seed_and_model_alone() {
             report_a.overhead, report_b.overhead,
             "seed 33, {churn:?}: overhead must replay"
         );
-        assert_eq!(report_a.epochs, report_b.epochs, "seed 33, {churn:?}: timeline must replay");
+        assert_eq!(
+            timeline_of(&events_a),
+            timeline_of(&events_b),
+            "seed 33, {churn:?}: timeline must replay"
+        );
         assert!(!events_a.is_empty(), "seed 33, {churn:?}: the schedule must produce churn");
     }
 }
@@ -201,16 +216,17 @@ fn staggered_joins_open_epochs_and_joiners_converge() {
     let (outputs, report, events) = run(churn, 33);
     let ctx = format!("seed 33, {churn:?}");
 
-    check_epoch_ledger(&report, &ctx);
+    check_epoch_ledger(&report, &events, &ctx);
+    let timeline = timeline_of(&events);
     assert_eq!(report.overhead.joins, 3, "{ctx}");
     assert_eq!(report.overhead.leaves, 0, "{ctx}");
     assert_eq!(report.overhead.epochs, 3, "{ctx}: each join opens an epoch");
     assert!(
-        report.epochs.windows(2).all(|w| w[0].members < w[1].members),
+        timeline.windows(2).all(|w| w[0].2 < w[1].2),
         "{ctx}: joins grow the member set monotonically"
     );
     assert_eq!(
-        report.epochs.last().map(|e| e.members),
+        timeline.last().map(|&(.., members)| members),
         Some(10),
         "{ctx}: after the last join everyone is a member"
     );
@@ -235,7 +251,7 @@ fn staggered_joins_open_epochs_and_joiners_converge() {
 
 /// Graceful leaves: every leave opens an epoch, each leaver's queued and
 /// in-flight payloads are retired and **itemized** — the overhead
-/// counter equals the streamed `Retired` event count exactly — peers
+/// counter equals the recorded `Retired` event count exactly — peers
 /// observe every `on_leave`, and the survivors re-converge.
 #[test]
 fn graceful_leaves_retire_itemized_and_survivors_reconverge() {
@@ -244,17 +260,17 @@ fn graceful_leaves_retire_itemized_and_survivors_reconverge() {
     let (outputs, report, events) = run(churn, 33);
     let ctx = format!("seed 33, {churn:?}");
 
-    check_epoch_ledger(&report, &ctx);
+    check_epoch_ledger(&report, &events, &ctx);
     assert_eq!(report.overhead.leaves, 3, "{ctx}");
     assert_eq!(report.overhead.joins, 0, "{ctx}");
     assert_eq!(
-        report.epochs.last().map(|e| e.members),
+        timeline_of(&events).last().map(|&(.., members)| members),
         Some(7),
         "{ctx}: three leavers gone from a 10-clique"
     );
 
     // Honest accounting: a member that leaves mid-gossip strands
-    // payloads, and every single one is itemized to observers.
+    // payloads, and every single one is itemized in the trace sink.
     assert!(report.overhead.retired_messages > 0, "{ctx}: a leaving gossiper strands payloads");
     assert_eq!(
         retired_of(&events) as u64,
@@ -320,8 +336,8 @@ fn restart_policy_diverges_from_continue() {
     assert_eq!(leavers_of(&ev_continue), leavers_of(&ev_restart));
     assert_eq!(rep_continue.overhead.epochs, 4);
     assert_eq!(rep_restart.overhead.epochs, 4);
-    check_epoch_ledger(&rep_continue, "continue");
-    check_epoch_ledger(&rep_restart, "restart");
+    check_epoch_ledger(&rep_continue, &ev_continue, "continue");
+    check_epoch_ledger(&rep_restart, &ev_restart, "restart");
 
     let max_inits_continue = out_continue.iter().map(|&(.., inits)| inits).max().expect("nonempty");
     let max_inits_restart = out_restart.iter().map(|&(.., inits)| inits).max().expect("nonempty");
@@ -334,7 +350,10 @@ fn restart_policy_diverges_from_continue() {
 }
 
 /// Join and leave events carry the epoch they open, in order, and agree
-/// with the reported timeline pulse for pulse.
+/// with the model's schedule pulse for pulse: joiner `i` at
+/// `at_pulse + i·spacing`, then leaver `j` at
+/// `at_pulse + (joiners + j)·spacing`, each moving the member count by
+/// one.
 #[test]
 fn streamed_events_agree_with_the_epoch_timeline() {
     let churn = ChurnModel::Mixed {
@@ -345,17 +364,45 @@ fn streamed_events_agree_with_the_epoch_timeline() {
         policy: ChurnPolicy::Continue,
     };
     let (_, report, events) = run(churn, 33);
-    let boundaries: Vec<(u64, u64)> = events
-        .iter()
-        .filter_map(|e| match e {
-            ChurnEvent::Join { pulse, epoch, .. } | ChurnEvent::Leave { pulse, epoch, .. } => {
-                Some((*epoch, *pulse))
-            }
-            ChurnEvent::Retired { .. } => None,
-        })
-        .collect();
-    let timeline: Vec<(u64, u64)> = report.epochs.iter().map(|e| (e.epoch, e.pulse)).collect();
-    assert_eq!(boundaries, timeline, "streamed epoch boundaries must match the report timeline");
+    check_epoch_ledger(&report, &events, "mixed");
+    let boundaries: Vec<(u64, u64)> =
+        timeline_of(&events).iter().map(|&(e, p, _)| (e, p)).collect();
+    assert_eq!(
+        boundaries,
+        vec![(1, 5), (2, 8), (3, 11), (4, 14)],
+        "recorded epoch boundaries must match the scheduled timeline"
+    );
+    let members: Vec<u32> = timeline_of(&events).iter().map(|&(.., m)| m).collect();
+    assert_eq!(members, vec![9, 10, 9, 8], "two joiners start outside the 10-clique");
+}
+
+/// Membership events scheduled at pulse 1 happen like later ones: the
+/// initial member set is taken before pulse 1, so a pulse-1 joiner
+/// starts outside it and a pulse-1 leaver starts inside it.
+#[test]
+fn membership_events_at_pulse_one_take_effect() {
+    let g = clique(6);
+    let policy = ChurnPolicy::Continue;
+    for (churn, joins, leaves) in [
+        (ChurnModel::Join { joiners: 3, at_pulse: 1, spacing: 0, policy }, 3, 0),
+        (ChurnModel::Leave { leavers: 2, at_pulse: 1, spacing: 0, policy }, 0, 2),
+        (ChurnModel::Mixed { joiners: 1, leavers: 1, at_pulse: 1, spacing: 0, policy }, 1, 1),
+    ] {
+        for sync in [SyncModel::Alpha, SyncModel::BatchedAlpha] {
+            let (_, report) = Session::on(&g)
+                .seed(5)
+                .engine(Engine::Async {
+                    delay: DelayModel::Uniform { max_delay: 3 },
+                    sync,
+                    fault: FaultModel::None,
+                    churn,
+                })
+                .limits(RunLimits::rounds(12))
+                .run_with(|_| Census { best: 0, joins: 0, leaves: 0, inits: 0 });
+            assert_eq!(report.overhead.joins, joins, "{churn:?}, {sync:?}: joins");
+            assert_eq!(report.overhead.leaves, leaves, "{churn:?}, {sync:?}: leaves");
+        }
+    }
 }
 
 /// Gossip that counts every crash or membership hook reaching it before

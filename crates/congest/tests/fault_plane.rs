@@ -1,8 +1,8 @@
 //! Engine-level contract of the seeded fault plane (`sched::fault`),
 //! degradation side: under [`FaultModel::Crash`] the run ends in
 //! [`Termination::Degraded`], surviving nodes re-converge, peers observe
-//! [`Protocol::on_peer_down`] / [`Protocol::on_peer_up`], observers
-//! stream the [`FaultEvent`] log — and every fault schedule replays
+//! [`Protocol::on_peer_down`] / [`Protocol::on_peer_up`], the trace sink
+//! itemizes every fault as a [`TraceEvent`] — and every fault schedule replays
 //! **bit for bit** from `(seed, FaultModel)` alone. (The masking grid
 //! for `Drop`/`LinkFlap` lives with the engine-equivalence suite in
 //! `crates/core/tests/engine_equivalence.rs`.)
@@ -10,8 +10,8 @@
 use std::collections::BTreeSet;
 
 use congest::{
-    ChurnModel, Context, DelayModel, Driver, Engine, FaultEvent, FaultModel, Message, Port,
-    Protocol, RoundDelta, RunLimits, Session, SyncModel, Termination,
+    ChurnModel, Context, DelayModel, Driver, Engine, FaultModel, Message, Port, Protocol,
+    RunLimits, Session, SyncModel, Termination, TraceConfig, TraceEvent, TraceRecord,
 };
 use graphs::{Graph, GraphBuilder};
 
@@ -67,28 +67,15 @@ impl Protocol for Beacon {
     }
 }
 
-/// Collects the streamed fault-event log.
-#[derive(Default)]
-struct FaultLog {
-    events: Vec<FaultEvent>,
-}
-
-impl congest::Observer for FaultLog {
-    fn on_round(&mut self, _round: u64, _delta: &RoundDelta) {}
-
-    fn on_fault(&mut self, event: FaultEvent) {
-        self.events.push(event);
-    }
-}
-
 fn clique(n: usize) -> Graph {
     let mut b = GraphBuilder::new(n);
     b.add_clique(&(0..n).collect::<Vec<_>>());
     b.build()
 }
 
-/// One faulty Beacon run: outputs, report and the streamed fault log.
-fn run(fault: FaultModel) -> (Vec<(u64, usize, usize)>, congest::RunReport, Vec<FaultEvent>) {
+/// One faulty, traced Beacon run: outputs, report and the fault records
+/// the trace sink kept — all of them, since its ring dropped none.
+fn run(fault: FaultModel) -> (Vec<(u64, usize, usize)>, congest::RunReport, Vec<TraceRecord>) {
     let g = clique(12);
     let mut driver = Session::on(&g)
         .seed(33)
@@ -99,17 +86,31 @@ fn run(fault: FaultModel) -> (Vec<(u64, usize, usize)>, congest::RunReport, Vec<
             churn: ChurnModel::None,
         })
         .limits(RunLimits::rounds(24))
+        .trace(TraceConfig::default())
         .build_with(|_| Beacon { best: 0, downs: Vec::new(), ups: Vec::new() });
-    let mut log = FaultLog::default();
-    let report = driver.drive(RunLimits::rounds(24), &mut log);
-    (driver.outputs(), report, log.events)
+    let report = driver.drive(RunLimits::rounds(24), &mut ());
+    let profile = report.profile.as_ref().expect("traced runs attach a profile");
+    assert_eq!(profile.dropped, 0, "{fault:?}: the ring must keep every record");
+    let mut events = Vec::new();
+    driver.trace_sink().expect("recorder installed").for_each(|r| {
+        if matches!(
+            r.ev,
+            TraceEvent::Dropped { .. }
+                | TraceEvent::Lost { .. }
+                | TraceEvent::NodeDown { .. }
+                | TraceEvent::NodeUp { .. }
+        ) {
+            events.push(*r);
+        }
+    });
+    (driver.outputs(), report, events)
 }
 
-fn victims_of(events: &[FaultEvent]) -> BTreeSet<u32> {
+fn victims_of(events: &[TraceRecord]) -> BTreeSet<u32> {
     events
         .iter()
-        .filter_map(|e| match e {
-            FaultEvent::NodeDown { node, .. } => Some(*node),
+        .filter_map(|r| match r.ev {
+            TraceEvent::NodeDown { node, .. } => Some(node),
             _ => None,
         })
         .collect()
@@ -137,11 +138,11 @@ fn permanent_crash_degrades_and_survivors_reconverge() {
     let victims = victims_of(&events);
     assert_eq!(victims.len(), 3, "seed 33, {fault:?}: three distinct victims");
     assert!(
-        !events.iter().any(|e| matches!(e, FaultEvent::NodeUp { .. })),
+        !events.iter().any(|r| matches!(r.ev, TraceEvent::NodeUp { .. })),
         "seed 33, {fault:?}: a permanent crash never recovers"
     );
     assert!(
-        events.iter().any(|e| matches!(e, FaultEvent::Lost { .. })),
+        events.iter().any(|r| matches!(r.ev, TraceEvent::Lost { .. })),
         "seed 33, {fault:?}: deliveries into a crashed node are lost events"
     );
 
@@ -181,7 +182,7 @@ fn recovered_victims_rejoin_and_peers_observe_both_transitions() {
     for &v in &victims {
         assert!(
             events.iter().any(
-                |e| matches!(e, FaultEvent::NodeUp { node, pulse } if *node == v && *pulse == 12)
+                |r| matches!(r.ev, TraceEvent::NodeUp { node, pulse } if node == v && pulse == 12)
             ),
             "seed 33, {fault:?}: victim {v} must recover exactly at at_pulse + recover_after"
         );
@@ -228,7 +229,7 @@ fn fault_schedules_replay_from_seed_and_model_alone() {
     }
 }
 
-/// The masked models stream nothing but `Dropped` events, and the
+/// The masked models record nothing but `Dropped` events, and the
 /// event count is exactly the retransmission meter: masked loss is
 /// always retransmitted, never lost.
 #[test]
@@ -243,7 +244,7 @@ fn masked_models_stream_only_dropped_events() {
             report.termination
         );
         assert!(
-            events.iter().all(|e| matches!(e, FaultEvent::Dropped { .. })),
+            events.iter().all(|r| matches!(r.ev, TraceEvent::Dropped { .. })),
             "seed 33, {fault:?}: masked faults are wire drops only"
         );
         assert_eq!(

@@ -6,14 +6,15 @@
 //!    and an untraced run of the same `(seed, delay, sync, fault)`.
 //! 2. **Determinism** — two traced runs of the same configuration
 //!    export byte-identical JSONL and Chrome timelines, on every
-//!    engine, including under an active fault plane.
+//!    engine, including under active fault and churn planes (whose
+//!    events the sink is the only record of).
 //! 3. **Streaming metrics** — [`congest::MetricsMode::Streaming`] keeps
 //!    scalar totals identical to the default full mode while retaining
 //!    no per-round history.
 
 use congest::{
-    ChurnModel, Context, DelayModel, Driver, Engine, FaultModel, Message, MetricsMode, Port,
-    Protocol, RunLimits, RunReport, Session, SessionDriver, SyncModel, TraceConfig,
+    ChurnModel, ChurnPolicy, Context, DelayModel, Driver, Engine, FaultModel, Message, MetricsMode,
+    Port, Protocol, RunLimits, RunReport, Session, SessionDriver, SyncModel, TraceConfig,
 };
 use graphs::GraphBuilder;
 
@@ -69,25 +70,28 @@ fn ring_with_chords(n: usize) -> graphs::Graph {
     b.build()
 }
 
-/// Engines (and fault configurations) under test: the flat plane, both
-/// synchronizers on a perfect wire, and both synchronizers under an
-/// active drop plane (retransmissions and fault events in the trace).
+/// Engines (and fault and churn configurations) under test: the flat
+/// plane, and both synchronizers on a perfect wire, under drops, link
+/// flaps and a recovering crash, under mixed churn, and under a crash
+/// plus mixed churn with epoch restarts — every fault and churn event
+/// kind lands in the trace.
 fn engines_under_test() -> Vec<Engine> {
     let delay = DelayModel::Uniform { max_delay: 4 };
+    let crash = FaultModel::Crash { victims: 2, at_pulse: 4, recover_after: 5 };
+    let mixed =
+        |policy| ChurnModel::Mixed { joiners: 2, leavers: 2, at_pulse: 3, spacing: 2, policy };
     let mut engines = vec![Engine::Flat { shards: 1 }, Engine::Flat { shards: 3 }];
     for sync in [SyncModel::Alpha, SyncModel::BatchedAlpha] {
-        engines.push(Engine::Async {
-            delay,
-            sync,
-            fault: FaultModel::None,
-            churn: ChurnModel::None,
-        });
-        engines.push(Engine::Async {
-            delay,
-            sync,
-            fault: FaultModel::Drop { p_millis: 120 },
-            churn: ChurnModel::None,
-        });
+        for (fault, churn) in [
+            (FaultModel::None, ChurnModel::None),
+            (FaultModel::Drop { p_millis: 120 }, ChurnModel::None),
+            (FaultModel::LinkFlap { down_len: 2, up_len: 5 }, ChurnModel::None),
+            (crash, ChurnModel::None),
+            (FaultModel::None, mixed(ChurnPolicy::Continue)),
+            (crash, mixed(ChurnPolicy::Restart)),
+        ] {
+            engines.push(Engine::Async { delay, sync, fault, churn });
+        }
     }
     engines
 }
@@ -203,11 +207,14 @@ fn profile_totals_match_the_meters() {
 }
 
 /// An active drop plane shows up in the profile: retransmit timers and
-/// fault events are counted, and they agree with the overhead meter.
+/// fault events are counted, and they agree with the overhead meter —
+/// one `Dropped` record per retransmission. Churn records likewise
+/// count exactly the joins, leaves and retired payloads.
 #[test]
 fn faults_surface_in_the_profile() {
+    let delay = DelayModel::Uniform { max_delay: 4 };
     let engine = Engine::Async {
-        delay: DelayModel::Uniform { max_delay: 4 },
+        delay,
         sync: SyncModel::Alpha,
         fault: FaultModel::Drop { p_millis: 150 },
         churn: ChurnModel::None,
@@ -217,6 +224,78 @@ fn faults_surface_in_the_profile() {
     assert!(report.overhead.retransmissions > 0, "the drop plane must have acted");
     assert_eq!(profile.retransmits, report.overhead.retransmissions);
     assert!(profile.faults > 0, "fault events must be recorded");
+    assert_eq!(profile.faults, report.overhead.retransmissions, "one record per dropped send");
+
+    for sync in [SyncModel::Alpha, SyncModel::BatchedAlpha] {
+        let churn = ChurnModel::Mixed {
+            joiners: 2,
+            leavers: 2,
+            at_pulse: 3,
+            spacing: 2,
+            policy: ChurnPolicy::Continue,
+        };
+        let engine = Engine::Async { delay, sync, fault: FaultModel::None, churn };
+        let (_, report, _) = traced_run(engine, Some(TraceConfig::default()));
+        let profile = report.profile.expect("profile attached");
+        let overhead = report.overhead;
+        assert_eq!(
+            overhead.joins + overhead.leaves,
+            4,
+            "{sync:?}: the churn plane must have acted"
+        );
+        assert_eq!(
+            profile.churn,
+            overhead.joins + overhead.leaves + overhead.retired_messages,
+            "{sync:?}: one record per join, leave and retired payload"
+        );
+    }
+}
+
+/// Every node re-broadcasts every round: on the flat engine each round
+/// carries the same payload bits, so the per-pulse histograms are exact.
+struct Beacon;
+
+impl Protocol for Beacon {
+    type Msg = Rumor;
+    type Output = ();
+    fn init(&mut self, ctx: &mut Context<'_, Rumor>) {
+        ctx.broadcast(Rumor);
+    }
+    fn step(&mut self, ctx: &mut Context<'_, Rumor>, _inbox: &[(Port, Rumor)]) {
+        ctx.broadcast(Rumor);
+    }
+    fn is_idle(&self) -> bool {
+        true
+    }
+    fn output(&self) {}
+}
+
+/// A drive that records nothing — `drive(RunLimits::rounds(0))`, as the
+/// alloc probes run between drives — leaves the per-pulse histograms
+/// as they were: a split drive with a zero-budget drive in between
+/// attributes bits exactly like one drive.
+#[test]
+fn zero_budget_drive_leaves_the_per_pulse_histograms_alone() {
+    let mut b = GraphBuilder::new(8);
+    for i in 0..8 {
+        b.add_edge(i, (i + 1) % 8);
+    }
+    let g = b.build();
+    let build = || {
+        Session::on(&g)
+            .seed(3)
+            .limits(RunLimits::rounds(30))
+            .trace(TraceConfig::default())
+            .build_with(|_| Beacon)
+    };
+    let whole = build().drive(RunLimits::rounds(30), &mut ()).profile.expect("traced");
+    let mut split = build();
+    split.drive(RunLimits::rounds(4), &mut ());
+    split.drive(RunLimits::rounds(0), &mut ());
+    let split = split.drive(RunLimits::rounds(26), &mut ()).profile.expect("traced");
+    assert_eq!(whole.payload_bits_per_pulse.count(), 30, "one window per round");
+    assert_eq!(split.payload_bits_per_pulse, whole.payload_bits_per_pulse);
+    assert_eq!(split.ctrl_bits_per_pulse, whole.ctrl_bits_per_pulse);
 }
 
 /// `TraceConfig::profile_only()` keeps the streaming aggregates with no

@@ -11,8 +11,8 @@
 //! data-dependent sends.
 
 use congest::{
-    ChurnModel, ChurnPolicy, Context, DelayModel, Engine, FaultModel, Message, Port, Protocol,
-    RunLimits, Session, SyncModel, Termination,
+    ChurnModel, ChurnPolicy, Context, DelayModel, Driver, Engine, FaultModel, Message, Port,
+    Protocol, RunLimits, Session, SyncModel, Termination, TraceConfig,
 };
 use graphs::generators;
 use nearclique::{
@@ -445,8 +445,8 @@ proptest! {
     /// `(seed, ChurnModel)`. Under **every** delay model and **both**
     /// synchronizers, replaying the same pair reproduces per-node
     /// outputs, the payload `Metrics`, the `SyncOverhead` ledger (churn
-    /// counters included) and the per-epoch membership timeline **bit
-    /// for bit**.
+    /// counters included) and the traced event stream (every join,
+    /// leave and retired payload, as exported JSONL) **bit for bit**.
     #[test]
     fn churned_runs_replay_bit_for_bit_on_gnp(
         n in 8usize..28,
@@ -477,14 +477,18 @@ proptest! {
         ] {
             for sync in [SyncModel::Alpha, SyncModel::BatchedAlpha] {
                 let run = || {
-                    Session::on(&g)
+                    let mut driver = Session::on(&g)
                         .seed(run_seed)
                         .engine(Engine::Async { delay, sync, fault: FaultModel::None, churn })
                         .limits(RunLimits::rounds(24))
-                        .run_with(|_| RandomGossip { bursts_left: 2, acc: 0 })
+                        .trace(TraceConfig::default())
+                        .build_with(|_| RandomGossip { bursts_left: 2, acc: 0 });
+                    let report = driver.run();
+                    let jsonl = driver.trace_sink().expect("recorder installed").to_jsonl();
+                    (driver.outputs(), report, jsonl)
                 };
-                let (out_a, rep_a) = run();
-                let (out_b, rep_b) = run();
+                let (out_a, rep_a, trace_a) = run();
+                let (out_b, rep_b, trace_b) = run();
                 prop_assert_eq!(
                     &out_a, &out_b,
                     "seed {}, {:?}, {:?}, {:?}: churned outputs", run_seed, churn, delay, sync
@@ -500,8 +504,8 @@ proptest! {
                     run_seed, churn, delay, sync
                 );
                 prop_assert_eq!(
-                    &rep_a.epochs, &rep_b.epochs,
-                    "seed {}, {:?}, {:?}, {:?}: epoch timeline",
+                    &trace_a, &trace_b,
+                    "seed {}, {:?}, {:?}, {:?}: traced event stream",
                     run_seed, churn, delay, sync
                 );
                 prop_assert_eq!(rep_a.termination, rep_b.termination);

@@ -19,7 +19,13 @@
 //!    one graceful leave, each opening an epoch — the per-epoch
 //!    membership timeline, the `on_join`/`on_leave` handoff transitions
 //!    observed by live peers, and the itemized retirement of the
-//!    leaver's in-flight payloads are all printed.
+//!    leaver's in-flight payloads are all printed, and the run's
+//!    timeline is exported to `target/trace_churn.json` (Chrome
+//!    trace-event JSON, for Perfetto or `chrome://tracing`).
+//!
+//! Every run is traced (`Session::trace`): fault and churn events are
+//! `TraceEvent`s, and the trace sink is their only itemized record. Each
+//! run checks that the sink's ring dropped nothing before reading them.
 //!
 //! Every fault schedule is a pure function of `(seed, FaultModel)`, and
 //! every membership schedule of `(seed, ChurnModel)`: re-running this
@@ -31,8 +37,9 @@
 //! ```
 
 use congest::{
-    ChurnEvent, ChurnModel, ChurnPolicy, Context, DelayModel, Driver, Engine, FaultEvent,
-    FaultModel, Message, Port, Protocol, RoundDelta, RunLimits, Session, SyncModel, Termination,
+    ChurnModel, ChurnPolicy, Context, DelayModel, Driver, Engine, FaultModel, Message, Port,
+    Protocol, RunLimits, RunReport, Session, SessionDriver, SyncModel, Termination, TraceConfig,
+    TraceEvent, TraceSink,
 };
 use near_clique_suite::prelude::generators;
 use rand::SeedableRng;
@@ -88,7 +95,22 @@ impl Protocol for Beacon {
     }
 }
 
-/// Streams the fault log: victim transitions and the recovery pulse.
+/// Ring capacity for one run: every record of the 48-pulse runs below
+/// fits, so the sink keeps the complete fault and churn record.
+const TRACE_CAPACITY: usize = 1 << 18;
+
+/// The trace sink of a finished run, after checking that its ring kept
+/// every record.
+fn complete_sink<'d, P: Protocol>(
+    driver: &'d SessionDriver<P>,
+    report: &RunReport,
+) -> &'d TraceSink {
+    let profile = report.profile.as_ref().expect("traced runs attach a profile");
+    assert_eq!(profile.dropped, 0, "the trace ring must keep every record");
+    driver.trace_sink().expect("tracing was enabled")
+}
+
+/// The fault records of a run: victim transitions and loss counts.
 #[derive(Default)]
 struct FaultLog {
     downs: Vec<(u32, u64)>,
@@ -97,16 +119,17 @@ struct FaultLog {
     swallowed: u64,
 }
 
-impl congest::Observer for FaultLog {
-    fn on_round(&mut self, _round: u64, _delta: &RoundDelta) {}
-
-    fn on_fault(&mut self, event: FaultEvent) {
-        match event {
-            FaultEvent::Dropped { .. } => self.wire_drops += 1,
-            FaultEvent::Lost { .. } => self.swallowed += 1,
-            FaultEvent::NodeDown { node, pulse } => self.downs.push((node, pulse)),
-            FaultEvent::NodeUp { node, pulse } => self.ups.push((node, pulse)),
-        }
+impl FaultLog {
+    fn read(sink: &TraceSink) -> Self {
+        let mut log = Self::default();
+        sink.for_each(|r| match r.ev {
+            TraceEvent::Dropped { .. } => log.wire_drops += 1,
+            TraceEvent::Lost { .. } => log.swallowed += 1,
+            TraceEvent::NodeDown { node, pulse } => log.downs.push((node, pulse)),
+            TraceEvent::NodeUp { node, pulse } => log.ups.push((node, pulse)),
+            _ => {}
+        });
+        log
     }
 }
 
@@ -153,25 +176,7 @@ impl Protocol for HandoffBeacon {
     }
 }
 
-/// Streams the churn log: epoch boundaries and retired payloads.
-#[derive(Default)]
-struct ChurnLog {
-    boundaries: Vec<ChurnEvent>,
-    retired: u64,
-}
-
-impl congest::Observer for ChurnLog {
-    fn on_round(&mut self, _round: u64, _delta: &RoundDelta) {}
-
-    fn on_churn(&mut self, event: ChurnEvent) {
-        match event {
-            ChurnEvent::Join { .. } | ChurnEvent::Leave { .. } => self.boundaries.push(event),
-            ChurnEvent::Retired { .. } => self.retired += 1,
-        }
-    }
-}
-
-fn main() {
+fn main() -> std::io::Result<()> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(4);
     let g = generators::gnp(200, 0.04, &mut rng);
     let seed = 21;
@@ -206,9 +211,10 @@ fn main() {
                 churn: ChurnModel::None,
             })
             .limits(RunLimits::rounds(budget))
+            .trace(TraceConfig::events(TRACE_CAPACITY))
             .build_with(|_| Beacon { best: 0, peer_downs: 0, peer_ups: 0 });
-        let mut log = FaultLog::default();
-        let report = driver.drive(RunLimits::rounds(budget), &mut log);
+        let report = driver.drive(RunLimits::rounds(budget), &mut ());
+        let log = FaultLog::read(complete_sink(&driver, &report));
         let outputs = driver.outputs();
 
         let verdict = match &baseline {
@@ -283,27 +289,33 @@ fn main() {
             churn,
         })
         .limits(RunLimits::rounds(budget))
+        .trace(TraceConfig::events(TRACE_CAPACITY))
         .build_with(|_| HandoffBeacon { best: 0, joins: 0, leaves: 0 });
-    let mut churn_log = ChurnLog::default();
-    let report = driver.drive(RunLimits::rounds(budget), &mut churn_log);
+    let report = driver.drive(RunLimits::rounds(budget), &mut ());
     let outputs = driver.outputs();
+    let sink = complete_sink(&driver, &report);
 
     println!(
         "\nmembership churn on the same schedule: three staggered joins, one graceful \
          leave ({churn:?})\n"
     );
-    for (event, info) in churn_log.boundaries.iter().zip(&report.epochs) {
-        let transition = match event {
-            ChurnEvent::Join { node, pulse, .. } => {
-                format!("node {node:>3} joins  @ pulse {pulse}")
+    let mut retired = 0;
+    sink.for_each(|r| {
+        let (transition, epoch, members) = match r.ev {
+            TraceEvent::Join { node, pulse, epoch, members } => {
+                (format!("node {node:>3} joins  @ pulse {pulse}"), epoch, members)
             }
-            ChurnEvent::Leave { node, pulse, .. } => {
-                format!("node {node:>3} leaves @ pulse {pulse}")
+            TraceEvent::Leave { node, pulse, epoch, members } => {
+                (format!("node {node:>3} leaves @ pulse {pulse}"), epoch, members)
             }
-            ChurnEvent::Retired { .. } => unreachable!("boundaries hold joins/leaves only"),
+            TraceEvent::Retired { .. } => {
+                retired += 1;
+                return;
+            }
+            _ => return,
         };
-        println!("  epoch {:>2}: {transition:<28} -> {} members", info.epoch, info.members);
-    }
+        println!("  epoch {epoch:>2}: {transition:<28} -> {members} members");
+    });
     let (hook_joins, hook_leaves) =
         outputs.iter().fold((0, 0), |(j, l), &(_, joins, leaves)| (j + joins, l + leaves));
     println!(
@@ -315,7 +327,7 @@ fn main() {
         report.overhead.retired_messages,
     );
     assert_eq!(report.overhead.epochs, 4, "3 joins + 1 leave open 4 epochs");
-    assert_eq!(churn_log.retired, report.overhead.retired_messages, "retirement is itemized");
+    assert_eq!(retired, report.overhead.retired_messages, "retirement is itemized");
     assert!(
         !matches!(report.termination, Termination::Degraded { .. }),
         "graceful churn never degrades the run"
@@ -325,4 +337,10 @@ fn main() {
          structure spans every epoch, and the member set after the last epoch converged \
          on one beacon value"
     );
+
+    std::fs::create_dir_all("target")?;
+    let chrome = sink.to_chrome_json();
+    std::fs::write("target/trace_churn.json", &chrome)?;
+    println!("\nwrote target/trace_churn.json ({} bytes)", chrome.len());
+    Ok(())
 }

@@ -89,9 +89,9 @@ pub use proptester;
 pub mod prelude {
     pub use baselines::{run_neighbors_neighbors, run_shingles, NearCliqueFinder, ShinglesConfig};
     pub use congest::{
-        ChurnEvent, ChurnModel, ChurnPolicy, DelayModel, Driver, Engine, EpochInfo, FaultEvent,
-        FaultModel, Metrics, MetricsMode, Mode, Observer, PhaseBudget, PhasePlan, RoundDelta,
-        RunLimits, RunProfile, RunReport, Session, SyncModel, Termination, TraceConfig, TraceSink,
+        ChurnModel, ChurnPolicy, DelayModel, Driver, Engine, FaultModel, Metrics, MetricsMode,
+        Mode, Observer, PhaseBudget, PhasePlan, RoundDelta, RunLimits, RunProfile, RunReport,
+        Session, SyncModel, Termination, TraceConfig, TraceSink,
     };
     pub use graphs::{density, generators, EdgeStream, FixedBitSet, Graph, GraphBuilder};
     pub use nearclique::{
