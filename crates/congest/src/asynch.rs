@@ -87,9 +87,7 @@ use crate::sched::{
     ChurnModel, ChurnPlane, ChurnPolicy, DelayModel, DelaySource, EventWheel, FaultModel,
     FaultPlane, PhasePlan, SyncModel,
 };
-use crate::session::{
-    Driver, Engine, Observer, RoundDelta, RunLimits, RunReport, SyncOverhead, Termination,
-};
+use crate::session::{Driver, Engine, Observer, RunLimits, RunReport, SyncOverhead, Termination};
 
 /// The event-driven asynchronous engine: an executor core gated by a
 /// pluggable synchronizer over seeded link delays. Built through
@@ -140,10 +138,6 @@ pub(crate) struct AsyncNetwork<P: Protocol> {
     /// Payload-side accounting, attributed to pulses by tag — comparable
     /// field-for-field with the synchronous engines' metrics.
     metrics: Metrics,
-    /// Per-pulse payload deltas, replayed to observers in pulse order
-    /// when a drive completes. Left empty under
-    /// [`MetricsMode::Streaming`].
-    per_pulse: Vec<RoundDelta>,
     /// Whether per-pulse metrics history is kept ([`MetricsMode::Full`])
     /// or only O(1) running aggregates ([`MetricsMode::Streaming`]).
     metrics_mode: MetricsMode,
@@ -218,7 +212,6 @@ impl<P: Protocol> AsyncNetwork<P> {
             initialized: false,
             started: false,
             metrics: Metrics::default(),
-            per_pulse: Vec::new(),
             metrics_mode: MetricsMode::Full,
         }
     }
@@ -581,20 +574,20 @@ impl<P: Protocol> AsyncNetwork<P> {
                 // A payload tagged r was drained by the sender on entering
                 // pulse r — exactly what the synchronous simulator
                 // delivers in round r — so it is consumed at pulse r and
-                // metered there: scalars into `metrics`, the per-pulse
-                // attribution into `per_pulse` (the one per-round ledger;
-                // `metrics.messages_per_round` is rebuilt from it when the
-                // drive completes), and the pulse-tag envelope into the
-                // synchronizer's overhead.
+                // metered there: scalars into `metrics`, the count into
+                // `metrics.messages_per_round[r − 1]` (grown on demand:
+                // pulses complete out of order), and the pulse-tag
+                // envelope into the synchronizer's overhead.
                 let bits = msg.bit_size();
                 self.metrics.record_payload(bits);
                 self.wire.overhead.control_bits += ENVELOPE_BITS as u64;
                 if self.metrics_mode == MetricsMode::Full {
                     let idx = (pulse - 1) as usize;
-                    if self.per_pulse.len() <= idx {
-                        self.per_pulse.resize(idx + 1, RoundDelta::default());
+                    let history = &mut self.metrics.messages_per_round;
+                    if history.len() <= idx {
+                        history.resize(idx + 1, 0);
                     }
-                    self.per_pulse[idx].record(bits);
+                    history[idx] += 1;
                 }
                 self.wire.trace(TraceEvent::Payload { node: to as u32, pulse, bits: bits as u32 });
                 // Pulse skew is at most one under every synchronizer
@@ -677,11 +670,11 @@ impl<P: Protocol> AsyncNetwork<P> {
         self.reserve_rounds(plan.total_pulses() as usize);
         // Run `init` (and the entry into the first phase) before the
         // first transition barrier, exactly like the synchronous loop.
-        self.drive_pulses(0, obs);
+        self.drive_pulses(0);
         let mut live = true;
         for (index, phase) in plan.phases().iter().enumerate() {
             if phase.pulses > 0 {
-                self.drive_pulses(phase.pulses, obs);
+                self.drive_pulses(phase.pulses);
             }
             self.wire.trace(TraceEvent::Phase { index: index as u32, budget: phase.pulses });
             live = self.barrier(obs);
@@ -741,11 +734,10 @@ impl<P: Protocol> Driver for AsyncNetwork<P> {
     /// are *executable* but enormous. Termination is `RoundLimit` —
     /// or [`Termination::Degraded`] if any node crashed during the run.
     ///
-    /// Pulses complete out of event order across nodes, so `obs`
-    /// receives the per-pulse deltas in pulse order when the drive
-    /// completes.
-    fn drive(&mut self, limits: RunLimits, obs: &mut dyn Observer) -> RunReport {
-        self.drive_pulses(limits.max_rounds, obs);
+    /// `obs` sees no barrier here: a plain drive takes none (phased runs
+    /// do, through [`AsyncNetwork::run_phases`]).
+    fn drive(&mut self, limits: RunLimits, _obs: &mut dyn Observer) -> RunReport {
+        self.drive_pulses(limits.max_rounds);
         self.report(true)
     }
 
@@ -765,10 +757,9 @@ impl<P: Protocol> Driver for AsyncNetwork<P> {
         self.queues.queued()
     }
 
-    /// Pre-reserves the per-pulse histories for a bounded run.
+    /// Pre-reserves the per-pulse history for a bounded run.
     fn reserve_rounds(&mut self, rounds: usize) {
         self.metrics.reserve_rounds(rounds);
-        self.per_pulse.reserve(rounds);
     }
 }
 
@@ -783,11 +774,10 @@ impl<P: Protocol> Driver for AsyncNetwork<P> {
 impl<P: Protocol> AsyncNetwork<P> {
     /// The report-free pulse engine behind [`Driver::drive`] and
     /// [`AsyncNetwork::run_phases`]: executes up to `max_rounds` further
-    /// pulses and streams their deltas to `obs`. Callers that drive in
-    /// stages (phased runs) use this directly so the run's [`Metrics`]
-    /// are cloned into a [`RunReport`] once, not once per stage.
-    fn drive_pulses(&mut self, max_rounds: u64, obs: &mut dyn Observer) {
-        let previous = self.executed;
+    /// pulses. Callers that drive in stages (phased runs) use this
+    /// directly so the run's [`Metrics`] are cloned into a [`RunReport`]
+    /// once, not once per stage.
+    fn drive_pulses(&mut self, max_rounds: u64) {
         if max_rounds == 0 {
             // Lazy init even on a zero-budget drive, so outputs at budget
             // 0 match the synchronous engines'.
@@ -796,14 +786,6 @@ impl<P: Protocol> AsyncNetwork<P> {
             self.begin_segment(max_rounds);
             while self.step_event() {}
             self.settle();
-        }
-
-        // Streaming mode keeps no per-pulse ledger, so there is nothing
-        // to replay: observers see barriers only.
-        if self.metrics_mode == MetricsMode::Full {
-            for pulse in previous + 1..=self.executed {
-                obs.on_round(pulse, &self.per_pulse[(pulse - 1) as usize]);
-            }
         }
     }
 
@@ -867,7 +849,7 @@ impl<P: Protocol> AsyncNetwork<P> {
     }
 
     /// The post-loop bookkeeping of a completed segment: commit the
-    /// budget as executed and rebuild the per-round history. Only valid
+    /// budget as executed and pad the per-round history to it. Only valid
     /// once every node is done ([`AsyncNetwork::explore_all_done`]) —
     /// the explorer reports a deadlock instead of settling otherwise.
     pub(crate) fn settle(&mut self) {
@@ -876,11 +858,7 @@ impl<P: Protocol> AsyncNetwork<P> {
         self.executed = self.budget;
         self.metrics.rounds = self.executed;
         if self.metrics_mode == MetricsMode::Full {
-            self.per_pulse.resize(self.executed as usize, RoundDelta::default());
-            // Rebuild the per-round history from the single per-pulse
-            // ledger, so it cannot drift from what observers saw.
-            self.metrics.messages_per_round.clear();
-            self.metrics.messages_per_round.extend(self.per_pulse.iter().map(|d| d.messages));
+            self.metrics.messages_per_round.resize(self.executed as usize, 0);
         }
     }
 }
@@ -977,7 +955,6 @@ impl<P: Protocol> AsyncNetwork<P> {
         faults.lost.hash(h);
         faults.crash_seen.hash(h);
         self.metrics.hash(h);
-        self.per_pulse.hash(h);
         overhead.control_messages.hash(h);
         overhead.control_bits.hash(h);
         overhead.retransmissions.hash(h);

@@ -15,8 +15,8 @@
 //! flags, protocol state (`P: Hash`), per-node RNG state, queued
 //! application messages, in-flight wheel events, staged inboxes, the
 //! synchronizer's gate state, the fault plane's sampler/down/loss state,
-//! and the payload ledger (metrics, per-pulse deltas, overhead
-//! counters).
+//! and the payload ledger (metrics, their per-pulse message counts
+//! included, and overhead counters).
 //!
 //! # What stays out, and why
 //!

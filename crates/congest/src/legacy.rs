@@ -33,9 +33,7 @@ use crate::metrics::Metrics;
 use crate::network::{assign_ids, IdAssignment, Mode};
 use crate::protocol::{Context, Endpoint, Outbox, OutboxHandle, Port, Protocol, Round};
 use crate::rng::node_rng;
-use crate::session::{
-    Driver, Observer, RoundDelta, RunLimits, RunReport, SyncOverhead, Termination,
-};
+use crate::session::{Driver, Observer, RunLimits, RunReport, SyncOverhead, Termination};
 
 struct LegacySlot<P: Protocol> {
     endpoint: Endpoint,
@@ -124,14 +122,9 @@ impl<P: Protocol> LegacyNetwork<P> {
         self.all_outboxes_empty() && self.nodes.iter().all(|s| s.protocol.is_idle())
     }
 
-    fn execute_round(&mut self) -> RoundDelta {
+    fn execute_round(&mut self) {
         self.round += 1;
         self.metrics.begin_round();
-        let mut delta = RoundDelta::default();
-        let mut meter = |metrics: &mut Metrics, bits: usize| {
-            metrics.record_message(bits);
-            delta.record(bits);
-        };
 
         // Delivery phase: the seed's allocation profile, kept as-is —
         // fresh vectors every round, per-port snapshots, stable sort.
@@ -144,13 +137,13 @@ impl<P: Protocol> LegacyNetwork<P> {
                 match self.mode {
                     Mode::Congest => {
                         if let Some(msg) = self.nodes[u].outbox.pop(port) {
-                            meter(&mut self.metrics, msg.bit_size());
+                            self.metrics.record_message(msg.bit_size());
                             deliveries.push((v, back_port, msg));
                         }
                     }
                     Mode::Local => {
                         while let Some(msg) = self.nodes[u].outbox.pop(port) {
-                            meter(&mut self.metrics, msg.bit_size());
+                            self.metrics.record_message(msg.bit_size());
                             deliveries.push((v, back_port, msg));
                         }
                     }
@@ -174,7 +167,6 @@ impl<P: Protocol> LegacyNetwork<P> {
             let inbox = std::mem::take(&mut slot.inbox);
             slot.with_ctx(round, |p, ctx| p.step(ctx, &inbox));
         }
-        delta
     }
 }
 
@@ -208,9 +200,8 @@ impl<P: Protocol> Driver for LegacyNetwork<P> {
             if executed >= limits.max_rounds {
                 break Termination::RoundLimit;
             }
-            let delta = self.execute_round();
+            self.execute_round();
             executed += 1;
-            obs.on_round(self.round, &delta);
         };
 
         RunReport {

@@ -53,10 +53,11 @@
 //! [`sched::churn`]).
 //!
 //! All three sit behind [`Driver`] (drive rounds → read outputs /
-//! metrics / termination), report through one [`RunReport`], and stream
-//! per-round deltas and barriers to [`Observer`]s. Per-node outputs —
-//! and the payload-side [`Metrics`] — are bit-identical across engines
-//! for the same seed. The observability plane ([`obs`]) adds a
+//! metrics / termination), report through one [`RunReport`] (its
+//! [`Metrics::messages_per_round`] is the one per-round ledger), and
+//! stream quiescence barriers to [`Observer`]s. Per-node outputs — and
+//! the payload-side [`Metrics`] — are bit-identical across engines for
+//! the same seed. The observability plane ([`obs`]) adds a
 //! zero-allocation recording layer on top: [`Session::trace`] installs
 //! a ring-buffer [`TraceSink`] that captures typed per-pulse events
 //! (fault and churn events included, which only it itemizes),
@@ -155,6 +156,6 @@ pub use sched::{
     TraceHandle,
 };
 pub use session::{
-    Driver, Engine, Observer, RoundDelta, RunLimits, RunReport, Session, SessionDriver,
-    SyncOverhead, Termination,
+    Driver, Engine, Observer, RunLimits, RunReport, Session, SessionDriver, SyncOverhead,
+    Termination,
 };

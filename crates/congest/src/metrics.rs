@@ -73,8 +73,8 @@ impl Metrics {
     /// Records one delivered payload's scalar aggregates without opening
     /// a [`Metrics::begin_round`] window. The asynchronous engine
     /// completes pulses out of event order, so it meters scalars here
-    /// and rebuilds the per-round history from its per-pulse deltas when
-    /// a drive completes (keeping one ledger, not two).
+    /// and counts the payload into `messages_per_round` at its own
+    /// pulse's index.
     pub(crate) fn record_payload(&mut self, bits: usize) {
         self.messages += 1;
         self.total_bits += bits as u64;

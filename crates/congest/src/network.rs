@@ -36,24 +36,25 @@
 //!   the headers in port order and almost never visits a chunk.
 //!   Non-empty ports are tracked in a bitset whose scan order is port
 //!   order — no sorted insert on push.
-//! * Delivery and inbox buffers are double-buffered and reused across
-//!   rounds; per-round growth only happens until the workload's
-//!   high-water mark is reached.
+//! * Delivery buffers are reused across rounds (a bucket store per
+//!   shard, a transfer buffer per pair of shards); per-round growth only
+//!   happens until the workload's high-water mark is reached.
 //!
 //! # Parallelism and determinism
 //!
 //! `Engine::Flat { shards }` splits nodes into equal shards, one OS
-//! thread each. A round is one thread scope: each thread drains its own
-//! senders' queues (phase A), routes messages into per-destination-shard
-//! transfer buffers, then — after one barrier — collects the buffers
-//! addressed to it, scatters them into its receivers' inboxes, and steps
-//! its nodes. Messages carry a `(destination port, intra-train index)`
-//! key that is unique within a round, so the receiver-side sort yields one
-//! canonical inbox order (port-sorted, per-port FIFO) regardless of
-//! thread count; metrics are merged with commutative aggregates and each
-//! node owns its RNG stream. Together these make runs **bit-identical**
-//! across any shard count — the contract `crates/core`'s
-//! `engine_equivalence` suite enforces.
+//! thread each; a single shard delivers straight from its queues. A
+//! sharded round is one thread scope: each thread drains its senders'
+//! queues into its row of transfer buffers, one per receiver shard
+//! (phase A), then — after one barrier — buckets its column, the buffers
+//! addressed to it, into its receivers' inboxes and steps its nodes
+//! (phase B). Shards may outnumber nodes. Messages carry a `(destination
+//! port, intra-train index)` key that is unique within a round, so the
+//! receiver-side sort yields one canonical inbox order (port-sorted,
+//! per-port FIFO) regardless of thread count; metrics are merged with
+//! commutative aggregates and each node owns its RNG stream. Together
+//! these make runs **bit-identical** across any shard count — the
+//! contract `crates/core`'s `engine_equivalence` suite enforces.
 //!
 //! To benchmark the plane, see `crates/bench/benches/delivery_plane.rs`
 //! (set `BENCH_JSON=BENCH_protocol.json` to append machine-readable
@@ -63,15 +64,12 @@ use std::sync::{Arc, Barrier, Mutex};
 
 use rand::rngs::StdRng;
 
-use crate::message::Message;
 use crate::metrics::Metrics;
 use crate::obs::{emit, MetricsMode, RunProfile, SinkSlot, TraceConfig, TraceEvent, TraceSink};
 use crate::plane::{Entry, Shard, Topology};
 use crate::protocol::{Context, Endpoint, OutboxHandle, Protocol, Round};
 use crate::rng::{node_rng, splitmix64};
-use crate::session::{
-    Driver, Observer, RoundDelta, RunLimits, RunReport, Source, SyncOverhead, Termination,
-};
+use crate::session::{Driver, Observer, RunLimits, RunReport, Source, SyncOverhead, Termination};
 
 /// Bandwidth regime for message delivery.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -138,8 +136,10 @@ pub(crate) struct Network<P: Protocol> {
     /// Per-thread queue shards (the flat plane); `shards.len()` is the
     /// configured thread count.
     shards: Vec<Shard<P::Msg>>,
-    /// Transfer buffers between sender shard `s` and receiver shard `t`,
-    /// at index `s * shards + t`. Locked twice per shard per round.
+    /// Transfer cells between sender shard `s` and receiver shard `t`, at
+    /// index `s * shards + t`: phase A fills row `s`, phase B empties
+    /// column `t`. The barrier between the phases keeps every lock
+    /// uncontended.
     transfer: Vec<Mutex<Vec<Entry<P::Msg>>>>,
     topo: Topology,
     /// Nodes per shard.
@@ -228,7 +228,7 @@ impl<P: Protocol> Network<P> {
             .map(|t| {
                 let lo = (t * chunk).min(n);
                 let hi = ((t + 1) * chunk).min(n);
-                Shard::new(lo, hi, topo.offsets[lo], topo.offsets[hi], s_count)
+                Shard::new(lo, hi, topo.offsets[lo], topo.offsets[hi])
             })
             .collect();
         let transfer = (0..s_count * s_count).map(|_| Mutex::new(Vec::new())).collect();
@@ -300,7 +300,9 @@ impl<P: Protocol> Network<P> {
         self.all_outboxes_empty() && self.protocols.iter().all(Protocol::is_idle)
     }
 
-    fn execute_round(&mut self) -> RoundDelta {
+    /// Executes one round and returns the messages and bits it
+    /// delivered.
+    fn execute_round(&mut self) -> (u64, u64) {
         self.round += 1;
         match self.metrics_mode {
             MetricsMode::Full => self.metrics.begin_round(),
@@ -315,7 +317,7 @@ impl<P: Protocol> Network<P> {
 
         if s_count == 1 {
             // Single shard: deliver straight from the queues into the
-            // bucket store (no transfer round trip), then step.
+            // bucket store (no transfer buffers), then step.
             let shard = &mut self.shards[0];
             shard.deliver_direct(topo, congest);
             let nodes = NodeSlices {
@@ -324,25 +326,6 @@ impl<P: Protocol> Network<P> {
                 rngs: &mut self.rngs,
             };
             step_shard(shard, nodes, topo, round);
-        } else if self.endpoints.len() < 2 * s_count {
-            // Sequential fallback at tiny n: same phases, in order.
-            for t in 0..s_count {
-                phase_deliver(&mut self.shards[t], topo, transfer, congest, s_count, t);
-            }
-            let mut ep_rest = &self.endpoints[..];
-            let mut pr_rest = &mut self.protocols[..];
-            let mut rng_rest = &mut self.rngs[..];
-            for (t, shard) in self.shards.iter_mut().enumerate() {
-                let take = shard.node_hi - shard.node_lo;
-                let (endpoints, er) = ep_rest.split_at(take);
-                ep_rest = er;
-                let (protocols, pr) = pr_rest.split_at_mut(take);
-                pr_rest = pr;
-                let (rngs, rr) = rng_rest.split_at_mut(take);
-                rng_rest = rr;
-                let nodes = NodeSlices { endpoints, protocols, rngs };
-                phase_bucket_step(shard, nodes, topo, transfer, round, s_count, t);
-            }
         } else {
             let barrier = Barrier::new(s_count);
             let barrier = &barrier;
@@ -360,9 +343,11 @@ impl<P: Protocol> Network<P> {
                     rng_rest = rr;
                     let nodes = NodeSlices { endpoints, protocols, rngs };
                     scope.spawn(move || {
-                        phase_deliver(shard, topo, transfer, congest, s_count, t);
+                        // Phase A fills row `t`, phase B empties column `t`.
+                        shard.drain_active(topo, congest, &transfer[t * s_count..][..s_count]);
                         barrier.wait();
-                        phase_bucket_step(shard, nodes, topo, transfer, round, s_count, t);
+                        shard.bucket_incoming(topo, transfer[t..].iter().step_by(s_count));
+                        step_shard(shard, nodes, topo, round);
                     });
                 }
             });
@@ -370,12 +355,12 @@ impl<P: Protocol> Network<P> {
 
         // Deterministic merge: commutative aggregates folded in shard
         // order (the order itself is immaterial to the totals).
-        let mut round_delta = RoundDelta::default();
+        let before = (self.metrics.messages, self.metrics.total_bits);
         for shard in &mut self.shards {
-            round_delta.merge(std::mem::take(&mut shard.delta));
+            let delta = std::mem::take(&mut shard.delta);
+            self.metrics.absorb_delivery(delta.messages, delta.bits, delta.max_bits);
         }
-        self.metrics.absorb_delivery(round_delta.messages, round_delta.bits, round_delta.max_bits);
-        round_delta
+        (self.metrics.messages - before.0, self.metrics.total_bits - before.1)
     }
 
     /// Number of queue shards (the configured thread count).
@@ -388,8 +373,8 @@ impl<P: Protocol> Driver for Network<P> {
     type P = P;
 
     /// Runs until quiescence or the round limit; resumable after a
-    /// `RoundLimit` stop. Observers are called from the control thread
-    /// only, after the parallel phases of each round have joined.
+    /// `RoundLimit` stop. `obs` sees each granted barrier, from the
+    /// control thread.
     fn drive(&mut self, limits: RunLimits, obs: &mut dyn Observer) -> RunReport {
         if !self.initialized {
             self.initialized = true;
@@ -417,14 +402,13 @@ impl<P: Protocol> Driver for Network<P> {
             if executed >= limits.max_rounds {
                 break Termination::RoundLimit;
             }
-            let delta = self.execute_round();
+            let (messages, bits) = self.execute_round();
             executed += 1;
             emit(
                 &mut self.rec,
                 self.round,
-                TraceEvent::Round { round: self.round, messages: delta.messages, bits: delta.bits },
+                TraceEvent::Round { round: self.round, messages, bits },
             );
-            obs.on_round(self.round, &delta);
         };
 
         RunReport {
@@ -459,45 +443,6 @@ impl<P: Protocol> Driver for Network<P> {
     fn reserve_rounds(&mut self, rounds: usize) {
         self.metrics.reserve_rounds(rounds);
     }
-}
-
-/// Phase A for shard `t`: drain active sender ports, route messages into
-/// transfer buffers, publish them by swapping with the (empty) transfer
-/// cells of row `t`.
-fn phase_deliver<M: Message>(
-    shard: &mut Shard<M>,
-    topo: &Topology,
-    transfer: &[Mutex<Vec<Entry<M>>>],
-    congest: bool,
-    s_count: usize,
-    t: usize,
-) {
-    shard.drain_active(topo, congest);
-    for t2 in 0..s_count {
-        let mut cell = transfer[t * s_count + t2].lock().expect("transfer lock");
-        std::mem::swap(&mut *cell, &mut shard.out[t2]);
-    }
-}
-
-/// Phase B for shard `t`: swap in the transfer cells of column `t` (in
-/// sender-shard order), bucket them by receiving node, then step every
-/// node of the shard directly on its bucket slice.
-fn phase_bucket_step<P: Protocol>(
-    shard: &mut Shard<P::Msg>,
-    nodes: NodeSlices<'_, P>,
-    topo: &Topology,
-    transfer: &[Mutex<Vec<Entry<P::Msg>>>],
-    round: Round,
-    s_count: usize,
-    t: usize,
-) {
-    for s in 0..s_count {
-        let mut cell = transfer[s * s_count + t].lock().expect("transfer lock");
-        std::mem::swap(&mut *cell, &mut shard.incoming[s]);
-    }
-    shard.bucket_incoming(topo);
-
-    step_shard(shard, nodes, topo, round);
 }
 
 /// Steps every node of `shard` on its bucket slice. The queue set and the
@@ -726,6 +671,35 @@ mod tests {
             net.outputs()
         };
         assert_eq!(build(1), build(4));
+
+        // More shards than nodes: the threaded path with empty shards,
+        // against one shard, outputs and full metrics.
+        fn run<P: Protocol>(
+            g: &graphs::Graph,
+            mode: Mode,
+            shards: usize,
+            factory: impl FnMut(&Endpoint) -> P,
+        ) -> (Vec<P::Output>, Metrics) {
+            let mut net = Session::on(g)
+                .seed(9)
+                .mode(mode)
+                .engine(Engine::Flat { shards })
+                .build_with(factory);
+            let report = net.drive(RunLimits::default(), &mut ());
+            (net.outputs(), report.metrics)
+        }
+        let path = path_graph(3);
+        let flood =
+            |e: &Endpoint| Flood { is_source: e.index == 1, heard_at: None, forwarded: false };
+        let burst =
+            |e: &Endpoint| Burst { k: 3, sender: e.index != 1, received_rounds: Vec::new() };
+        for mode in [Mode::Congest, Mode::Local] {
+            let (flood_one, burst_one) = (run(&path, mode, 1, flood), run(&path, mode, 1, burst));
+            for shards in 2..=6 {
+                assert_eq!(run(&path, mode, shards, flood), flood_one, "{mode:?}, {shards} shards");
+                assert_eq!(run(&path, mode, shards, burst), burst_one, "{mode:?}, {shards} shards");
+            }
+        }
     }
 
     #[test]

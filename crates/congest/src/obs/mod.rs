@@ -62,11 +62,11 @@
 ///
 /// The default, [`MetricsMode::Full`], preserves the historical
 /// behaviour: [`crate::Metrics::messages_per_round`] grows one entry
-/// per round — O(rounds) memory — and observers replay every round
-/// delta. [`MetricsMode::Streaming`] keeps only O(1) running
-/// aggregates (totals, current-round count, peak), the million-node
-/// prerequisite from the roadmap: the per-round vector stays empty and
-/// the [`RunProfile`] histograms become the per-round view.
+/// per round — O(rounds) memory. [`MetricsMode::Streaming`] keeps only
+/// O(1) running aggregates (totals, current-round count, peak), the
+/// million-node prerequisite from the roadmap: the per-round vector
+/// stays empty and the [`RunProfile`] histograms become the per-round
+/// view.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum MetricsMode {
     /// Keep the full O(rounds) per-round history (the default; all
@@ -74,7 +74,7 @@ pub enum MetricsMode {
     #[default]
     Full,
     /// Keep only O(1) running aggregates; `messages_per_round` stays
-    /// empty and per-round observer replay is skipped.
+    /// empty.
     Streaming,
 }
 

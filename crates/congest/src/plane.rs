@@ -30,22 +30,24 @@
 //! **receiver** — a transpose of the round's whole message volume, which
 //! for large rounds is memory-bound. Instead of sorting the full entries
 //! (a naive global sort moves every payload `O(log k)` times), each
-//! receiver shard runs a counting pass over its incoming buffers, prefix-
-//! sums per-node bucket offsets, places every message exactly once into a
-//! flat per-round buffer, and then sorts each node's *small* bucket by
-//! `(port, train index)` — an in-cache sort whose keys are unique, so
-//! `sort_unstable` is deterministic. Protocols step directly on the
-//! bucket slices; there are no per-node inbox vectors to fill or clear.
+//! receiver shard runs a counting pass over the buffers addressed to it
+//! (a lone shard, over its own queues), prefix-sums per-node bucket
+//! offsets, places every message exactly once into a flat per-round
+//! buffer, and then sorts each node's *small* bucket by `(port, train
+//! index)` — an in-cache sort whose keys are unique, so `sort_unstable`
+//! is deterministic. Protocols step directly on the bucket slices; there
+//! are no per-node inbox vectors to fill or clear.
 //!
 //! This is what makes `parallel(1)` and `parallel(k)` runs bit-identical:
 //! bucket contents depend only on (receiver, port, train index), never on
 //! which shard produced a message or in which order buffers drained.
 
+use std::sync::{Mutex, MutexGuard};
+
 use graphs::{EdgeStream, Graph};
 
 use crate::message::Message;
 use crate::protocol::Port;
-use crate::session::RoundDelta;
 
 /// Messages per overflow chunk. Chunks hold only the messages queued
 /// behind a port's inline head, so they serve deep queues: LOCAL trains,
@@ -457,9 +459,41 @@ impl<M> PortQueues<M> {
     }
 }
 
+/// One round's payload-delivery counters: a shard meters its deliveries
+/// here, and the network folds each shard's into [`crate::Metrics`]
+/// after the parallel phases join.
+#[derive(Debug, Default)]
+pub(crate) struct RoundDelta {
+    /// Payload messages delivered this round.
+    pub messages: u64,
+    /// Payload bits delivered this round.
+    pub bits: u64,
+    /// Widest payload message delivered this round, in bits.
+    pub max_bits: usize,
+}
+
+impl RoundDelta {
+    /// Folds one delivered payload of `bits` width in.
+    #[inline]
+    fn record(&mut self, bits: usize) {
+        self.messages += 1;
+        self.bits += bits as u64;
+        self.max_bits = self.max_bits.max(bits);
+    }
+}
+
+/// Locks one transfer cell. A round's two phases never contend for a
+/// cell, so this fails only if another shard's thread panicked.
+fn lock<M>(cell: &Mutex<Vec<Entry<M>>>) -> MutexGuard<'_, Vec<Entry<M>>> {
+    cell.lock().expect("transfer cell lock")
+}
+
 /// The message-plane state owned by one worker: the outgoing queues of a
-/// contiguous node range, transfer buffers toward every receiver shard,
-/// and the receiver-side bucket store.
+/// contiguous node range and the receiver-side bucket store. A sharded
+/// round hands messages between shards through the network's transfer
+/// cells, one per (sender shard, receiver shard) pair:
+/// [`Shard::drain_active`] fills its row of them, and
+/// [`Shard::bucket_incoming`] empties its column.
 #[derive(Debug)]
 pub(crate) struct Shard<M> {
     /// First node of the range.
@@ -470,11 +504,6 @@ pub(crate) struct Shard<M> {
     pub port_lo: u32,
     /// The range's outgoing per-port FIFOs.
     pub queues: PortQueues<M>,
-    /// Outgoing transfer buffers, one per receiver shard.
-    pub out: Vec<Vec<Entry<M>>>,
-    /// Incoming buffers, swapped in from the transfer cells each round
-    /// (index = sender shard); reused, never copied.
-    pub incoming: Vec<Vec<Entry<M>>>,
     /// Per-local-node message counts for the counting pass, then prefix-
     /// summed into bucket cursors.
     cursor: Vec<u32>,
@@ -492,14 +521,8 @@ pub(crate) struct Shard<M> {
 
 impl<M: Message> Shard<M> {
     /// An empty shard for nodes `node_lo..node_hi` with ports
-    /// `port_lo..port_hi`, ready to fan out to `shard_count` shards.
-    pub fn new(
-        node_lo: usize,
-        node_hi: usize,
-        port_lo: u32,
-        port_hi: u32,
-        shard_count: usize,
-    ) -> Self {
+    /// `port_lo..port_hi`.
+    pub fn new(node_lo: usize, node_hi: usize, port_lo: u32, port_hi: u32) -> Self {
         let port_count = (port_hi - port_lo) as usize;
         let node_count = node_hi - node_lo;
         Self {
@@ -507,8 +530,6 @@ impl<M: Message> Shard<M> {
             node_hi,
             port_lo,
             queues: PortQueues::new(port_count),
-            out: (0..shard_count).map(|_| Vec::new()).collect(),
-            incoming: (0..shard_count).map(|_| Vec::new()).collect(),
             cursor: vec![0u32; node_count],
             starts: vec![0u32; node_count + 1],
             bucket: Vec::new(),
@@ -536,9 +557,17 @@ impl<M: Message> Shard<M> {
 
     /// Delivery phase A: drains this shard's active ports — one message
     /// per port when `congest`, whole queues otherwise — routing each
-    /// message into the transfer buffer of its destination shard and
-    /// metering it in [`Self::delta`].
-    pub fn drain_active(&mut self, topo: &Topology, congest: bool) {
+    /// message into its destination shard's cell of `row` and metering
+    /// it in [`Self::delta`]. The row stays locked for the call only.
+    pub fn drain_active<'a>(
+        &mut self,
+        topo: &Topology,
+        congest: bool,
+        row: impl IntoIterator<Item = &'a Mutex<Vec<Entry<M>>>>,
+    ) where
+        M: 'a,
+    {
+        let mut out: Vec<_> = row.into_iter().map(lock).collect();
         for wi in 0..self.queues.active.len() {
             // Pops may clear bits of the word being scanned; the snapshot
             // is taken before any pop of this word, so each active port is
@@ -551,7 +580,7 @@ impl<M: Message> Shard<M> {
                 let mut k: u64 = 0;
                 while let Some(msg) = self.queues.pop(p) {
                     self.delta.record(msg.bit_size());
-                    self.out[route.dest_shard as usize].push((
+                    out[route.dest_shard as usize].push((
                         (u64::from(route.dest_slot) << 32) | k,
                         route.dest_node,
                         msg,
@@ -565,21 +594,18 @@ impl<M: Message> Shard<M> {
         }
     }
 
-    /// Single-shard fast path: delivers straight from the port queues
-    /// into the bucket store, touching each payload exactly once (no
-    /// transfer-buffer round trip).
+    /// Single-shard delivery: straight from the port queues into the
+    /// bucket store, touching each payload exactly once (no transfer
+    /// buffers).
     ///
     /// Pass 1 counts deliverable messages per receiving node without
     /// reading any payload (one per active port under `congest`, the
-    /// whole queue length otherwise); after a prefix sum, pass 2 pops
-    /// each message and writes it directly at its bucket cursor. The
-    /// result is identical to `drain_active` + `bucket_incoming` — same
-    /// canonical per-bucket order, same metering — just with half the
-    /// memory traffic.
+    /// whole queue length otherwise); after [`Self::layout_buckets`],
+    /// pass 2 pops each message and writes it directly at its bucket
+    /// cursor. The result is identical to `drain_active` +
+    /// `bucket_incoming` — same canonical per-bucket order, same
+    /// metering — just with half the memory traffic.
     pub fn deliver_direct(&mut self, topo: &Topology, congest: bool) {
-        const {
-            assert!(usize::BITS == 64, "bucket keys pack (port, k) into usize");
-        }
         debug_assert_eq!(self.node_lo, 0, "direct delivery requires the single-shard layout");
 
         let node_count = self.node_hi - self.node_lo;
@@ -597,18 +623,7 @@ impl<M: Message> Shard<M> {
             }
         }
 
-        let mut acc = 0u32;
-        for i in 0..node_count {
-            self.starts[i] = acc;
-            acc += self.cursor[i];
-            self.cursor[i] = self.starts[i];
-        }
-        self.starts[node_count] = acc;
-        debug_assert_eq!(acc as usize, total);
-
-        self.bucket.clear();
-        self.bucket.reserve(total);
-        let bucket_ptr = self.bucket.as_mut_ptr();
+        let bucket_ptr = self.layout_buckets(total);
         let mut placed = 0usize;
         for wi in 0..self.queues.active.len() {
             let mut word = self.queues.active[wi];
@@ -642,18 +657,14 @@ impl<M: Message> Shard<M> {
         // equals `total`: pass 2 pops exactly what pass 1 counted).
         unsafe { self.bucket.set_len(total) };
 
-        for i in 0..node_count {
-            let range = self.starts[i] as usize..self.starts[i + 1] as usize;
-            let slice = &mut self.bucket[range];
-            slice.sort_unstable_by_key(|e| e.0);
-            for e in slice {
-                e.0 >>= 32;
-            }
-        }
+        self.canonicalize_buckets();
     }
 
-    /// Delivery phase B: buckets this round's incoming messages by
-    /// receiving node and sorts each bucket into canonical order.
+    /// Delivery phase B: buckets the round's messages addressed to this
+    /// shard — `column`, its transfer cells in sender-shard order, locked
+    /// for the call — by receiving node, sorts each bucket into canonical
+    /// order, and leaves every cell empty with its capacity kept for the
+    /// next round.
     ///
     /// Three linear passes (count, prefix-sum, place) move each payload
     /// exactly once; the per-bucket `sort_unstable` then runs on one
@@ -663,30 +674,23 @@ impl<M: Message> Shard<M> {
     /// drain order. After this call, node `node_lo + i`'s inbox is
     /// `bucket[starts[i]..starts[i + 1]]` with the key field rewritten to
     /// the plain port.
-    pub fn bucket_incoming(&mut self, topo: &Topology) {
-        const {
-            assert!(usize::BITS == 64, "bucket keys pack (port, k) into usize");
-        }
-
+    pub fn bucket_incoming<'a>(
+        &mut self,
+        topo: &Topology,
+        column: impl IntoIterator<Item = &'a Mutex<Vec<Entry<M>>>>,
+    ) where
+        M: 'a,
+    {
+        let mut incoming: Vec<_> = column.into_iter().map(lock).collect();
         let node_count = self.node_hi - self.node_lo;
         self.cursor[..node_count].fill(0);
         let mut total = 0usize;
-        for buf in &self.incoming {
+        for buf in incoming.iter() {
             total += buf.len();
             for &(_, dest_node, _) in buf.iter() {
                 self.cursor[dest_node as usize - self.node_lo] += 1;
             }
         }
-
-        // Prefix sums: starts[i] = bucket offset of local node i.
-        let mut acc = 0u32;
-        for i in 0..node_count {
-            self.starts[i] = acc;
-            acc += self.cursor[i];
-            self.cursor[i] = self.starts[i];
-        }
-        self.starts[node_count] = acc;
-        debug_assert_eq!(acc as usize, total);
 
         // Place every message exactly once into its bucket range. The
         // buffers' lengths are zeroed before the raw reads so an unwind
@@ -694,10 +698,8 @@ impl<M: Message> Shard<M> {
         // `bucket`'s spare capacity and `set_len` runs only after every
         // position 0..total has been written (the prefix-summed cursors
         // enumerate each position exactly once).
-        self.bucket.clear();
-        self.bucket.reserve(total);
-        let bucket_ptr = self.bucket.as_mut_ptr();
-        for buf in &mut self.incoming {
+        let bucket_ptr = self.layout_buckets(total);
+        for buf in incoming.iter_mut() {
             let len = buf.len();
             // SAFETY: shrinking only; elements are moved out below.
             unsafe { buf.set_len(0) };
@@ -721,8 +723,36 @@ impl<M: Message> Shard<M> {
         // SAFETY: all `total` positions were just initialized.
         unsafe { self.bucket.set_len(total) };
 
-        // Canonicalize each bucket and strip keys down to ports.
+        self.canonicalize_buckets();
+    }
+
+    /// The bucket layout both deliveries share: prefix-sums the per-node
+    /// counts in `cursor` into `starts` and resets each cursor to its
+    /// bucket's start, then empties `bucket` with room for `total`
+    /// entries and returns the pointer the placement pass writes through.
+    fn layout_buckets(&mut self, total: usize) -> *mut (Port, M) {
+        let node_count = self.node_hi - self.node_lo;
+        let mut acc = 0u32;
         for i in 0..node_count {
+            self.starts[i] = acc;
+            acc += self.cursor[i];
+            self.cursor[i] = self.starts[i];
+        }
+        self.starts[node_count] = acc;
+        debug_assert_eq!(acc as usize, total);
+        self.bucket.clear();
+        self.bucket.reserve(total);
+        self.bucket.as_mut_ptr()
+    }
+
+    /// The canonical inbox order, decided here only: sorts each node's
+    /// bucket by its `(port << 32) | train index` key — unique within a
+    /// round — and strips the keys down to plain ports.
+    fn canonicalize_buckets(&mut self) {
+        const {
+            assert!(usize::BITS == 64, "bucket keys pack (port, k) into usize");
+        }
+        for i in 0..self.node_hi - self.node_lo {
             let range = self.starts[i] as usize..self.starts[i + 1] as usize;
             let slice = &mut self.bucket[range];
             slice.sort_unstable_by_key(|e| e.0);
@@ -742,7 +772,7 @@ mod tests {
     use std::collections::VecDeque;
 
     fn shard_for(ports: u32) -> Shard<Ping> {
-        Shard::new(0, 1, 0, ports, 1)
+        Shard::new(0, 1, 0, ports)
     }
 
     #[test]
@@ -754,7 +784,7 @@ mod tests {
                 8
             }
         }
-        let mut s: Shard<N> = Shard::new(0, 1, 0, 2, 1);
+        let mut s: Shard<N> = Shard::new(0, 1, 0, 2);
         for i in 0..3 * CHUNK {
             s.push(0, N(i));
         }
@@ -960,20 +990,22 @@ mod tests {
         b.add_edge(0, 1);
         let g = b.build();
         let topo = Topology::from_graph(&g, 1);
-        let mut s: Shard<Ping> = Shard::new(0, 2, 0, 2, 1);
+        let mut s: Shard<Ping> = Shard::new(0, 2, 0, 2);
+        let cell = Mutex::new(Vec::new());
         s.push(0, Ping);
         s.push(0, Ping);
-        s.drain_active(&topo, true);
-        assert_eq!(s.out[0].len(), 1);
+        s.drain_active(&topo, true, [&cell]);
+        assert_eq!(cell.lock().unwrap().len(), 1);
         assert_eq!(s.queued(), 1);
-        s.drain_active(&topo, false);
-        assert_eq!(s.out[0].len(), 2);
+        s.drain_active(&topo, false, [&cell]);
+        let out = cell.into_inner().unwrap();
+        assert_eq!(out.len(), 2);
         assert_eq!(s.queued(), 0);
         // Keys: dest slot 1 on node 1, train indices 0 then 0 (separate
         // rounds).
-        assert_eq!(s.out[0][0].0, 1u64 << 32);
-        assert_eq!(s.out[0][0].1, 1);
-        assert_eq!(s.out[0][1].0, 1u64 << 32);
+        assert_eq!(out[0].0, 1u64 << 32);
+        assert_eq!(out[0].1, 1);
+        assert_eq!(out[1].0, 1u64 << 32);
     }
 
     #[test]
@@ -989,15 +1021,17 @@ mod tests {
         b.add_edge(0, 1).add_edge(1, 2);
         let g = b.build();
         let topo = Topology::from_graph(&g, 1);
-        let mut s: Shard<N> = Shard::new(0, 3, 0, 4, 1);
+        let mut s: Shard<N> = Shard::new(0, 3, 0, 4);
         // Deliveries to node 1 (slots 1 and 2), arriving out of order.
-        s.incoming[0].push(((2u64 << 32) | 1, 1, N(31)));
-        s.incoming[0].push((1u64 << 32, 1, N(10)));
-        s.incoming[0].push((2u64 << 32, 1, N(30)));
-        s.bucket_incoming(&topo);
+        let cell = Mutex::new(vec![
+            ((2u64 << 32) | 1, 1, N(31)),
+            (1u64 << 32, 1, N(10)),
+            (2u64 << 32, 1, N(30)),
+        ]);
+        s.bucket_incoming(&topo, [&cell]);
         assert_eq!(s.starts[..4], [0, 0, 3, 3]);
         let got: Vec<(usize, u32)> = s.bucket.iter().map(|(p, m)| (*p, m.0)).collect();
         assert_eq!(got, vec![(0, 10), (1, 30), (1, 31)]);
-        assert!(s.incoming[0].is_empty(), "incoming buffer drained");
+        assert!(cell.lock().unwrap().is_empty(), "incoming buffer drained");
     }
 }

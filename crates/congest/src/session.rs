@@ -26,11 +26,10 @@
 //!   rounds-or-pulses, the payload-side [`Metrics`] (bit-identical
 //!   across engines for the same seed), and the synchronizer's
 //!   [`SyncOverhead`] (zero for the synchronous engines).
-//! * [`Observer`] streams per-round [`RoundDelta`]s and quiescence
-//!   barriers (phase transitions) while the run executes; pass one to
-//!   [`Driver::drive`], [`SessionDriver::run_observed`] or
-//!   [`SessionDriver::run_phased`]. Observers are the *user-facing*
-//!   streaming hook: trait objects fed round-granular aggregates, free
+//! * [`Observer`] streams quiescence barriers (phase transitions) while
+//!   the run executes; pass one to [`Driver::drive`],
+//!   [`SessionDriver::run_observed`] or [`SessionDriver::run_phased`].
+//!   Observers are the *user-facing* streaming hook: trait objects free
 //!   to allocate and do arbitrary work.
 //!   The engine-facing counterpart is the [`crate::obs`] recording
 //!   plane — [`Session::trace`] installs a preallocated
@@ -46,7 +45,7 @@
 //!   `== 0` says its ring kept them all.
 //! * [`Session::metrics`] picks the [`crate::MetricsMode`]: the default
 //!   [`crate::MetricsMode::Full`] keeps the O(rounds)
-//!   `messages_per_round` history, while
+//!   [`Metrics::messages_per_round`] history, while
 //!   [`crate::MetricsMode::Streaming`] keeps only O(1) running
 //!   aggregates (per-round distributions then live in the run's
 //!   [`crate::RunProfile`]).
@@ -321,53 +320,19 @@ impl RunReport {
     }
 }
 
-/// Per-round payload-delivery aggregates streamed to [`Observer`]s.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub struct RoundDelta {
-    /// Payload messages delivered this round.
-    pub messages: u64,
-    /// Payload bits delivered this round.
-    pub bits: u64,
-    /// Widest payload message delivered this round, in bits.
-    pub max_bits: usize,
-}
-
-impl RoundDelta {
-    /// Folds one delivered payload of `bits` width in — the single
-    /// metering implementation shared by every engine (flat shards,
-    /// legacy, α pulses).
-    #[inline]
-    pub(crate) fn record(&mut self, bits: usize) {
-        self.messages += 1;
-        self.bits += bits as u64;
-        self.max_bits = self.max_bits.max(bits);
-    }
-
-    /// Folds another delta's aggregates in (commutative, so the flat
-    /// plane's shard merge order cannot matter).
-    pub(crate) fn merge(&mut self, other: RoundDelta) {
-        self.messages += other.messages;
-        self.bits += other.bits;
-        self.max_bits = self.max_bits.max(other.max_bits);
-    }
-}
-
-/// Streaming hook into a run: called by every engine as rounds execute.
+/// Streaming hook into a run: called by every engine as it grants
+/// quiescence barriers.
 ///
 /// Observers replace ad-hoc post-run trace plumbing: phase transitions
 /// arrive as [`Observer::on_barrier`] calls the moment the quiescence
-/// barrier is granted, and per-round traffic arrives as
-/// [`Observer::on_round`] deltas. The α engine completes pulses out of
-/// event order across nodes, so it reports pulse deltas when `drive`
-/// returns, in pulse order; the synchronous engines call back live,
-/// after each round, from the control thread (never from a shard
-/// worker). Fault and churn events are not observer callbacks: they are
-/// [`crate::TraceEvent`]s, recorded in the sink [`Session::trace`]
+/// barrier is granted, from the control thread (never from a shard
+/// worker). Per-round traffic is no callback: it is kept once, in
+/// [`Metrics::messages_per_round`] (under [`crate::MetricsMode::Full`]),
+/// and a traced run records it as [`crate::TraceEvent::Round`] or
+/// [`crate::TraceEvent::Payload`] records. Fault and churn events are
+/// [`crate::TraceEvent`]s too, recorded in the sink [`Session::trace`]
 /// installs and read back through [`SessionDriver::trace_sink`].
 pub trait Observer {
-    /// Called after round `round` (1-based) executed.
-    fn on_round(&mut self, round: Round, delta: &RoundDelta);
-
     /// Called when a quiescence barrier is granted — i.e. some node took
     /// a phase transition via [`Protocol::on_quiescent`]. `round` is the
     /// last executed round.
@@ -377,10 +342,7 @@ pub trait Observer {
 }
 
 /// The no-op observer: `drive(limits, &mut ())` observes nothing.
-impl Observer for () {
-    #[inline]
-    fn on_round(&mut self, _round: Round, _delta: &RoundDelta) {}
-}
+impl Observer for () {}
 
 /// The uniform execution handle: [`SessionDriver`] implements it over
 /// whichever [`Engine`] the [`Session`] built (each engine implements it
@@ -396,8 +358,8 @@ pub trait Driver {
     type P: Protocol;
 
     /// Advances execution by at most `limits.max_rounds` rounds
-    /// (pulses), streaming per-round deltas and barriers to `obs`. Pass
-    /// `&mut ()` to observe nothing.
+    /// (pulses), streaming granted barriers to `obs`. Pass `&mut ()` to
+    /// observe nothing.
     fn drive(&mut self, limits: RunLimits, obs: &mut dyn Observer) -> RunReport;
 
     /// Number of nodes.
@@ -560,9 +522,8 @@ impl<'g> Session<'g> {
 
     /// Selects how much per-round history [`Metrics`] retains — the
     /// default [`MetricsMode::Full`] keeps the O(rounds)
-    /// `messages_per_round` vector, [`MetricsMode::Streaming`] keeps
-    /// only O(1) running aggregates (and skips per-round observer
-    /// replay on [`Engine::Async`]).
+    /// [`Metrics::messages_per_round`] vector, [`MetricsMode::Streaming`]
+    /// keeps only O(1) running aggregates.
     #[must_use]
     pub fn metrics(mut self, mode: MetricsMode) -> Self {
         self.metrics_mode = mode;
@@ -738,8 +699,8 @@ impl<P: Protocol> SessionDriver<P> {
         self.drive(limits, &mut ())
     }
 
-    /// Like [`SessionDriver::run`], streaming every round delta and
-    /// barrier to `obs`.
+    /// Like [`SessionDriver::run`], streaming every granted barrier to
+    /// `obs`.
     pub fn run_observed(&mut self, obs: &mut dyn Observer) -> RunReport {
         let limits = self.limits;
         self.drive(limits, obs)
@@ -911,34 +872,21 @@ mod tests {
     }
 
     #[test]
-    fn observer_streams_round_deltas() {
-        #[derive(Default)]
-        struct Tape {
-            rounds: Vec<(u64, u64)>,
-        }
-        impl Observer for Tape {
-            fn on_round(&mut self, round: Round, delta: &RoundDelta) {
-                self.rounds.push((round, delta.messages));
-            }
-        }
-
+    fn messages_per_round_covers_every_round() {
         let g = ring(6);
         for engine in engines_under_test(2) {
-            let mut tape = Tape::default();
-            let mut driver = Session::on(&g)
+            let (_, report) = Session::on(&g)
                 .seed(2)
                 .engine(engine)
                 .limits(RunLimits::rounds(5))
-                .build_with(factory);
-            let report = driver.run_observed(&mut tape);
-            let observed: Vec<u64> = tape.rounds.iter().map(|&(_, m)| m).collect();
+                .run_with(factory);
+            let history = &report.metrics.messages_per_round;
+            assert_eq!(history.len() as u64, report.rounds, "{engine:?}: one entry per round");
             assert_eq!(
-                observed, report.metrics.messages_per_round,
-                "{engine:?}: observer deltas must mirror the per-round histogram"
+                history.iter().sum::<u64>(),
+                report.metrics.messages,
+                "{engine:?}: the per-round history must add up to the message total"
             );
-            let rounds: Vec<u64> = tape.rounds.iter().map(|&(r, _)| r).collect();
-            let expect: Vec<u64> = (1..=report.rounds).collect();
-            assert_eq!(rounds, expect, "{engine:?}");
         }
     }
 

@@ -638,6 +638,45 @@ fn congest_run_holds_one_message_per_port() {
     );
 }
 
+/// The same contract on two shards: a sharded round hands each message
+/// from its sender's shard to its receiver's through exactly one
+/// transfer buffer entry, so the per-port model is the one-shard model's
+/// plus one `(key, destination node, message)` entry. Staging each
+/// round's messages in a buffer of their own on either side of the
+/// transfer buffer would add two more entries per port.
+#[test]
+fn sharded_run_holds_one_transfer_entry_per_port() {
+    let _probe = serialized();
+    let n = 4000;
+    let g = graphs::generators::gnp(n, 16.0 / (n - 1) as f64, &mut StdRng::seed_from_u64(16));
+    let ports = 2 * g.edge_count();
+
+    let base = reset_peak_bytes();
+    let mut net =
+        Session::on(&g).seed(3).engine(Engine::Flat { shards: 2 }).build_with(|_| WordEcho);
+    let report = net.drive(RunLimits::rounds(16), &mut ());
+    let per_port = peak_bytes_since(base) as f64 / ports as f64;
+
+    assert_eq!(
+        report.metrics.messages,
+        16 * ports as u64,
+        "every port carries one message a round"
+    );
+    let one_shard = 12
+        + std::mem::size_of::<u64>()
+        + 16
+        + std::mem::size_of::<Option<Word>>()
+        + std::mem::size_of::<(Port, Word)>();
+    let transfer_entry = std::mem::size_of::<(u64, u32, Word)>();
+    let model = (one_shard + transfer_entry) as f64;
+    assert!(
+        (model..=model * 1.1).contains(&per_port),
+        "a two-shard CONGEST run peaked at {per_port:.1} B per directed port; the per-port \
+         model is {model} B (the one-shard {one_shard} B + transfer entry {transfer_entry}), \
+         plus at most 10% for per-node state"
+    );
+}
+
 /// The O(1)-peak construction contract, byte-accounted: building a
 /// [`Topology`] from an edge stream may allocate only the final CSR
 /// arrays plus one `u32` placement cursor per node — no edge list, no

@@ -7,9 +7,7 @@
 //! labels, per-node outputs, metrics and everything needed for
 //! verification or cross-checking against the centralized reference.
 
-use congest::{
-    Driver, Engine, Metrics, Observer, PhasePlan, RoundDelta, RunLimits, Session, Termination,
-};
+use congest::{Driver, Engine, Metrics, Observer, PhasePlan, RunLimits, Session, Termination};
 use graphs::{FixedBitSet, Graph};
 
 use crate::params::NearCliqueParams;
@@ -54,15 +52,14 @@ impl RunOptions {
 }
 
 /// Collects the rounds at which quiescence barriers (phase transitions)
-/// were granted — the streaming replacement for post-run trace plumbing.
+/// were granted — the streaming replacement for post-run trace plumbing,
+/// through the [`Observer`]'s one hook.
 #[derive(Default)]
 struct BarrierTrace {
     rounds: Vec<u64>,
 }
 
 impl Observer for BarrierTrace {
-    fn on_round(&mut self, _round: u64, _delta: &RoundDelta) {}
-
     fn on_barrier(&mut self, round: u64) {
         self.rounds.push(round);
     }

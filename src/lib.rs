@@ -90,8 +90,8 @@ pub mod prelude {
     pub use baselines::{run_neighbors_neighbors, run_shingles, NearCliqueFinder, ShinglesConfig};
     pub use congest::{
         ChurnModel, ChurnPolicy, DelayModel, Driver, Engine, FaultModel, Metrics, MetricsMode,
-        Mode, Observer, PhaseBudget, PhasePlan, RoundDelta, RunLimits, RunProfile, RunReport,
-        Session, SyncModel, Termination, TraceConfig, TraceSink,
+        Mode, Observer, PhaseBudget, PhasePlan, RunLimits, RunProfile, RunReport, Session,
+        SyncModel, Termination, TraceConfig, TraceSink,
     };
     pub use graphs::{density, generators, EdgeStream, FixedBitSet, Graph, GraphBuilder};
     pub use nearclique::{
