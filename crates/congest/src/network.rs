@@ -48,13 +48,14 @@
 //! queues into its row of transfer buffers, one per receiver shard
 //! (phase A), then — after one barrier — buckets its column, the buffers
 //! addressed to it, into its receivers' inboxes and steps its nodes
-//! (phase B). Shards may outnumber nodes. Messages carry a `(destination
-//! port, intra-train index)` key that is unique within a round, so the
-//! receiver-side sort yields one canonical inbox order (port-sorted,
-//! per-port FIFO) regardless of thread count; metrics are merged with
-//! commutative aggregates and each node owns its RNG stream. Together
-//! these make runs **bit-identical** across any shard count — the
-//! contract `crates/core`'s `engine_equivalence` suite enforces.
+//! (phase B). Shards may outnumber nodes. Both paths visit sender ports
+//! in increasing order and bucket stably, so every inbox comes out in one
+//! canonical order (port-sorted, per-port FIFO) regardless of thread
+//! count, with no sort (`crate::plane`'s module docs give the argument);
+//! metrics are merged with commutative aggregates and each node owns its
+//! RNG stream. Together these make runs **bit-identical** across any
+//! shard count — the contract `crates/core`'s `engine_equivalence` suite
+//! enforces.
 //!
 //! To benchmark the plane, see `crates/bench/benches/delivery_plane.rs`
 //! (set `BENCH_JSON=BENCH_protocol.json` to append machine-readable

@@ -24,23 +24,28 @@
 //! on push (the old engine's `Outbox` paid `O(degree)` per first push on
 //! a port).
 //!
-//! # Delivery without a global sort
+//! # Delivery without a sort
 //!
 //! Messages arrive grouped by **sender** and must be consumed grouped by
 //! **receiver** — a transpose of the round's whole message volume, which
-//! for large rounds is memory-bound. Instead of sorting the full entries
-//! (a naive global sort moves every payload `O(log k)` times), each
-//! receiver shard runs a counting pass over the buffers addressed to it
-//! (a lone shard, over its own queues), prefix-sums per-node bucket
-//! offsets, places every message exactly once into a flat per-round
-//! buffer, and then sorts each node's *small* bucket by `(port, train
-//! index)` — an in-cache sort whose keys are unique, so `sort_unstable`
-//! is deterministic. Protocols step directly on the bucket slices; there
-//! are no per-node inbox vectors to fill or clear.
+//! for large rounds is memory-bound. Each receiver shard runs a counting
+//! pass over the buffers addressed to it (a lone shard, over its own
+//! queues), prefix-sums per-node bucket offsets, and places every message
+//! exactly once into a flat per-round buffer. Protocols step directly on
+//! the bucket slices; there are no per-node inbox vectors to fill or
+//! clear.
 //!
-//! This is what makes `parallel(1)` and `parallel(k)` runs bit-identical:
-//! bucket contents depend only on (receiver, port, train index), never on
-//! which shard produced a message or in which order buffers drained.
+//! The placement is stable, and its input already arrives in canonical
+//! order, so no bucket is ever sorted. Delivery visits sender slots in
+//! increasing order: a lone shard scans its active-port bitset, and a
+//! receiver shard reads its transfer buffers in sender-shard order, each
+//! filled by one such scan over a contiguous node range. A receiver's
+//! senders therefore arrive in increasing node order, and
+//! [`Topology::compile`] lists every node's neighbors in increasing order,
+//! so that is the receiver's port order; a LOCAL train leaves its port's
+//! queue in one piece, FIFO. Every bucket is thus sorted by port, FIFO
+//! within each port — for one shard or many, in CONGEST or LOCAL, which
+//! is what makes runs bit-identical across shard counts.
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -59,11 +64,11 @@ pub(crate) const CHUNK: usize = 8;
 /// Null link / "no chunk" marker.
 const NIL: u32 = u32::MAX;
 
-/// A delivery record produced by phase A: routing key plus payload. The
-/// key packs `(destination slot << 32) | intra-train index` — unique per
-/// round. The second field is the destination node (precomputed so the
-/// receiver never does a random owner lookup).
-pub(crate) type Entry<M> = (u64, u32, M);
+/// A delivery record produced by phase A: `(destination slot, destination
+/// node, payload)`. The node is precomputed so the receiver never does a
+/// random owner lookup; the order of entries carries the canonical inbox
+/// order (see the module docs).
+pub(crate) type Entry<M> = (u32, u32, M);
 
 /// Routing record for one directed port, indexed by *sender* slot.
 #[derive(Clone, Copy, Debug, Default)]
@@ -188,6 +193,7 @@ impl Topology {
         // its node's next free slot. Sorted replay hands every node its
         // neighbors in increasing order, so slot assignment — and each
         // record's back-pointing `dest_slot` — is the graph's CSR order.
+        // Delivery's unsorted inboxes rely on that order (module docs).
         let mut route = vec![Route::default(); total as usize];
         let mut cursor = vec![0u32; n];
         let mut placed: u64 = 0;
@@ -510,9 +516,9 @@ pub(crate) struct Shard<M> {
     /// Per-local-node bucket start offsets into [`Self::bucket`]
     /// (`node_hi - node_lo + 1` entries once built).
     pub starts: Vec<u32>,
-    /// The round's messages, bucketed by receiving node and sorted by
-    /// `(port, train index)` within each bucket. Protocols step directly
-    /// on these slices.
+    /// The round's messages, bucketed by receiving node, each bucket in
+    /// port order and FIFO within a port. Protocols step directly on these
+    /// slices.
     pub bucket: Vec<(Port, M)>,
     /// This round's delivery counters, merged into [`crate::Metrics`]
     /// after the parallel phases join.
@@ -577,18 +583,12 @@ impl<M: Message> Shard<M> {
                 let p = (wi * 64) as u32 + word.trailing_zeros();
                 word &= word - 1;
                 let route = topo.route[(self.port_lo + p) as usize];
-                let mut k: u64 = 0;
                 while let Some(msg) = self.queues.pop(p) {
                     self.delta.record(msg.bit_size());
-                    out[route.dest_shard as usize].push((
-                        (u64::from(route.dest_slot) << 32) | k,
-                        route.dest_node,
-                        msg,
-                    ));
+                    out[route.dest_shard as usize].push((route.dest_slot, route.dest_node, msg));
                     if congest {
                         break;
                     }
-                    k += 1;
                 }
             }
         }
@@ -602,9 +602,10 @@ impl<M: Message> Shard<M> {
     /// reading any payload (one per active port under `congest`, the
     /// whole queue length otherwise); after [`Self::layout_buckets`],
     /// pass 2 pops each message and writes it directly at its bucket
-    /// cursor. The result is identical to `drain_active` +
-    /// `bucket_incoming` — same canonical per-bucket order, same
-    /// metering — just with half the memory traffic.
+    /// cursor. Sender slots are visited in increasing order, so each
+    /// bucket comes out in canonical order (see the module docs). The
+    /// result is identical to `drain_active` + `bucket_incoming` — same
+    /// buckets, same metering — just with half the memory traffic.
     pub fn deliver_direct(&mut self, topo: &Topology, congest: bool) {
         debug_assert_eq!(self.node_lo, 0, "direct delivery requires the single-shard layout");
 
@@ -632,7 +633,6 @@ impl<M: Message> Shard<M> {
                 word &= word - 1;
                 let route = topo.route[(self.port_lo + p) as usize];
                 let port = (route.dest_slot - topo.offsets[route.dest_node as usize]) as usize;
-                let mut k: usize = 0;
                 while let Some(msg) = self.queues.pop(p) {
                     self.delta.record(msg.bit_size());
                     let local = route.dest_node as usize;
@@ -642,13 +642,10 @@ impl<M: Message> Shard<M> {
                     debug_assert!((pos as usize) < total);
                     // SAFETY: pos < total <= capacity; the prefix-summed
                     // cursors make positions distinct across the loop.
-                    unsafe {
-                        std::ptr::write(bucket_ptr.add(pos as usize), ((port << 32) | k, msg));
-                    }
+                    unsafe { std::ptr::write(bucket_ptr.add(pos as usize), (port, msg)) };
                     if congest {
                         break;
                     }
-                    k += 1;
                 }
             }
         }
@@ -656,24 +653,20 @@ impl<M: Message> Shard<M> {
         // SAFETY: all `total` positions were just initialized (`placed`
         // equals `total`: pass 2 pops exactly what pass 1 counted).
         unsafe { self.bucket.set_len(total) };
-
-        self.canonicalize_buckets();
+        debug_assert!(self.buckets_in_port_order());
     }
 
     /// Delivery phase B: buckets the round's messages addressed to this
     /// shard — `column`, its transfer cells in sender-shard order, locked
-    /// for the call — by receiving node, sorts each bucket into canonical
-    /// order, and leaves every cell empty with its capacity kept for the
-    /// next round.
+    /// for the call — by receiving node, and leaves every cell empty with
+    /// its capacity kept for the next round.
     ///
     /// Three linear passes (count, prefix-sum, place) move each payload
-    /// exactly once; the per-bucket `sort_unstable` then runs on one
-    /// node's messages at a time — small and cache-resident — with keys
-    /// `(port << 32) | train index` that are unique within a round, so
-    /// the result is deterministic regardless of shard count or buffer
-    /// drain order. After this call, node `node_lo + i`'s inbox is
-    /// `bucket[starts[i]..starts[i + 1]]` with the key field rewritten to
-    /// the plain port.
+    /// exactly once. The placement is stable and reads the cells in
+    /// sender-shard order, so each bucket keeps the canonical order the
+    /// senders' scans produced (see the module docs), whatever the shard
+    /// count. After this call, node `node_lo + i`'s inbox is
+    /// `bucket[starts[i]..starts[i + 1]]`.
     pub fn bucket_incoming<'a>(
         &mut self,
         topo: &Topology,
@@ -707,23 +700,20 @@ impl<M: Message> Shard<M> {
             for i in 0..len {
                 // SAFETY: `i` is below the pre-`set_len` length, and each
                 // element is read exactly once across the loop.
-                let (key, dest_node, msg) = unsafe { std::ptr::read(src.add(i)) };
+                let (slot, dest_node, msg) = unsafe { std::ptr::read(src.add(i)) };
                 let local = dest_node as usize - self.node_lo;
-                let slot = (key >> 32) as u32;
                 let port = (slot - topo.offsets[dest_node as usize]) as usize;
-                let packed = (port << 32) | (key as u32 as usize);
                 let pos = self.cursor[local];
                 self.cursor[local] = pos + 1;
                 debug_assert!((pos as usize) < total);
                 // SAFETY: pos < total <= capacity, and positions are
                 // distinct across the loop (see above).
-                unsafe { std::ptr::write(bucket_ptr.add(pos as usize), (packed, msg)) };
+                unsafe { std::ptr::write(bucket_ptr.add(pos as usize), (port, msg)) };
             }
         }
         // SAFETY: all `total` positions were just initialized.
         unsafe { self.bucket.set_len(total) };
-
-        self.canonicalize_buckets();
+        debug_assert!(self.buckets_in_port_order());
     }
 
     /// The bucket layout both deliveries share: prefix-sums the per-node
@@ -745,21 +735,13 @@ impl<M: Message> Shard<M> {
         self.bucket.as_mut_ptr()
     }
 
-    /// The canonical inbox order, decided here only: sorts each node's
-    /// bucket by its `(port << 32) | train index` key — unique within a
-    /// round — and strips the keys down to plain ports.
-    fn canonicalize_buckets(&mut self) {
-        const {
-            assert!(usize::BITS == 64, "bucket keys pack (port, k) into usize");
-        }
-        for i in 0..self.node_hi - self.node_lo {
-            let range = self.starts[i] as usize..self.starts[i + 1] as usize;
-            let slice = &mut self.bucket[range];
-            slice.sort_unstable_by_key(|e| e.0);
-            for e in slice {
-                e.0 >>= 32;
-            }
-        }
+    /// `true` if every bucket lists its ports in non-decreasing order:
+    /// the canonical inbox order both deliveries produce without sorting.
+    fn buckets_in_port_order(&self) -> bool {
+        self.starts.windows(2).all(|range| {
+            let bucket = &self.bucket[range[0] as usize..range[1] as usize];
+            bucket.windows(2).all(|pair| pair[0].0 <= pair[1].0)
+        })
     }
 }
 
@@ -1001,15 +983,14 @@ mod tests {
         let out = cell.into_inner().unwrap();
         assert_eq!(out.len(), 2);
         assert_eq!(s.queued(), 0);
-        // Keys: dest slot 1 on node 1, train indices 0 then 0 (separate
-        // rounds).
-        assert_eq!(out[0].0, 1u64 << 32);
+        // Both land on dest slot 1 of node 1 (in separate rounds).
+        assert_eq!(out[0].0, 1);
         assert_eq!(out[0].1, 1);
-        assert_eq!(out[1].0, 1u64 << 32);
+        assert_eq!(out[1].0, 1);
     }
 
     #[test]
-    fn buckets_order_by_port_then_train() {
+    fn buckets_keep_port_then_train_order() {
         #[derive(Clone, Debug)]
         struct N(u32);
         impl Message for N {
@@ -1022,12 +1003,10 @@ mod tests {
         let g = b.build();
         let topo = Topology::from_graph(&g, 1);
         let mut s: Shard<N> = Shard::new(0, 3, 0, 4);
-        // Deliveries to node 1 (slots 1 and 2), arriving out of order.
-        let cell = Mutex::new(vec![
-            ((2u64 << 32) | 1, 1, N(31)),
-            (1u64 << 32, 1, N(10)),
-            (2u64 << 32, 1, N(30)),
-        ]);
+        // Deliveries to node 1 (slots 1 and 2) in sender order, the only
+        // order `drain_active` produces: node 0's message, then node 2's
+        // two-message train.
+        let cell = Mutex::new(vec![(1, 1, N(10)), (2, 1, N(30)), (2, 1, N(31))]);
         s.bucket_incoming(&topo, [&cell]);
         assert_eq!(s.starts[..4], [0, 0, 3, 3]);
         let got: Vec<(usize, u32)> = s.bucket.iter().map(|(p, m)| (*p, m.0)).collect();

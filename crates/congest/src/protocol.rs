@@ -257,6 +257,12 @@ impl<M: Message> Context<'_, M> {
         self.endpoint.neighbor_ids()[port]
     }
 
+    /// Identifier of the neighbor across each port, indexed by port.
+    #[must_use]
+    pub fn neighbor_ids(&self) -> &[u64] {
+        self.endpoint.neighbor_ids()
+    }
+
     /// The port leading to neighbor `id`, if `id` is a neighbor.
     #[must_use]
     pub fn port_of(&self, id: u64) -> Option<Port> {

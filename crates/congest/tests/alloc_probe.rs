@@ -641,9 +641,10 @@ fn congest_run_holds_one_message_per_port() {
 /// The same contract on two shards: a sharded round hands each message
 /// from its sender's shard to its receiver's through exactly one
 /// transfer buffer entry, so the per-port model is the one-shard model's
-/// plus one `(key, destination node, message)` entry. Staging each
-/// round's messages in a buffer of their own on either side of the
-/// transfer buffer would add two more entries per port.
+/// plus one `(destination slot, destination node, message)` entry, 32
+/// bytes for this message. Staging each round's messages in a buffer of
+/// their own on either side of the transfer buffer would add two more
+/// entries per port.
 #[test]
 fn sharded_run_holds_one_transfer_entry_per_port() {
     let _probe = serialized();
@@ -667,7 +668,7 @@ fn sharded_run_holds_one_transfer_entry_per_port() {
         + 16
         + std::mem::size_of::<Option<Word>>()
         + std::mem::size_of::<(Port, Word)>();
-    let transfer_entry = std::mem::size_of::<(u64, u32, Word)>();
+    let transfer_entry = std::mem::size_of::<(u32, u32, Word)>();
     let model = (one_shard + transfer_entry) as f64;
     assert!(
         (model..=model * 1.1).contains(&per_port),

@@ -39,7 +39,7 @@ pub(crate) const MAX_K: u32 = 24;
 pub struct VectorConverge {
     n_coords: usize,
     sums: Vec<u32>,
-    /// `(port, next coordinate expected)` per contributor.
+    /// `(port, next coordinate expected)` per contributor, sorted by port.
     cursors: Vec<(Port, usize)>,
     /// Next coordinate to release.
     up_next: usize,
@@ -69,9 +69,11 @@ impl VectorConverge {
     ///
     /// Panics if the port is already registered or counting started.
     pub fn add_contributor(&mut self, port: Port) {
-        assert!(self.cursors.iter().all(|&(p, _)| p != port), "port {port} registered twice");
         assert_eq!(self.up_next, 1, "contributors must be added before counting starts");
-        self.cursors.push((port, 1));
+        match self.cursors.binary_search_by_key(&port, |&(p, _)| p) {
+            Ok(_) => panic!("port {port} registered twice"),
+            Err(i) => self.cursors.insert(i, (port, 1)),
+        }
     }
 
     /// Number of registered contributors.
@@ -87,11 +89,11 @@ impl VectorConverge {
     /// Panics if `port` is not a contributor or the stream is out of order
     /// (both indicate a protocol bug, not bad input).
     pub fn receive(&mut self, port: Port, x: usize, count: u32) {
-        let cursor = self
+        let i = self
             .cursors
-            .iter_mut()
-            .find(|(p, _)| *p == port)
-            .unwrap_or_else(|| panic!("count from non-contributor port {port}"));
+            .binary_search_by_key(&port, |&(p, _)| p)
+            .unwrap_or_else(|_| panic!("count from non-contributor port {port}"));
+        let cursor = &mut self.cursors[i];
         assert_eq!(cursor.1, x, "out-of-order stream from port {port}: got {x}");
         assert!(x < self.n_coords, "coordinate {x} out of range");
         self.sums[x] += count;
@@ -136,18 +138,37 @@ impl VectorConverge {
 /// An append-only stream of `(x, value)` pairs fanned out to a fixed set
 /// of destinations, advanced at most one message per destination per
 /// [`pump`](FanoutStream::pump) call (= per round).
+///
+/// Every destination starts at the first item and each pump advances
+/// them all together, so one cursor serves the whole set.
 #[derive(Clone, Debug)]
 pub struct FanoutStream {
     items: Vec<(u32, u32)>,
-    /// `(port, next item index)` per destination.
-    cursors: Vec<(Port, usize)>,
+    dests: Dests,
+    /// Next item to send, shared by every destination.
+    next: usize,
+}
+
+/// Where a [`FanoutStream`] sends.
+#[derive(Clone, Debug)]
+enum Dests {
+    /// The listed ports, in order.
+    Ports(Vec<Port>),
+    /// Every port `0..degree`.
+    All(usize),
 }
 
 impl FanoutStream {
     /// Creates a stream toward `ports`.
     #[must_use]
     pub fn new(ports: &[Port]) -> Self {
-        Self { items: Vec::new(), cursors: ports.iter().map(|&p| (p, 0)).collect() }
+        Self { items: Vec::new(), dests: Dests::Ports(ports.to_vec()), next: 0 }
+    }
+
+    /// Creates a stream toward every port `0..degree`, in port order.
+    #[must_use]
+    pub fn every_port(degree: usize) -> Self {
+        Self { items: Vec::new(), dests: Dests::All(degree), next: 0 }
     }
 
     /// Appends an item; it will be sent to every destination in order.
@@ -167,24 +188,29 @@ impl FanoutStream {
         self.items.is_empty()
     }
 
-    /// Advances every lagging destination by one item, returning the
-    /// `(port, x, value)` sends to perform this round.
-    pub fn pump(&mut self) -> Vec<(Port, u32, u32)> {
-        let mut out = Vec::new();
-        for (port, next) in &mut self.cursors {
-            if *next < self.items.len() {
-                let (x, v) = self.items[*next];
-                out.push((*port, x, v));
-                *next += 1;
-            }
+    /// Sends the next unsent item to every destination, in destination
+    /// order, as `send(port, x, value)` — this round's sends.
+    pub fn pump(&mut self, mut send: impl FnMut(Port, u32, u32)) {
+        if self.drained() {
+            return;
         }
-        out
+        let (x, v) = self.items[self.next];
+        self.next += 1;
+        match &self.dests {
+            Dests::Ports(ports) => ports.iter().for_each(|&port| send(port, x, v)),
+            Dests::All(degree) => (0..*degree).for_each(|port| send(port, x, v)),
+        }
     }
 
-    /// `true` when every destination has received every appended item.
+    /// `true` when every destination has received every appended item
+    /// (always, for a stream without destinations).
     #[must_use]
     pub fn drained(&self) -> bool {
-        self.cursors.iter().all(|&(_, next)| next >= self.items.len())
+        let no_dests = match &self.dests {
+            Dests::Ports(ports) => ports.is_empty(),
+            Dests::All(degree) => *degree == 0,
+        };
+        no_dests || self.next >= self.items.len()
     }
 }
 
@@ -307,29 +333,23 @@ impl CompView {
     }
 
     /// Fixes the roster and computes this node's adjacency mask and `K`
-    /// bits from the set of its neighbor IDs.
+    /// bits from its neighbor IDs, in any order (one per port), each
+    /// looked up in the sorted roster.
     ///
     /// # Panics
     ///
     /// Panics if the roster is larger than `MAX_K` (callers must mark
     /// such components oversized instead) or if the member count differs
     /// from the declared total.
-    pub fn fix_roster(&mut self, my_id: u64, neighbor_ids: &BTreeSet<u64>, inner_eps: f64) {
+    pub fn fix_roster(&mut self, my_id: u64, neighbor_ids: &[u64], inner_eps: f64) {
         assert_eq!(self.ids.len(), self.total as usize, "roster incomplete at fix time");
         self.members = self.ids.iter().copied().collect();
         let k = self.members.len();
         assert!(k as u32 <= MAX_K, "roster of size {k} exceeds MAX_K; must be marked oversized");
 
-        self.my_adj_mask = 0;
-        self.my_member_bit = 0;
-        for (i, &m) in self.members.iter().enumerate() {
-            if neighbor_ids.contains(&m) {
-                self.my_adj_mask |= 1 << i;
-            }
-            if m == my_id {
-                self.my_member_bit = 1 << i;
-            }
-        }
+        let bit = |id: &u64| self.members.binary_search(id).map_or(0, |i| 1 << i);
+        self.my_adj_mask = neighbor_ids.iter().fold(0, |mask, id| mask | bit(id));
+        self.my_member_bit = bit(&my_id);
         debug_assert_eq!(self.is_member, self.my_member_bit != 0);
 
         let n_coords = self.n_coords();
@@ -393,8 +413,10 @@ mod tests {
     fn converge_waits_for_all_contributors() {
         let own = vec![false, true, true, false];
         let mut c = VectorConverge::new(4, &own);
-        c.add_contributor(0);
+        // Out of port order, as `enter_k_converge` registers them: an
+        // adopted child first, then an attacher.
         c.add_contributor(2);
+        c.add_contributor(0);
         assert!(!c.ready());
         c.receive(0, 1, 5);
         assert!(!c.ready(), "port 2 has not delivered coordinate 1");
@@ -427,6 +449,12 @@ mod tests {
         c.receive(3, 1, 0);
     }
 
+    fn pumped(f: &mut FanoutStream) -> Vec<(Port, u32, u32)> {
+        let mut sent = Vec::new();
+        f.pump(|port, x, value| sent.push((port, x, value)));
+        sent
+    }
+
     #[test]
     fn fanout_pumps_one_per_destination() {
         let mut f = FanoutStream::new(&[0, 3]);
@@ -434,31 +462,43 @@ mod tests {
         f.push(1, 10);
         f.push(2, 20);
         assert_eq!(f.len(), 2);
-        let round1 = f.pump();
-        assert_eq!(round1, vec![(0, 1, 10), (3, 1, 10)]);
-        let round2 = f.pump();
-        assert_eq!(round2, vec![(0, 2, 20), (3, 2, 20)]);
+        assert_eq!(pumped(&mut f), vec![(0, 1, 10), (3, 1, 10)]);
+        assert_eq!(pumped(&mut f), vec![(0, 2, 20), (3, 2, 20)]);
         assert!(f.drained());
-        assert!(f.pump().is_empty());
+        assert!(pumped(&mut f).is_empty());
         // Late append restarts pumping.
         f.push(3, 30);
         assert!(!f.drained());
-        assert_eq!(f.pump(), vec![(0, 3, 30), (3, 3, 30)]);
+        assert_eq!(pumped(&mut f), vec![(0, 3, 30), (3, 3, 30)]);
+
+        // Every port of a degree-3 node, in port order.
+        let mut all = FanoutStream::every_port(3);
+        all.push(5, 50);
+        assert!(!all.drained());
+        assert_eq!(pumped(&mut all), vec![(0, 5, 50), (1, 5, 50), (2, 5, 50)]);
+        assert!(all.drained() && pumped(&mut all).is_empty());
+
+        // No destinations: nothing to send, so never behind.
+        for mut none in [FanoutStream::new(&[]), FanoutStream::every_port(0)] {
+            none.push(1, 10);
+            assert!(none.drained());
+            assert!(pumped(&mut none).is_empty());
+        }
     }
 
     fn view_with_roster(members: &[u64], me: u64, neighbors: &[u64]) -> CompView {
         let mut v = CompView::new(0, members[0], members.contains(&me));
         v.total = members.len() as u32;
         v.ids = members.iter().copied().collect();
-        let nb: BTreeSet<u64> = neighbors.iter().copied().collect();
-        v.fix_roster(me, &nb, 0.08);
+        v.fix_roster(me, neighbors, 0.08);
         v
     }
 
     #[test]
     fn fix_roster_masks() {
-        // Members 10 < 20 < 30; I am 20, adjacent to 10 and 30.
-        let v = view_with_roster(&[10, 20, 30], 20, &[10, 30, 99]);
+        // Members 10 < 20 < 30; I am 20, adjacent to 10 and 30. Under
+        // hashed IDs port order is not ID order.
+        let v = view_with_roster(&[10, 20, 30], 20, &[99, 30, 10]);
         assert_eq!(v.k(), 3);
         assert_eq!(v.my_member_bit, 0b010);
         assert_eq!(v.my_adj_mask, 0b101);
@@ -472,7 +512,7 @@ mod tests {
     #[test]
     fn fix_roster_nonmember() {
         // I am 99, adjacent to members 10, 30 but not 20.
-        let v = view_with_roster(&[10, 20, 30], 99, &[10, 30]);
+        let v = view_with_roster(&[10, 20, 30], 99, &[30, 10]);
         assert_eq!(v.my_member_bit, 0);
         assert_eq!(v.my_adj_mask, 0b101);
         // X = all three: 2 of 3 neighbors; threshold(3, .08) = 3 -> out.
@@ -512,6 +552,6 @@ mod tests {
         let mut v = CompView::new(0, 10, false);
         v.total = 3;
         v.ids.insert(10);
-        v.fix_roster(99, &BTreeSet::new(), 0.08);
+        v.fix_roster(99, &[], 0.08);
     }
 }

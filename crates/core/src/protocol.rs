@@ -32,7 +32,6 @@
 //!   `T_ε(∅)` would require global knowledge and is never the sample of a
 //!   near-clique).
 
-use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
 use congest::{Context, Port, Protocol, Round};
@@ -123,11 +122,10 @@ pub struct DistNearClique {
     comp_share_cursors: Vec<usize>,
 
     // --- cross-version state ---
-    /// Views of every component this node participates in, keyed by
-    /// `(version, root)`.
-    views: BTreeMap<(u8, u64), CompView>,
-    /// Neighbor IDs as a set (adjacency tests against rosters).
-    neighbor_id_set: BTreeSet<u64>,
+    /// Views of every component this node participates in, sorted by
+    /// `(version, root)`. Views that send in the same round queue on
+    /// each port in this order.
+    views: Vec<CompView>,
     /// Adopted label with its score, for best-of conflict resolution.
     label: Option<(u32, u64)>,
     oversized_seen: bool,
@@ -168,8 +166,7 @@ impl DistNearClique {
             adopt_children: Vec::new(),
             comp_share_list: Vec::new(),
             comp_share_cursors: Vec::new(),
-            views: BTreeMap::new(),
-            neighbor_id_set: BTreeSet::new(),
+            views: Vec::new(),
             label: None,
             oversized_seen: false,
             my_id: 0,
@@ -284,7 +281,10 @@ impl DistNearClique {
         if view.oversized {
             self.oversized_seen = true;
         }
-        self.views.insert((self.version, root), view);
+        match view_index(&self.views, self.version, root) {
+            Ok(i) => self.views[i] = view,
+            Err(i) => self.views.insert(i, view),
+        }
 
         self.comp_share_list = self.roster_set.iter().copied().collect();
         self.comp_share_cursors = vec![0; ctx.degree()];
@@ -298,11 +298,11 @@ impl DistNearClique {
         let version = self.version;
         let my_id = self.my_id;
         let adopt_children = std::mem::take(&mut self.adopt_children);
-        for ((v, _root), view) in self.views.iter_mut() {
-            if *v != version || view.oversized {
+        for view in &mut self.views {
+            if view.version != version || view.oversized {
                 continue;
             }
-            view.fix_roster(my_id, &self.neighbor_id_set, inner_eps);
+            view.fix_roster(my_id, ctx.neighbor_ids(), inner_eps);
             if view.is_member {
                 let mut converge = VectorConverge::new(view.n_coords(), &view.k_bits);
                 for &child in &adopt_children {
@@ -325,12 +325,11 @@ impl DistNearClique {
         self.record_phase(ctx.round());
         let version = self.version;
         let degree = ctx.degree();
-        for ((v, _), view) in self.views.iter_mut() {
-            if *v != version || view.oversized {
+        for view in &mut self.views {
+            if view.version != version || view.oversized {
                 continue;
             }
-            let all_ports: Vec<Port> = (0..degree).collect();
-            view.member_stream = Some(FanoutStream::new(&all_ports));
+            view.member_stream = Some(FanoutStream::every_port(degree));
             if view.is_member {
                 view.down = Some(FanoutStream::new(&view.contributors));
                 if view.parent_port.is_none() {
@@ -355,8 +354,8 @@ impl DistNearClique {
         self.record_phase(ctx.round());
         let epsilon = self.params.epsilon;
         let version = self.version;
-        for ((v, _), view) in self.views.iter_mut() {
-            if *v != version || view.oversized {
+        for view in &mut self.views {
+            if view.version != version || view.oversized {
                 continue;
             }
             view.compute_t_bits(epsilon);
@@ -377,8 +376,8 @@ impl DistNearClique {
         self.entry_round = ctx.round();
         self.record_phase(ctx.round());
         let version = self.version;
-        for ((v, _), view) in self.views.iter_mut() {
-            if *v != version || view.oversized {
+        for view in &mut self.views {
+            if view.version != version || view.oversized {
                 continue;
             }
             if view.is_member && view.parent_port.is_none() {
@@ -416,26 +415,25 @@ impl DistNearClique {
         let best = self
             .views
             .iter()
-            .filter(|(_, view)| !view.oversized && view.candidate.is_some())
-            .map(|(&(v, root), view)| (view.candidate.expect("filtered").size, root, v))
+            .filter(|view| !view.oversized && view.candidate.is_some())
+            .map(|view| (view.candidate.expect("filtered").size, view.root, view.version))
             .max();
-        let version_keys: Vec<(u8, u64)> = self.views.keys().copied().collect();
-        for key in version_keys {
-            let view = self.views.get_mut(&key).expect("key enumerated");
+        for view in &mut self.views {
             if view.oversized || view.candidate.is_none() {
                 view.vote_done = true;
                 continue;
             }
             let cand = view.candidate.expect("checked");
-            let me = (cand.size, key.1, key.0);
+            let me = (cand.size, view.root, view.version);
             let my_abort = best != Some(me);
             if view.is_member {
                 view.abort_acc |= my_abort;
                 // Own vote is folded in; child votes arrive in `step`.
-                Self::try_send_vote(view, key, ctx);
+                Self::try_send_vote(view, ctx);
             } else {
                 let parent = view.parent_port.expect("non-member has parent");
-                ctx.send(parent, Msg::Vote { version: key.0, root: key.1, abort: my_abort });
+                let (version, root) = (view.version, view.root);
+                ctx.send(parent, Msg::Vote { version, root, abort: my_abort });
                 view.vote_done = true;
             }
         }
@@ -443,13 +441,14 @@ impl DistNearClique {
 
     /// Sends the aggregated vote up once all contributor votes arrived.
     /// At the root, "sending" means recording the final verdict.
-    fn try_send_vote(view: &mut CompView, key: (u8, u64), ctx: &mut Context<'_, Msg>) {
+    fn try_send_vote(view: &mut CompView, ctx: &mut Context<'_, Msg>) {
         if view.vote_done || view.votes_received < view.contributors.len() {
             return;
         }
         view.vote_done = true;
         if let Some(parent) = view.parent_port {
-            ctx.send(parent, Msg::Vote { version: key.0, root: key.1, abort: view.abort_acc });
+            let (version, root) = (view.version, view.root);
+            ctx.send(parent, Msg::Vote { version, root, abort: view.abort_acc });
         }
         // Root: `abort_acc` now holds the component's verdict.
     }
@@ -459,9 +458,7 @@ impl DistNearClique {
         self.entry_round = ctx.round();
         self.record_phase(ctx.round());
         let min_size = self.params.min_candidate_size.unwrap_or(1);
-        let keys: Vec<(u8, u64)> = self.views.keys().copied().collect();
-        for key in keys {
-            let view = self.views.get_mut(&key).expect("key enumerated");
+        for view in &self.views {
             let is_surviving_root =
                 view.is_member && view.parent_port.is_none() && !view.oversized && !view.abort_acc;
             if !is_surviving_root {
@@ -472,10 +469,10 @@ impl DistNearClique {
                 continue;
             }
             for &port in &view.contributors {
-                ctx.send(port, Msg::Winner { version: key.0, root: key.1 });
+                ctx.send(port, Msg::Winner { version: view.version, root: view.root });
             }
             if cand.my_t_bit {
-                Self::adopt_label(&mut self.label, cand.size, key.1);
+                Self::adopt_label(&mut self.label, cand.size, view.root);
             }
         }
     }
@@ -538,18 +535,20 @@ impl DistNearClique {
                 }
                 Msg::CompShare { version, root, id, total } => {
                     debug_assert_eq!(*version, self.version);
-                    let key = (*version, *root);
-                    if let Some(view) = self.views.get(&key) {
-                        if view.is_member {
+                    let i = match view_index(&self.views, *version, *root) {
+                        Ok(i) if self.views[i].is_member => {
                             continue; // echo of our own component's roster
                         }
-                    }
+                        Ok(i) => i,
+                        Err(i) => {
+                            let mut v = CompView::new(*version, *root, false);
+                            v.parent_port = Some(*port);
+                            self.views.insert(i, v);
+                            i
+                        }
+                    };
                     let cap = self.cap();
-                    let view = self.views.entry(key).or_insert_with(|| {
-                        let mut v = CompView::new(*version, *root, false);
-                        v.parent_port = Some(*port);
-                        v
-                    });
+                    let view = &mut self.views[i];
                     view.total = *total;
                     view.ids.insert(*id);
                     if *total > cap {
@@ -580,13 +579,14 @@ impl DistNearClique {
                 Msg::Attach { version: v, root } => {
                     debug_assert_eq!(*v, version);
                     let view =
-                        self.views.get_mut(&(*v, *root)).expect("attach to a non-member view");
+                        view_mut(&mut self.views, *v, *root).expect("attach to a non-member view");
                     debug_assert!(view.is_member, "attach must target a member");
                     view.contributors.push(*port);
                     view.k_converge.as_mut().expect("member has converge").add_contributor(*port);
                 }
                 Msg::KCount { version: v, root, x, count } => {
-                    let view = self.views.get_mut(&(*v, *root)).expect("count for unknown view");
+                    let view =
+                        view_mut(&mut self.views, *v, *root).expect("count for unknown view");
                     view.k_converge.as_mut().expect("member has converge").receive(
                         *port,
                         *x as usize,
@@ -598,10 +598,11 @@ impl DistNearClique {
         }
         // Lock contributor sets after the attach round has been processed.
         let locked_now = ctx.round() > self.entry_round;
-        for ((v, root), view) in self.views.iter_mut() {
-            if *v != version || view.oversized {
+        for view in &mut self.views {
+            if view.version != version || view.oversized {
                 continue;
             }
+            let root = view.root;
             if view.is_member {
                 if locked_now {
                     view.locked = true;
@@ -612,7 +613,7 @@ impl DistNearClique {
                         if let Some((x, sum)) = converge.next_ready() {
                             ctx.send(
                                 parent,
-                                Msg::KCount { version, root: *root, x: x as u32, count: sum },
+                                Msg::KCount { version, root, x: x as u32, count: sum },
                             );
                         }
                     }
@@ -623,12 +624,7 @@ impl DistNearClique {
                 let parent = view.parent_port.expect("non-member has parent");
                 ctx.send(
                     parent,
-                    Msg::KCount {
-                        version,
-                        root: *root,
-                        x: x as u32,
-                        count: u32::from(view.k_bits[x]),
-                    },
+                    Msg::KCount { version, root, x: x as u32, count: u32::from(view.k_bits[x]) },
                 );
             }
         }
@@ -638,7 +634,8 @@ impl DistNearClique {
         for (_port, msg) in inbox {
             match msg {
                 Msg::KSize { version, root, x, size } => {
-                    let view = self.views.get_mut(&(*version, *root)).expect("ksize unknown view");
+                    let view =
+                        view_mut(&mut self.views, *version, *root).expect("ksize unknown view");
                     let x = *x as usize;
                     view.k_sizes[x] = *size;
                     if view.is_member {
@@ -655,7 +652,7 @@ impl DistNearClique {
                     // Count the announcement if we participate in that
                     // component; ignore otherwise (we cannot be in any
                     // T_ε(X) of a component we are not adjacent to).
-                    if let Some(view) = self.views.get_mut(&(*version, *root)) {
+                    if let Some(view) = view_mut(&mut self.views, *version, *root) {
                         if !view.oversized {
                             let x = *x as usize;
                             view.kmember_counts[x] += 1;
@@ -667,19 +664,16 @@ impl DistNearClique {
             }
         }
         let version = self.version;
-        for ((v, root), view) in self.views.iter_mut() {
-            if *v != version || view.oversized {
+        for view in &mut self.views {
+            if view.version != version || view.oversized {
                 continue;
             }
+            let root = view.root;
             if let Some(down) = view.down.as_mut() {
-                for (port, x, size) in down.pump() {
-                    ctx.send(port, Msg::KSize { version, root: *root, x, size });
-                }
+                down.pump(|port, x, size| ctx.send(port, Msg::KSize { version, root, x, size }));
             }
             if let Some(ms) = view.member_stream.as_mut() {
-                for (port, x, size) in ms.pump() {
-                    ctx.send(port, Msg::KMember { version, root: *root, x, size });
-                }
+                ms.pump(|port, x, size| ctx.send(port, Msg::KMember { version, root, x, size }));
             }
         }
     }
@@ -689,7 +683,7 @@ impl DistNearClique {
         for (port, msg) in inbox {
             match msg {
                 Msg::TCount { version: v, root, x, count } => {
-                    let view = self.views.get_mut(&(*v, *root)).expect("tcount unknown view");
+                    let view = view_mut(&mut self.views, *v, *root).expect("tcount unknown view");
                     view.t_converge.as_mut().expect("member has t-converge").receive(
                         *port,
                         *x as usize,
@@ -699,18 +693,16 @@ impl DistNearClique {
                 other => panic!("unexpected message in TConverge: {other:?}"),
             }
         }
-        for ((v, root), view) in self.views.iter_mut() {
-            if *v != version || view.oversized {
+        for view in &mut self.views {
+            if view.version != version || view.oversized {
                 continue;
             }
+            let root = view.root;
             if view.is_member {
                 if let Some(parent) = view.parent_port {
                     let converge = view.t_converge.as_mut().expect("member has t-converge");
                     if let Some((x, sum)) = converge.next_ready() {
-                        ctx.send(
-                            parent,
-                            Msg::TCount { version, root: *root, x: x as u32, count: sum },
-                        );
+                        ctx.send(parent, Msg::TCount { version, root, x: x as u32, count: sum });
                     }
                 }
             } else if view.t_up_next < view.n_coords() {
@@ -719,12 +711,7 @@ impl DistNearClique {
                 let parent = view.parent_port.expect("non-member has parent");
                 ctx.send(
                     parent,
-                    Msg::TCount {
-                        version,
-                        root: *root,
-                        x: x as u32,
-                        count: u32::from(view.t_bits[x]),
-                    },
+                    Msg::TCount { version, root, x: x as u32, count: u32::from(view.t_bits[x]) },
                 );
             }
         }
@@ -735,7 +722,7 @@ impl DistNearClique {
             match msg {
                 Msg::Candidate { version, root, x, size } => {
                     let view =
-                        self.views.get_mut(&(*version, *root)).expect("candidate unknown view");
+                        view_mut(&mut self.views, *version, *root).expect("candidate unknown view");
                     let x_us = *x as usize;
                     let my_t_bit = view.t_bits.get(x_us).copied().unwrap_or(false);
                     view.candidate = Some(CandidateInfo { x: *x, size: *size, my_t_bit });
@@ -763,12 +750,12 @@ impl DistNearClique {
         for (_port, msg) in inbox {
             match msg {
                 Msg::Vote { version, root, abort } => {
-                    let key = (*version, *root);
-                    let view = self.views.get_mut(&key).expect("vote for unknown view");
+                    let view =
+                        view_mut(&mut self.views, *version, *root).expect("vote for unknown view");
                     debug_assert!(view.is_member, "votes route to members only");
                     view.votes_received += 1;
                     view.abort_acc |= *abort;
-                    Self::try_send_vote(view, key, ctx);
+                    Self::try_send_vote(view, ctx);
                 }
                 other => panic!("unexpected message in Vote: {other:?}"),
             }
@@ -779,7 +766,7 @@ impl DistNearClique {
         for (_port, msg) in inbox {
             match msg {
                 Msg::Winner { version, root } => {
-                    let view = self.views.get_mut(&(*version, *root)).expect("winner unknown");
+                    let view = view_mut(&mut self.views, *version, *root).expect("winner unknown");
                     let cand = view.candidate.expect("winner implies candidate");
                     if cand.my_t_bit {
                         Self::adopt_label(&mut self.label, cand.size, *root);
@@ -796,13 +783,24 @@ impl DistNearClique {
     }
 }
 
+/// Where view `(version, root)` sits in `views` (sorted by that key), or
+/// where inserting it keeps them sorted.
+fn view_index(views: &[CompView], version: u8, root: u64) -> Result<usize, usize> {
+    views.binary_search_by_key(&(version, root), |view| (view.version, view.root))
+}
+
+/// View `(version, root)`, if this node participates in it.
+fn view_mut(views: &mut [CompView], version: u8, root: u64) -> Option<&mut CompView> {
+    let i = view_index(views, version, root).ok()?;
+    Some(&mut views[i])
+}
+
 impl Protocol for DistNearClique {
     type Msg = Msg;
     type Output = NodeOutput;
 
     fn init(&mut self, ctx: &mut Context<'_, Msg>) {
         self.my_id = ctx.id();
-        self.neighbor_id_set = (0..ctx.degree()).map(|p| ctx.neighbor_id(p)).collect();
         self.enter_announce(ctx);
     }
 
@@ -832,8 +830,8 @@ impl Protocol for DistNearClique {
                 !self.in_s()
                     || self.comp_share_cursors.iter().all(|&c| c >= self.comp_share_list.len())
             }
-            Phase::KConverge => self.views.iter().all(|((v, _), view)| {
-                *v != version || view.oversized || {
+            Phase::KConverge => self.views.iter().all(|view| {
+                view.version != version || view.oversized || {
                     if view.is_member {
                         view.locked
                             && (view.parent_port.is_none()
@@ -843,14 +841,14 @@ impl Protocol for DistNearClique {
                     }
                 }
             }),
-            Phase::KBroadcast => self.views.iter().all(|((v, _), view)| {
-                *v != version || view.oversized || {
+            Phase::KBroadcast => self.views.iter().all(|view| {
+                view.version != version || view.oversized || {
                     view.down.as_ref().is_none_or(FanoutStream::drained)
                         && view.member_stream.as_ref().is_none_or(FanoutStream::drained)
                 }
             }),
-            Phase::TConverge => self.views.iter().all(|((v, _), view)| {
-                *v != version || view.oversized || {
+            Phase::TConverge => self.views.iter().all(|view| {
+                view.version != version || view.oversized || {
                     if view.is_member {
                         view.parent_port.is_none()
                             || !view.t_converge.as_ref().expect("member").ready()
@@ -859,7 +857,7 @@ impl Protocol for DistNearClique {
                     }
                 }
             }),
-            Phase::Vote => self.views.values().all(|view| view.vote_done),
+            Phase::Vote => self.views.iter().all(|view| view.vote_done),
         }
     }
 
