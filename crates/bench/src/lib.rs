@@ -10,10 +10,12 @@
 //! * One experiment: `cargo run --release -p bench --bin experiments -- e4`
 //! * Full trial counts: add `--full` (the default is `--quick`).
 //!
-//! Criterion wall-clock benches (`cargo bench`) cover the runtime cost of
-//! the simulator, the protocol, and the baseline algorithms; the science
-//! lives in the `experiments` binary, whose outputs are recorded in
-//! EXPERIMENTS.md.
+//! Criterion wall-clock benches (`cargo bench -p bench`) time the
+//! protocol, the substrate kernels, the ablations and the baseline
+//! algorithms. The engines' benchmark of record is `perfbench/` (see
+//! `BENCHMARK.json`), which runs the paper's algorithm end to end on
+//! every engine and checks each run. The science lives in the
+//! `experiments` binary, whose outputs are recorded in EXPERIMENTS.md.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

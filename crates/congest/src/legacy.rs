@@ -4,21 +4,17 @@
 //! [`LegacyNetwork`] keeps the original data layout — a pointer-chasing
 //! `Vec<Vec<(usize, usize)>>` link table, one heap-allocated `VecDeque`
 //! per port inside a node-owned [`Outbox`], and fresh `deliveries` /
-//! `ports` vectors every round. It exists for two reasons:
-//!
-//! 1. **Equivalence**: `crates/core`'s `engine_equivalence` suite pins the
-//!    flat plane (`Engine::Flat`) to this engine bit-for-bit — same
-//!    labels, same metrics, same termination — on every workload family.
-//! 2. **Benchmarking**: `crates/bench/benches/delivery_plane.rs` measures
-//!    the old→new speedup against it (the `BENCH_protocol.json`
-//!    before/after trail).
+//! `ports` vectors every round. It exists for one reason, **equivalence**:
+//! `crates/core`'s `engine_equivalence` and `session_determinism` suites
+//! pin the flat plane (`Engine::Flat`) to this engine bit-for-bit — same
+//! labels, same metrics, same termination — on every workload family.
 //!
 //! It is sequential-only and not optimized — by design. Do not grow it.
 //!
 //! **Status: demoted to a test-only fixture.** This module compiles only
 //! with congest's `legacy-engine` cargo feature (default-off), which the
-//! equivalence suites in `crates/core/tests/` and the `delivery_plane`
-//! bench enable through their dev-dependencies; without it,
+//! equivalence suites in `crates/core/tests/` enable through core's
+//! dev-dependencies; without it,
 //! [`Engine::Legacy`](crate::Engine::Legacy) panics with a pointer at
 //! the flat plane. New capabilities land elsewhere: scheduling work
 //! (delay models, phase plans, synchronizers) belongs in `crate::sched`

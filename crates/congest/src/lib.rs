@@ -24,7 +24,7 @@
 //! |---|---|---|---|
 //! | [`Engine::Flat`] | synchronous rounds | the zero-allocation flat plane, sharded over threads | graph or edge stream |
 //! | [`Engine::Legacy`] | synchronous rounds | the preserved seed engine (test-only fixture, behind the `legacy-engine` feature) | graph |
-//! | [`Engine::Async`] | event-driven, pluggable synchronizer | flat-plane queues + [`EventWheel`] event plane + [`DelayModel`]s + [`SyncModel`]s | graph or edge stream |
+//! | [`Engine::Async`] | event-driven, pluggable synchronizer | flat-plane queues + timing-wheel event plane + [`DelayModel`]s + [`SyncModel`]s | graph or edge stream |
 //!
 //! The engines themselves are crate-private: [`Session`] is the only way
 //! to build one, and [`SessionDriver`] (through the [`Driver`] trait) the
@@ -152,8 +152,7 @@ pub use obs::{
 pub use plane::Topology;
 pub use protocol::{Context, Endpoint, Port, Protocol, Round};
 pub use sched::{
-    ChurnModel, ChurnPolicy, DelayModel, EventWheel, FaultModel, PhaseBudget, PhasePlan, SyncModel,
-    TraceHandle,
+    ChurnModel, ChurnPolicy, DelayModel, FaultModel, PhaseBudget, PhasePlan, SyncModel, TraceHandle,
 };
 pub use session::{
     Driver, Engine, Observer, RunLimits, RunReport, Session, SessionDriver, SyncOverhead,

@@ -57,9 +57,8 @@
 //! shard count — the contract `crates/core`'s `engine_equivalence` suite
 //! enforces.
 //!
-//! To benchmark the plane, see `crates/bench/benches/delivery_plane.rs`
-//! (set `BENCH_JSON=BENCH_protocol.json` to append machine-readable
-//! records).
+//! The plane's benchmark is `perfbench/` (workloads in `BENCHMARK.json`):
+//! `nc_flat_5k` runs it on one shard and `gossip_stream_1m` on two.
 
 use std::sync::{Arc, Barrier, Mutex};
 
@@ -67,7 +66,7 @@ use rand::rngs::StdRng;
 
 use crate::metrics::Metrics;
 use crate::obs::{emit, MetricsMode, RunProfile, SinkSlot, TraceConfig, TraceEvent, TraceSink};
-use crate::plane::{Entry, Shard, Topology};
+use crate::plane::{Shard, Topology, TransferCell};
 use crate::protocol::{Context, Endpoint, OutboxHandle, Protocol, Round};
 use crate::rng::{node_rng, splitmix64};
 use crate::session::{Driver, Observer, RunLimits, RunReport, Source, SyncOverhead, Termination};
@@ -141,7 +140,7 @@ pub(crate) struct Network<P: Protocol> {
     /// index `s * shards + t`: phase A fills row `s`, phase B empties
     /// column `t`. The barrier between the phases keeps every lock
     /// uncontended.
-    transfer: Vec<Mutex<Vec<Entry<P::Msg>>>>,
+    transfer: Vec<TransferCell<P::Msg>>,
     topo: Topology,
     /// Nodes per shard.
     chunk: usize,
@@ -232,7 +231,8 @@ impl<P: Protocol> Network<P> {
                 Shard::new(lo, hi, topo.offsets[lo], topo.offsets[hi])
             })
             .collect();
-        let transfer = (0..s_count * s_count).map(|_| Mutex::new(Vec::new())).collect();
+        let transfer =
+            (0..s_count * s_count).map(|_| TransferCell(Mutex::new(Vec::new()))).collect();
         Network {
             mode,
             endpoints,

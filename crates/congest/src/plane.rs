@@ -488,10 +488,19 @@ impl RoundDelta {
     }
 }
 
-/// Locks one transfer cell. A round's two phases never contend for a
-/// cell, so this fails only if another shard's thread panicked.
-fn lock<M>(cell: &Mutex<Vec<Entry<M>>>) -> MutexGuard<'_, Vec<Entry<M>>> {
-    cell.lock().expect("transfer cell lock")
+/// The buffer one sender shard fills for one receiver shard. Two shards'
+/// threads write neighboring cells in the same phase, so each cell owns
+/// a 128-byte pair of cache lines: a shared line, or one the adjacent-line
+/// prefetcher pulls in, would bounce between their cores (false sharing).
+#[repr(align(128))]
+pub(crate) struct TransferCell<M>(pub Mutex<Vec<Entry<M>>>);
+
+impl<M> TransferCell<M> {
+    /// Locks the cell. A round's two phases never contend for a cell, so
+    /// this fails only if another shard's thread panicked.
+    fn lock(&self) -> MutexGuard<'_, Vec<Entry<M>>> {
+        self.0.lock().expect("transfer cell lock")
+    }
 }
 
 /// The message-plane state owned by one worker: the outgoing queues of a
@@ -499,8 +508,11 @@ fn lock<M>(cell: &Mutex<Vec<Entry<M>>>) -> MutexGuard<'_, Vec<Entry<M>>> {
 /// round hands messages between shards through the network's transfer
 /// cells, one per (sender shard, receiver shard) pair:
 /// [`Shard::drain_active`] fills its row of them, and
-/// [`Shard::bucket_incoming`] empties its column.
+/// [`Shard::bucket_incoming`] empties its column. Each shard's thread
+/// writes its own shard's counters and queue headers per message, so a
+/// shard owns its cache lines as a [`TransferCell`] does.
 #[derive(Debug)]
+#[repr(align(128))]
 pub(crate) struct Shard<M> {
     /// First node of the range.
     pub node_lo: usize,
@@ -569,11 +581,11 @@ impl<M: Message> Shard<M> {
         &mut self,
         topo: &Topology,
         congest: bool,
-        row: impl IntoIterator<Item = &'a Mutex<Vec<Entry<M>>>>,
+        row: impl IntoIterator<Item = &'a TransferCell<M>>,
     ) where
         M: 'a,
     {
-        let mut out: Vec<_> = row.into_iter().map(lock).collect();
+        let mut out: Vec<_> = row.into_iter().map(TransferCell::lock).collect();
         for wi in 0..self.queues.active.len() {
             // Pops may clear bits of the word being scanned; the snapshot
             // is taken before any pop of this word, so each active port is
@@ -670,11 +682,11 @@ impl<M: Message> Shard<M> {
     pub fn bucket_incoming<'a>(
         &mut self,
         topo: &Topology,
-        column: impl IntoIterator<Item = &'a Mutex<Vec<Entry<M>>>>,
+        column: impl IntoIterator<Item = &'a TransferCell<M>>,
     ) where
         M: 'a,
     {
-        let mut incoming: Vec<_> = column.into_iter().map(lock).collect();
+        let mut incoming: Vec<_> = column.into_iter().map(TransferCell::lock).collect();
         let node_count = self.node_hi - self.node_lo;
         self.cursor[..node_count].fill(0);
         let mut total = 0usize;
@@ -973,14 +985,14 @@ mod tests {
         let g = b.build();
         let topo = Topology::from_graph(&g, 1);
         let mut s: Shard<Ping> = Shard::new(0, 2, 0, 2);
-        let cell = Mutex::new(Vec::new());
+        let cell = TransferCell(Mutex::new(Vec::new()));
         s.push(0, Ping);
         s.push(0, Ping);
         s.drain_active(&topo, true, [&cell]);
-        assert_eq!(cell.lock().unwrap().len(), 1);
+        assert_eq!(cell.lock().len(), 1);
         assert_eq!(s.queued(), 1);
         s.drain_active(&topo, false, [&cell]);
-        let out = cell.into_inner().unwrap();
+        let out = cell.0.into_inner().unwrap();
         assert_eq!(out.len(), 2);
         assert_eq!(s.queued(), 0);
         // Both land on dest slot 1 of node 1 (in separate rounds).
@@ -1006,11 +1018,20 @@ mod tests {
         // Deliveries to node 1 (slots 1 and 2) in sender order, the only
         // order `drain_active` produces: node 0's message, then node 2's
         // two-message train.
-        let cell = Mutex::new(vec![(1, 1, N(10)), (2, 1, N(30)), (2, 1, N(31))]);
+        let cell = TransferCell(Mutex::new(vec![(1, 1, N(10)), (2, 1, N(30)), (2, 1, N(31))]));
         s.bucket_incoming(&topo, [&cell]);
         assert_eq!(s.starts[..4], [0, 0, 3, 3]);
         let got: Vec<(usize, u32)> = s.bucket.iter().map(|(p, m)| (*p, m.0)).collect();
         assert_eq!(got, vec![(0, 10), (1, 30), (1, 31)]);
-        assert!(cell.lock().unwrap().is_empty(), "incoming buffer drained");
+        assert!(cell.lock().is_empty(), "incoming buffer drained");
+    }
+
+    /// Shards and transfer cells are written per message by different
+    /// threads in the same phase; each must start on its own 128-byte
+    /// pair of cache lines, or a two-shard round runs slower than one.
+    #[test]
+    fn shards_and_transfer_cells_own_their_cache_lines() {
+        assert!(std::mem::align_of::<Shard<Ping>>() >= 128);
+        assert!(std::mem::align_of::<TransferCell<Ping>>() >= 128);
     }
 }

@@ -69,16 +69,16 @@
 //! pin.
 //!
 //! The subsystem also owns the executor's event plane: the bounded
-//! delays every model guarantees are what make the [`EventWheel`] —
-//! the O(1), zero-steady-state-allocation replacement for the engine's
-//! old delay heap — correct (see [`wheel`]).
+//! delays every model guarantees are what make its crate-private timing
+//! wheel — the O(1), zero-steady-state-allocation replacement for the
+//! engine's old delay heap — correct.
 
 pub mod churn;
 mod delay;
 pub mod fault;
 mod phase;
 pub mod sync;
-pub mod wheel;
+mod wheel;
 
 pub(crate) use churn::ChurnPlane;
 pub use churn::{ChurnModel, ChurnPolicy};
@@ -88,4 +88,4 @@ pub use fault::FaultModel;
 pub(crate) use fault::FaultPlane;
 pub use phase::{PhaseBudget, PhasePlan};
 pub use sync::SyncModel;
-pub use wheel::EventWheel;
+pub(crate) use wheel::EventWheel;

@@ -100,13 +100,13 @@ pub enum SyncModel {
     /// one envelope regardless of how many idle ports it covers — the
     /// model is a posted announcement all neighbors observe (a
     /// broadcast/wave primitive), so `control_messages` compares α's
-    /// per-edge messages against per-node announcements; the wall-clock
-    /// columns in `BENCH_protocol.json` are the unit-free check. And
-    /// because the simulator resolves wave bookkeeping eagerly (no wheel
-    /// event per idle edge), pure-wave pulses do not advance
-    /// `virtual_time` — it tracks payload arrivals only, so a run's
-    /// trailing empty pulses leave it frozen where α's would keep
-    /// growing.
+    /// per-edge messages against per-node announcements; run time (the
+    /// `nc_alpha_5k` and `nc_batched_5k` workloads of `perfbench/`) is
+    /// the unit-free check. And because the simulator resolves wave
+    /// bookkeeping eagerly (no wheel event per idle edge), pure-wave
+    /// pulses do not advance `virtual_time` — it tracks payload arrivals
+    /// only, so a run's trailing empty pulses leave it frozen where α's
+    /// would keep growing.
     BatchedAlpha,
 }
 
@@ -589,8 +589,7 @@ mod tests {
 
     #[test]
     fn model_names_are_stable() {
-        // Bench record ids build on these; changing them breaks the
-        // BENCH_protocol.json trend lines.
+        // Examples and diagnostics print these labels; keep them stable.
         assert_eq!(SyncModel::Alpha.name(), "alpha");
         assert_eq!(SyncModel::BatchedAlpha.name(), "batched");
     }

@@ -32,10 +32,9 @@
 //! — the old side-table of parked envelopes (and its per-insert
 //! tree-node allocation) is gone entirely.
 //!
-//! The wheel is generic and public: the engine instantiates it with its
-//! envelope type, and the `wheel_vs_heap` micro-bench (`cargo bench -p
-//! bench --bench async_plane`) drives it head-to-head against the heap
-//! it replaced.
+//! The wheel is generic and crate-private: the engine instantiates it
+//! with its envelope type, and `tests::wheel_order_equals_heap_order`
+//! drives it head-to-head against the heap it replaced.
 //!
 //! [`DelayModel`]: crate::sched::DelayModel
 
@@ -59,7 +58,7 @@ const MAX_HORIZON: u64 = 1 << 24;
 /// returns them in `(time, insertion order)` order — bit-identical to a
 /// min-heap keyed by `(time, global sequence number)`.
 #[derive(Clone, Debug)]
-pub struct EventWheel<T> {
+pub(crate) struct EventWheel<T> {
     /// One chunked FIFO per bucket; bucket `b` holds the events arriving
     /// at times `≡ b (mod horizon)`.
     buckets: PortQueues<T>,
@@ -91,12 +90,6 @@ impl<T> EventWheel<T> {
         );
         let horizon = max_delay + 1;
         Self { buckets: PortQueues::new(horizon as usize), horizon, cursor: 0, high_water: 0 }
-    }
-
-    /// Number of buckets (`max_delay + 1`).
-    #[must_use]
-    pub fn horizon(&self) -> u64 {
-        self.horizon
     }
 
     /// The current virtual time (arrival time of the last popped event).
@@ -252,9 +245,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside the wheel window")]
     fn schedule_past_the_horizon_is_rejected() {
-        // Horizon 5: bucket 9 % 5 = 4 would pop the item at time 4.
+        // Horizon 5: time 5 shares bucket 0 with the cursor's time 0.
         let mut w: EventWheel<u8> = EventWheel::new(4);
-        w.schedule(w.cursor() + w.horizon(), 7);
+        w.schedule(5, 7);
     }
 
     proptest! {

@@ -132,12 +132,11 @@ pub enum Engine {
         shards: usize,
     },
     /// The preserved seed engine: sequential, pointer-chasing, kept as a
-    /// frozen behavioral reference for equivalence testing and
-    /// benchmarking. **Test-only fixture**: available only with
-    /// congest's `legacy-engine` cargo feature (default-off; the
-    /// equivalence suites and the `delivery_plane` bench enable it);
-    /// without the feature, building a session on it panics with a
-    /// pointer at [`Engine::Flat`].
+    /// frozen behavioral reference for equivalence testing.
+    /// **Test-only fixture**: available only with congest's
+    /// `legacy-engine` cargo feature (default-off; the equivalence
+    /// suites enable it); without the feature, building a session on it
+    /// panics with a pointer at [`Engine::Flat`].
     Legacy,
     /// Event-driven asynchronous execution under a pluggable
     /// synchronizer: every message is delayed by a seeded draw from a
@@ -574,8 +573,8 @@ impl<'g> Session<'g> {
             #[cfg(not(feature = "legacy-engine"))]
             Engine::Legacy => panic!(
                 "Engine::Legacy is a test-only fixture: enable congest's `legacy-engine` cargo \
-                 feature (the equivalence suites and the delivery_plane bench do), or use \
-                 Engine::Flat — it is bit-identical on every workload"
+                 feature (the equivalence suites do), or use Engine::Flat — it is \
+                 bit-identical on every workload"
             ),
             Engine::Async { delay, sync, fault, churn } => {
                 assert!(

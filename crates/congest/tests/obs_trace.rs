@@ -317,9 +317,8 @@ fn profile_only_config_keeps_no_timeline() {
     assert_eq!(profile.dropped, 0, "nothing counts as dropped when no ring exists");
 }
 
-/// Streaming metrics mode: scalar totals identical to full mode, no
-/// per-round history, observer replay skipped — the O(1)-memory path
-/// for very long runs.
+/// Streaming metrics mode: scalar totals identical to full mode and no
+/// per-round history — the O(1)-memory path for very long runs.
 #[test]
 fn streaming_metrics_keep_totals_and_drop_history() {
     let g = ring_with_chords(24);

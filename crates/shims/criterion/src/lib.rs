@@ -5,8 +5,10 @@
 //! this minimal harness instead: it warms up, times `sample_size` samples
 //! per benchmark, prints a human-readable table, and — when the
 //! `BENCH_JSON` environment variable names a file — appends one JSON
-//! record per benchmark so perf trajectories (e.g. `BENCH_protocol.json`)
-//! can be machine-assembled.
+//! record per benchmark. The engines' benchmark of record is `perfbench/`
+//! (see `BENCHMARK.json`); these benches time the paper-level workloads,
+//! and `BENCH_protocol.json` keeps the records of earlier engine groups
+//! as history.
 //!
 //! Statistical machinery (outlier analysis, regressions, plots) is out of
 //! scope; mean/median/min over wall-clock samples is enough to track the
@@ -60,10 +62,6 @@ struct Record {
     min_ns: f64,
     samples: usize,
     iters_per_sample: u64,
-    /// Extra numeric fields attached via [`BenchmarkGroup::annotate`],
-    /// written verbatim into the record's `BENCH_JSON` line (e.g. a
-    /// workload's control-message count next to its timing).
-    extra: Vec<(String, u64)>,
 }
 
 /// Passed to the closure given to [`BenchmarkGroup::bench_function`];
@@ -154,18 +152,6 @@ impl BenchmarkGroup<'_> {
     /// Finishes the group (printing happens per-record as it runs).
     pub fn finish(&mut self) {}
 
-    /// Attaches an extra numeric field to the most recently recorded
-    /// benchmark of this group; it is appended to that record's
-    /// `BENCH_JSON` line. Call right after the `bench_function` /
-    /// `bench_with_input` whose record it describes. (Shim extension —
-    /// the real criterion has no JSON side channel to annotate.)
-    pub fn annotate(&mut self, key: &str, value: u64) -> &mut Self {
-        if let Some(record) = self.criterion.records.last_mut() {
-            record.extra.push((key.to_string(), value));
-        }
-        self
-    }
-
     fn record(&mut self, id: &BenchmarkId, result: Option<(Vec<Duration>, u64)>) {
         let Some((mut durations, iters)) = result else {
             return;
@@ -183,7 +169,6 @@ impl BenchmarkGroup<'_> {
             min_ns,
             samples: durations.len(),
             iters_per_sample: iters,
-            extra: Vec::new(),
         };
         println!(
             "{:<40} mean {:>12}  median {:>12}  min {:>12}  ({} samples × {} iters)",
@@ -247,11 +232,9 @@ impl Criterion {
             return;
         };
         for r in &self.records {
-            let extra: String =
-                r.extra.iter().map(|(k, v)| format!(",\"{}\":{}", json_escape(k), v)).collect();
             let _ = writeln!(
                 f,
-                "{{\"group\":\"{}\",\"id\":\"{}\",\"mean_ns\":{:.1},\"median_ns\":{:.1},\"min_ns\":{:.1},\"samples\":{},\"iters_per_sample\":{}{}}}",
+                "{{\"group\":\"{}\",\"id\":\"{}\",\"mean_ns\":{:.1},\"median_ns\":{:.1},\"min_ns\":{:.1},\"samples\":{},\"iters_per_sample\":{}}}",
                 json_escape(&r.group),
                 json_escape(&r.id),
                 r.mean_ns,
@@ -259,88 +242,9 @@ impl Criterion {
                 r.min_ns,
                 r.samples,
                 r.iters_per_sample,
-                extra,
             );
         }
         eprintln!("wrote {} bench records to {path}", self.records.len());
-    }
-}
-
-/// Peak-RSS tracking for memory-annotated benches (shim extension).
-///
-/// Linux exposes a per-process resident-set high-water mark (`VmHWM` in
-/// `/proc/self/status`) that the kernel resets to the *current* RSS when
-/// `5` is written to `/proc/self/clear_refs`. Benches bracket a build or
-/// run with [`rss::reset_peak`] / [`rss::peak_kb`] and attach the delta
-/// via [`BenchmarkGroup::annotate`] — e.g. the `delivery_plane_xl`
-/// group's `peak_rss_kb` records. On non-Linux targets every reader
-/// returns `None` and the reset reports `false`.
-pub mod rss {
-    /// Reads a kB-denominated field from `/proc/self/status`.
-    #[cfg(target_os = "linux")]
-    fn status_kb(field: &str) -> Option<u64> {
-        let status = std::fs::read_to_string("/proc/self/status").ok()?;
-        let line = status.lines().find(|l| l.starts_with(field))?;
-        line.split_whitespace().nth(1)?.parse().ok()
-    }
-
-    /// Peak resident set size in kB (`VmHWM`) since process start or the
-    /// last successful [`reset_peak`].
-    #[must_use]
-    pub fn peak_kb() -> Option<u64> {
-        #[cfg(target_os = "linux")]
-        {
-            status_kb("VmHWM:")
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            None
-        }
-    }
-
-    /// Current resident set size in kB (`VmRSS`).
-    #[must_use]
-    pub fn current_kb() -> Option<u64> {
-        #[cfg(target_os = "linux")]
-        {
-            status_kb("VmRSS:")
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            None
-        }
-    }
-
-    /// Resets the peak-RSS watermark to the current RSS, so the next
-    /// [`peak_kb`] read reflects only allocations made after this call.
-    /// Returns `false` where the kernel interface is unavailable (the
-    /// watermark then keeps accumulating from process start).
-    pub fn reset_peak() -> bool {
-        #[cfg(target_os = "linux")]
-        {
-            std::fs::write("/proc/self/clear_refs", "5").is_ok()
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            false
-        }
-    }
-
-    #[cfg(all(test, target_os = "linux"))]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn watermark_tracks_allocations() {
-            assert!(reset_peak(), "clear_refs must accept a peak reset");
-            let before = peak_kb().expect("VmHWM present");
-            // Touch ~8 MiB so the watermark visibly moves.
-            let v = vec![1u8; 8 << 20];
-            std::hint::black_box(&v);
-            let after = peak_kb().expect("VmHWM present");
-            assert!(after >= before + (4 << 10), "peak {after} kB vs {before} kB");
-            assert!(current_kb().is_some());
-        }
     }
 }
 
@@ -383,25 +287,6 @@ mod tests {
         assert_eq!(c.records.len(), 2);
         assert_eq!(c.records[1].id, "42");
         assert!(c.records[0].mean_ns >= 0.0);
-    }
-
-    #[test]
-    fn annotate_attaches_to_the_latest_record() {
-        let mut c = Criterion::default();
-        {
-            let mut g = c.benchmark_group("unit");
-            g.sample_size(1);
-            g.bench_function("first", |b| b.iter(|| 1 + 1));
-            g.annotate("control_messages", 7);
-            g.bench_function("second", |b| b.iter(|| 2 + 2));
-            g.annotate("control_messages", 9).annotate("control_bits", 1024);
-            g.finish();
-        }
-        assert_eq!(c.records[0].extra, vec![("control_messages".to_string(), 7)]);
-        assert_eq!(
-            c.records[1].extra,
-            vec![("control_messages".to_string(), 9), ("control_bits".to_string(), 1024)]
-        );
     }
 
     #[test]
