@@ -26,8 +26,9 @@
 //! heap allocation** (pinned by `tests/alloc_probe.rs`):
 //!
 //! * The link table is CSR-flattened (`crate::plane::Topology`): one
-//!   `u32` lookup maps a sender port to the matching receiver port, a
-//!   second recovers the receiver node on scatter.
+//!   12-byte record per sender port holds the matching receiver port,
+//!   the receiver node and its shard, so the scatter needs no second
+//!   lookup.
 //! * Each outgoing queue keeps its oldest message inline in a per-port
 //!   header (16 bytes of cursors plus one message); only messages queued
 //!   behind it go to per-shard slabs of fixed-size chunks strung on a
@@ -347,7 +348,7 @@ impl<P: Protocol> Network<P> {
                         // Phase A fills row `t`, phase B empties column `t`.
                         shard.drain_active(topo, congest, &transfer[t * s_count..][..s_count]);
                         barrier.wait();
-                        shard.bucket_incoming(topo, transfer[t..].iter().step_by(s_count));
+                        shard.bucket_incoming(transfer[t..].iter().step_by(s_count));
                         step_shard(shard, nodes, topo, round);
                     });
                 }
@@ -458,7 +459,7 @@ fn step_shard<P: Protocol>(
     let node_lo = shard.node_lo;
     let port_lo = shard.port_lo;
     let queues = &mut shard.queues;
-    let bucket = &shard.bucket;
+    let bucket = shard.bucket.entries();
     let starts = &shard.starts;
     for (i, protocol) in nodes.protocols.iter_mut().enumerate() {
         let base = topo.offsets[node_lo + i] - port_lo;

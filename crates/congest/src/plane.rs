@@ -7,9 +7,10 @@
 //! CSR order (`slot = offsets[u] + port`), mirroring [`graphs::Graph`]'s
 //! own layout. Delivery routing collapses into a single flat array,
 //! [`Topology::route`]: indexed by the sender's slot, one 12-byte record
-//! carries the destination slot, destination node, and destination shard
-//! — phase A performs no pointer chasing and no random lookups at all
-//! (sender slots are visited in order).
+//! carries the receiver's local port, the destination node, and the
+//! destination shard — phase A performs no pointer chasing and no random
+//! lookups at all (sender slots are visited in order), and the receiving
+//! side reads its port straight from the record.
 //!
 //! # Queues
 //!
@@ -46,7 +47,47 @@
 //! queue in one piece, FIFO. Every bucket is thus sorted by port, FIFO
 //! within each port — for one shard or many, in CONGEST or LOCAL, which
 //! is what makes runs bit-identical across shard counts.
+//!
+//! # Write-combined placement
+//!
+//! The placement pass is a scatter: each entry goes to its receiver's
+//! bucket cursor, one of thousands of write streams. Every plain store
+//! to a line that is not cached first reads that line from memory (a
+//! read for ownership), and on `nc_flat_5k`, with 5,000 receivers and
+//! 32-byte entries, that cost 22–31 ns per entry against ~5 ns for a
+//! sequential write. So, where it can, a shard *stages* its placement,
+//! as radix partitioning does (Wassenberg and Sanders, "Engineering a
+//! Multi-core Radix Sort", Euro-Par 2011):
+//!
+//! - Each receiving node has one 64-byte staging line, and every entry is
+//!   first written into its receiver's line, at the slot its bucket
+//!   position has within a cache line. The lines of a shard that stages
+//!   total at most [`STAGE_BUDGET`], so they stay in L2.
+//! - The bucket store ([`Buckets`]) puts its first entry on a cache
+//!   line. When an entry completes a store line that lies wholly inside
+//!   its receiver's bucket, the staged line goes out with non-temporal
+//!   stores, which skip the read for ownership.
+//! - A bucket's head and tail lines are shared with its neighbors. Their
+//!   entries are copied with plain stores: the head's when its line
+//!   completes, the tail's once the pass ends. One `sfence` then orders
+//!   the non-temporal stores before anything else.
+//!
+//! Buckets stay dense and in the same order, so every inbox is what the
+//! plain scatter writes, bit for bit. A shard stages only on x86-64, for
+//! entries `(Port, M)` whose size divides 64 and messages without drop
+//! glue, and only while its lines fit the budget; otherwise it runs the
+//! plain scatter ([`stages`] decides, from nothing but these facts).
+//! Both paths are measured (perfbench, alternating pairs, 2 CPUs). On
+//! `nc_flat_5k` (one shard of 5,000 nodes, 320 KB of lines) staging
+//! took the run from 14.82 s to 9.75 s, medians of 10 pairs. With the
+//! budget lifted, `gossip_stream_1m` (two shards of 500,000 nodes,
+//! 32 MB of lines each) staged too, and got slower: 3.38 s to 3.77 s
+//! over 3 pairs, with its peak RSS up from 938 MB to 1,091 MB, since
+//! lines that miss the cache cost what they were meant to save.
 
+use std::marker::PhantomData;
+use std::mem::{align_of, size_of, MaybeUninit};
+use std::ptr::copy_nonoverlapping;
 use std::sync::{Mutex, MutexGuard};
 
 use graphs::{EdgeStream, Graph};
@@ -64,18 +105,29 @@ pub(crate) const CHUNK: usize = 8;
 /// Null link / "no chunk" marker.
 const NIL: u32 = u32::MAX;
 
-/// A delivery record produced by phase A: `(destination slot, destination
-/// node, payload)`. The node is precomputed so the receiver never does a
-/// random owner lookup; the order of entries carries the canonical inbox
-/// order (see the module docs).
+/// Bytes per cache line: the unit of write-combined placement.
+const LINE: usize = 64;
+
+/// Most bytes of staging lines one shard may hold, one line per receiving
+/// node, so 16,384 nodes: half the 2 MiB L2 of the Xeon it was measured
+/// on, leaving room for the cursors and the streams the placement reads
+/// (module docs, "Write-combined placement").
+const STAGE_BUDGET: usize = 1 << 20;
+
+/// A delivery record produced by phase A: `(receiver's local port,
+/// destination node, payload)`. Both are precomputed so the receiver
+/// does no random lookup; the order of entries carries the canonical
+/// inbox order (see the module docs).
 pub(crate) type Entry<M> = (u32, u32, M);
 
 /// Routing record for one directed port, indexed by *sender* slot.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct Route {
-    /// The same physical edge seen from the receiving side.
-    pub dest_slot: u32,
-    /// The node owning `dest_slot`.
+    /// The same physical edge seen from the receiving side: its local
+    /// port at `dest_node`, which is the port a delivered message
+    /// carries into the inbox.
+    pub back_port: u32,
+    /// The receiving node.
     pub dest_node: u32,
     /// The shard owning `dest_node`.
     pub dest_shard: u16,
@@ -190,23 +242,23 @@ impl Topology {
         }
 
         // Pass 2: replay the edges and place both directions of each at
-        // its node's next free slot. Sorted replay hands every node its
-        // neighbors in increasing order, so slot assignment — and each
-        // record's back-pointing `dest_slot` — is the graph's CSR order.
-        // Delivery's unsorted inboxes rely on that order (module docs).
+        // its node's next free port. Sorted replay hands every node its
+        // neighbors in increasing order, so port assignment — and each
+        // record's `back_port` — is the graph's CSR order. Delivery's
+        // unsorted inboxes rely on that order (module docs).
         let mut route = vec![Route::default(); total as usize];
         let mut cursor = vec![0u32; n];
         let mut placed: u64 = 0;
         for (u, v) in source.edges() {
-            let slot_u = offsets[u] + cursor[u];
+            let (port_u, port_v) = (cursor[u], cursor[v]);
             cursor[u] += 1;
-            let slot_v = offsets[v] + cursor[v];
             cursor[v] += 1;
+            let (slot_u, slot_v) = (offsets[u] + port_u, offsets[v] + port_v);
             debug_assert!(slot_u < offsets[u + 1] && slot_v < offsets[v + 1]);
             route[slot_u as usize] =
-                Route { dest_slot: slot_v, dest_node: v as u32, dest_shard: (v / chunk) as u16 };
+                Route { back_port: port_v, dest_node: v as u32, dest_shard: (v / chunk) as u16 };
             route[slot_v as usize] =
-                Route { dest_slot: slot_u, dest_node: u as u32, dest_shard: (u / chunk) as u16 };
+                Route { back_port: port_u, dest_node: u as u32, dest_shard: (u / chunk) as u16 };
             placed += 2;
         }
         assert_eq!(placed, total, "edge stream must replay identically on its second pass");
@@ -215,15 +267,13 @@ impl Topology {
     }
 
     /// Resolves node `from`'s local `port` to `(sender slot, destination
-    /// node, destination's local port)` — the one place the CSR
-    /// back-port arithmetic lives (payload and control envelopes must
-    /// route identically).
+    /// node, destination's local port)` — one route lookup, shared by
+    /// payload and control envelopes so both route identically.
     #[inline]
     pub fn resolve(&self, from: usize, port: usize) -> (usize, u32, u32) {
         let slot = self.offsets[from] as usize + port;
         let route = self.route[slot];
-        let back = route.dest_slot - self.offsets[route.dest_node as usize];
-        (slot, route.dest_node, back)
+        (slot, route.dest_node, route.back_port)
     }
 }
 
@@ -531,7 +581,10 @@ pub(crate) struct Shard<M> {
     /// The round's messages, bucketed by receiving node, each bucket in
     /// port order and FIFO within a port. Protocols step directly on these
     /// slices.
-    pub bucket: Vec<(Port, M)>,
+    pub bucket: Buckets<M>,
+    /// One staging line per local node when this shard stages its
+    /// placement, none otherwise (see [`stages`]).
+    stage: Vec<Line>,
     /// This round's delivery counters, merged into [`crate::Metrics`]
     /// after the parallel phases join.
     pub delta: RoundDelta,
@@ -543,6 +596,11 @@ impl<M: Message> Shard<M> {
     pub fn new(node_lo: usize, node_hi: usize, port_lo: u32, port_hi: u32) -> Self {
         let port_count = (port_hi - port_lo) as usize;
         let node_count = node_hi - node_lo;
+        let stage = if stages::<M>(node_count) {
+            vec![Line { _bytes: [MaybeUninit::uninit(); LINE] }; node_count]
+        } else {
+            Vec::new()
+        };
         Self {
             node_lo,
             node_hi,
@@ -550,7 +608,8 @@ impl<M: Message> Shard<M> {
             queues: PortQueues::new(port_count),
             cursor: vec![0u32; node_count],
             starts: vec![0u32; node_count + 1],
-            bucket: Vec::new(),
+            bucket: Buckets::new(),
+            stage,
             delta: RoundDelta::default(),
         }
     }
@@ -597,7 +656,7 @@ impl<M: Message> Shard<M> {
                 let route = topo.route[(self.port_lo + p) as usize];
                 while let Some(msg) = self.queues.pop(p) {
                     self.delta.record(msg.bit_size());
-                    out[route.dest_shard as usize].push((route.dest_slot, route.dest_node, msg));
+                    out[route.dest_shard as usize].push((route.back_port, route.dest_node, msg));
                     if congest {
                         break;
                     }
@@ -613,11 +672,11 @@ impl<M: Message> Shard<M> {
     /// Pass 1 counts deliverable messages per receiving node without
     /// reading any payload (one per active port under `congest`, the
     /// whole queue length otherwise); after [`Self::layout_buckets`],
-    /// pass 2 pops each message and writes it directly at its bucket
-    /// cursor. Sender slots are visited in increasing order, so each
-    /// bucket comes out in canonical order (see the module docs). The
-    /// result is identical to `drain_active` + `bucket_incoming` — same
-    /// buckets, same metering — just with half the memory traffic.
+    /// pass 2 pops each message and places it at its bucket cursor.
+    /// Sender slots are visited in increasing order, so each bucket comes
+    /// out in canonical order (see the module docs). The result is
+    /// identical to `drain_active` + `bucket_incoming` — same buckets,
+    /// same metering — just with half the memory traffic.
     pub fn deliver_direct(&mut self, topo: &Topology, congest: bool) {
         debug_assert_eq!(self.node_lo, 0, "direct delivery requires the single-shard layout");
 
@@ -636,35 +695,25 @@ impl<M: Message> Shard<M> {
             }
         }
 
-        let bucket_ptr = self.layout_buckets(total);
-        let mut placed = 0usize;
+        self.layout_buckets(total);
+        let mut place =
+            Placer::new(&mut self.bucket, &mut self.stage, &mut self.cursor, &self.starts);
         for wi in 0..self.queues.active.len() {
             let mut word = self.queues.active[wi];
             while word != 0 {
                 let p = (wi * 64) as u32 + word.trailing_zeros();
                 word &= word - 1;
                 let route = topo.route[(self.port_lo + p) as usize];
-                let port = (route.dest_slot - topo.offsets[route.dest_node as usize]) as usize;
                 while let Some(msg) = self.queues.pop(p) {
                     self.delta.record(msg.bit_size());
-                    let local = route.dest_node as usize;
-                    let pos = self.cursor[local];
-                    self.cursor[local] = pos + 1;
-                    placed += 1;
-                    debug_assert!((pos as usize) < total);
-                    // SAFETY: pos < total <= capacity; the prefix-summed
-                    // cursors make positions distinct across the loop.
-                    unsafe { std::ptr::write(bucket_ptr.add(pos as usize), (port, msg)) };
+                    place.put(route.dest_node as usize, (route.back_port as Port, msg));
                     if congest {
                         break;
                     }
                 }
             }
         }
-        debug_assert_eq!(placed, total);
-        // SAFETY: all `total` positions were just initialized (`placed`
-        // equals `total`: pass 2 pops exactly what pass 1 counted).
-        unsafe { self.bucket.set_len(total) };
+        place.finish();
         debug_assert!(self.buckets_in_port_order());
     }
 
@@ -678,12 +727,9 @@ impl<M: Message> Shard<M> {
     /// sender-shard order, so each bucket keeps the canonical order the
     /// senders' scans produced (see the module docs), whatever the shard
     /// count. After this call, node `node_lo + i`'s inbox is
-    /// `bucket[starts[i]..starts[i + 1]]`.
-    pub fn bucket_incoming<'a>(
-        &mut self,
-        topo: &Topology,
-        column: impl IntoIterator<Item = &'a TransferCell<M>>,
-    ) where
+    /// `bucket.entries()[starts[i]..starts[i + 1]]`.
+    pub fn bucket_incoming<'a>(&mut self, column: impl IntoIterator<Item = &'a TransferCell<M>>)
+    where
         M: 'a,
     {
         let mut incoming: Vec<_> = column.into_iter().map(TransferCell::lock).collect();
@@ -699,11 +745,10 @@ impl<M: Message> Shard<M> {
 
         // Place every message exactly once into its bucket range. The
         // buffers' lengths are zeroed before the raw reads so an unwind
-        // can at worst leak the tail, never double-drop; the writes go to
-        // `bucket`'s spare capacity and `set_len` runs only after every
-        // position 0..total has been written (the prefix-summed cursors
-        // enumerate each position exactly once).
-        let bucket_ptr = self.layout_buckets(total);
+        // can at worst leak the tail, never double-drop.
+        self.layout_buckets(total);
+        let mut place =
+            Placer::new(&mut self.bucket, &mut self.stage, &mut self.cursor, &self.starts);
         for buf in incoming.iter_mut() {
             let len = buf.len();
             // SAFETY: shrinking only; elements are moved out below.
@@ -712,27 +757,18 @@ impl<M: Message> Shard<M> {
             for i in 0..len {
                 // SAFETY: `i` is below the pre-`set_len` length, and each
                 // element is read exactly once across the loop.
-                let (slot, dest_node, msg) = unsafe { std::ptr::read(src.add(i)) };
-                let local = dest_node as usize - self.node_lo;
-                let port = (slot - topo.offsets[dest_node as usize]) as usize;
-                let pos = self.cursor[local];
-                self.cursor[local] = pos + 1;
-                debug_assert!((pos as usize) < total);
-                // SAFETY: pos < total <= capacity, and positions are
-                // distinct across the loop (see above).
-                unsafe { std::ptr::write(bucket_ptr.add(pos as usize), (port, msg)) };
+                let (back_port, dest_node, msg) = unsafe { std::ptr::read(src.add(i)) };
+                place.put(dest_node as usize - self.node_lo, (back_port as Port, msg));
             }
         }
-        // SAFETY: all `total` positions were just initialized.
-        unsafe { self.bucket.set_len(total) };
+        place.finish();
         debug_assert!(self.buckets_in_port_order());
     }
 
     /// The bucket layout both deliveries share: prefix-sums the per-node
     /// counts in `cursor` into `starts` and resets each cursor to its
-    /// bucket's start, then empties `bucket` with room for `total`
-    /// entries and returns the pointer the placement pass writes through.
-    fn layout_buckets(&mut self, total: usize) -> *mut (Port, M) {
+    /// bucket's start.
+    fn layout_buckets(&mut self, total: usize) {
         let node_count = self.node_hi - self.node_lo;
         let mut acc = 0u32;
         for i in 0..node_count {
@@ -742,19 +778,276 @@ impl<M: Message> Shard<M> {
         }
         self.starts[node_count] = acc;
         debug_assert_eq!(acc as usize, total);
-        self.bucket.clear();
-        self.bucket.reserve(total);
-        self.bucket.as_mut_ptr()
     }
 
     /// `true` if every bucket lists its ports in non-decreasing order:
     /// the canonical inbox order both deliveries produce without sorting.
     fn buckets_in_port_order(&self) -> bool {
         self.starts.windows(2).all(|range| {
-            let bucket = &self.bucket[range[0] as usize..range[1] as usize];
+            let bucket = &self.bucket.entries()[range[0] as usize..range[1] as usize];
             bucket.windows(2).all(|pair| pair[0].0 <= pair[1].0)
         })
     }
+}
+
+/// Whether a shard of `nodes` receiving nodes stages the placement of
+/// `M`'s entries (module docs, "Write-combined placement"). It does on
+/// x86-64, when an entry's size divides a cache line, so no entry
+/// straddles one; when `M` has no drop glue, so a staged copy owns
+/// nothing a panic could leak; and when one staging line per node fits
+/// [`STAGE_BUDGET`], so the lines stay in L2.
+fn stages<M>(nodes: usize) -> bool {
+    cfg!(target_arch = "x86_64")
+        && LINE.is_multiple_of(size_of::<(Port, M)>())
+        && !std::mem::needs_drop::<M>()
+        && nodes * LINE <= STAGE_BUDGET
+}
+
+/// One cache line of raw storage: a receiving node's staging line.
+#[derive(Clone, Debug)]
+#[repr(align(64))]
+struct Line {
+    _bytes: [MaybeUninit<u8>; LINE],
+}
+
+/// Sixteen bytes of raw bucket storage, aligned no wider than the system
+/// allocator's own blocks.
+#[derive(Debug)]
+#[repr(align(16))]
+struct Block {
+    _bytes: [MaybeUninit<u8>; 16],
+}
+
+/// The bucket store: one round's entries, bucketed by receiving node,
+/// from a cache-line boundary inside its allocation, so an entry whose
+/// size divides 64 never straddles a line and a staged line can be
+/// written whole.
+#[derive(Debug)]
+pub(crate) struct Buckets<M> {
+    /// Raw storage, with room to skip to an aligned first entry. The
+    /// `Vec` itself stays empty; its capacity holds the entries. Its
+    /// blocks are 16-byte aligned so that growth goes through the system
+    /// allocator's `realloc`: a wider alignment is reallocated by
+    /// allocate, copy and free, and on glibc each free of a large block
+    /// raises the mmap threshold, which made `nc_flat_5k`'s second run
+    /// in one process peak 4.5 MB higher.
+    raw: Vec<Block>,
+    /// Bytes from the allocation's start to the first entry.
+    offset: usize,
+    /// Initialized entries from there.
+    len: usize,
+    /// The store owns its entries.
+    _entries: PhantomData<(Port, M)>,
+}
+
+impl<M> Buckets<M> {
+    fn new() -> Self {
+        Self { raw: Vec::new(), offset: 0, len: 0, _entries: PhantomData }
+    }
+
+    /// The round's entries; [`Shard::starts`] cuts them into inboxes.
+    pub fn entries(&self) -> &[(Port, M)] {
+        if self.len == 0 {
+            return &[];
+        }
+        // SAFETY: the store is allocated (it holds entries), `offset`
+        // aligns the first one, and `len` entries from there are
+        // initialized.
+        unsafe {
+            std::slice::from_raw_parts(
+                self.raw.as_ptr().cast::<u8>().add(self.offset).cast(),
+                self.len,
+            )
+        }
+    }
+
+    /// Drops the entries and makes room for `total`, returning where the
+    /// first one goes.
+    fn reset(&mut self, total: usize) -> *mut (Port, M) {
+        self.clear();
+        let align = LINE.max(align_of::<(Port, M)>());
+        let bytes = total * size_of::<(Port, M)>() + align;
+        // The `Vec` is empty, so growth moves no entries.
+        self.raw.reserve(bytes.div_ceil(size_of::<Block>()));
+        let start = self.raw.as_mut_ptr().cast::<u8>();
+        self.offset = start.addr().next_multiple_of(align) - start.addr();
+        // SAFETY: `offset < align`, and the reservation holds `align`
+        // bytes of slack in front of the entries.
+        unsafe { start.add(self.offset).cast() }
+    }
+
+    fn clear(&mut self) {
+        let len = std::mem::take(&mut self.len);
+        if len > 0 {
+            // SAFETY: the store is allocated and holds `len` initialized
+            // entries from `offset`. `len` is zeroed first, so an unwind
+            // from a drop cannot reach them again.
+            unsafe {
+                let first = self.raw.as_mut_ptr().cast::<u8>().add(self.offset).cast::<(Port, M)>();
+                std::ptr::drop_in_place(std::ptr::slice_from_raw_parts_mut(first, len));
+            }
+        }
+    }
+}
+
+impl<M> Drop for Buckets<M> {
+    fn drop(&mut self) {
+        self.clear();
+    }
+}
+
+/// The placement pass both deliveries share: [`Placer::put`] writes each
+/// entry at its receiver's bucket cursor, through the receiver's staging
+/// line when the shard stages, and [`Placer::finish`] completes the
+/// store (module docs, "Write-combined placement").
+struct Placer<'a, M> {
+    /// The bucket store, whose length is set once every entry is placed.
+    bucket: &'a mut Buckets<M>,
+    /// Where the store's first entry goes.
+    base: *mut (Port, M),
+    /// One staging line per local node, or none for the plain scatter.
+    stage: &'a mut [Line],
+    /// Each local node's next bucket position.
+    cursor: &'a mut [u32],
+    /// Each local node's bucket start, then the total.
+    starts: &'a [u32],
+}
+
+impl<'a, M> Placer<'a, M> {
+    /// Entries per staging line. Only a staging shard uses it, and there
+    /// an entry's size divides [`LINE`].
+    const PER_LINE: usize = LINE / size_of::<(Port, M)>();
+
+    /// Empties `bucket` for the round whose layout `starts` and `cursor`
+    /// hold, and places through `stage` unless it is empty.
+    fn new(
+        bucket: &'a mut Buckets<M>,
+        stage: &'a mut [Line],
+        cursor: &'a mut [u32],
+        starts: &'a [u32],
+    ) -> Self {
+        let base = bucket.reset(starts[starts.len() - 1] as usize);
+        Self { bucket, base, stage, cursor, starts }
+    }
+
+    /// Places `entry` at local node `local`'s next bucket position.
+    #[inline(always)]
+    fn put(&mut self, local: usize, entry: (Port, M)) {
+        let pos = self.cursor[local] as usize;
+        self.cursor[local] += 1;
+        debug_assert!(pos < self.starts[local + 1] as usize, "node {local} overfilled its bucket");
+        if self.stage.is_empty() {
+            // SAFETY: `pos` lies in `local`'s bucket, inside the store's
+            // capacity, and the prefix-summed cursors hand out each
+            // position once.
+            unsafe { self.base.add(pos).write(entry) };
+            return;
+        }
+        let slot = pos % Self::PER_LINE;
+        let line = (&raw mut self.stage[local]).cast::<(Port, M)>();
+        // SAFETY: a staging line holds `PER_LINE` entries, and `slot` is
+        // below that.
+        unsafe { line.add(slot).write(entry) };
+        if slot + 1 < Self::PER_LINE {
+            return;
+        }
+        // The entry completed the store line `first..=pos`.
+        let first = pos + 1 - Self::PER_LINE;
+        let start = self.starts[local] as usize;
+        if first >= start {
+            // SAFETY: the whole store line lies in `local`'s bucket and
+            // is staged complete. `base` is line-aligned and `first` a
+            // multiple of `PER_LINE`, so the target is one aligned line
+            // inside the store's capacity, and no other store writes it.
+            unsafe { stream_line(line.cast(), self.base.add(first).cast()) };
+        } else {
+            // The bucket's head line, shared with the buckets before it:
+            // copy this bucket's part with plain stores.
+            // SAFETY: positions `start..=pos` are `local`'s, staged at
+            // slots `start - first..PER_LINE` of its line.
+            unsafe {
+                copy_nonoverlapping(line.add(start - first), self.base.add(start), pos + 1 - start)
+            };
+        }
+    }
+
+    /// Copies every bucket's staged tail line with plain stores, fences
+    /// the non-temporal stores, and sets the store's length.
+    fn finish(self) {
+        // Cursors only count up from their bucket's start, so this also
+        // shows that no bucket overran into the next: every position
+        // below the total was written exactly once.
+        assert!(
+            self.cursor.iter().zip(&self.starts[1..]).all(|(cursor, end)| cursor == end),
+            "a bucket was not filled to its end"
+        );
+        if !self.stage.is_empty() {
+            for (local, range) in self.starts.windows(2).enumerate() {
+                let (start, end) = (range[0] as usize, range[1] as usize);
+                let first = start.max(end - end % Self::PER_LINE);
+                let line = (&raw const self.stage[local]).cast::<(Port, M)>();
+                // SAFETY: positions `first..end` are `local`'s last, and
+                // they are staged in its line, from slot
+                // `first % PER_LINE` on, since its last whole line went
+                // out.
+                unsafe {
+                    copy_nonoverlapping(
+                        line.add(first % Self::PER_LINE),
+                        self.base.add(first),
+                        end - first,
+                    );
+                }
+            }
+            // SAFETY: `sfence` needs SSE, which every x86-64 CPU has.
+            #[cfg(target_arch = "x86_64")]
+            unsafe {
+                std::arch::x86_64::_mm_sfence()
+            };
+        }
+        self.bucket.len = self.starts[self.starts.len() - 1] as usize;
+    }
+}
+
+/// Writes one staged cache line to its bucket-store line with
+/// non-temporal stores, which skip the read for ownership that a plain
+/// store to an uncached line costs. [`Placer::finish`]'s `sfence` orders
+/// them.
+///
+/// # Safety
+///
+/// `src` must be readable and `dst` writable for [`LINE`] bytes, both
+/// 64-byte aligned, and the two must not overlap.
+#[inline(always)]
+unsafe fn stream_line(src: *const u8, dst: *mut u8) {
+    // SAFETY: the caller's contract covers the four aligned 16-byte loads
+    // and stores. Staged entries may hold uninitialized padding; `asm!`
+    // reads the bytes opaquely, where loading them into `__m128i` values
+    // in Rust would be undefined behaviour.
+    #[cfg(target_arch = "x86_64")]
+    unsafe {
+        std::arch::asm!(
+            "movdqa {a}, xmmword ptr [{src}]",
+            "movdqa {b}, xmmword ptr [{src} + 16]",
+            "movdqa {c}, xmmword ptr [{src} + 32]",
+            "movdqa {d}, xmmword ptr [{src} + 48]",
+            "movntdq xmmword ptr [{dst}], {a}",
+            "movntdq xmmword ptr [{dst} + 16], {b}",
+            "movntdq xmmword ptr [{dst} + 32], {c}",
+            "movntdq xmmword ptr [{dst} + 48], {d}",
+            src = in(reg) src,
+            dst = in(reg) dst,
+            a = out(xmm_reg) _,
+            b = out(xmm_reg) _,
+            c = out(xmm_reg) _,
+            d = out(xmm_reg) _,
+            options(nostack, preserves_flags),
+        );
+    }
+    // SAFETY: the caller's contract. (Unreached: only x86-64 stages.)
+    #[cfg(not(target_arch = "x86_64"))]
+    unsafe {
+        copy_nonoverlapping(src, dst, LINE)
+    };
 }
 
 #[cfg(test)]
@@ -763,6 +1056,8 @@ mod tests {
     use crate::message::Ping;
     use graphs::GraphBuilder;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::collections::VecDeque;
 
     fn shard_for(ports: u32) -> Shard<Ping> {
@@ -906,13 +1201,14 @@ mod tests {
         b.add_edge(0, 1).add_edge(1, 2);
         let g = b.build();
         let topo = Topology::from_graph(&g, 2);
-        // Node 0 port 0 → node 1 port 0; node 1 has ports 1 (to 0) and 2
-        // (to 2); node 2 port 3 (to 1).
+        // Slot 0 (node 0 port 0) → node 1 port 0; node 1 has slots 1 (port
+        // 0, to node 0) and 2 (port 1, to node 2); slot 3 (node 2 port 0)
+        // → node 1 port 1.
         assert_eq!(topo.offsets.as_ref(), &[0, 1, 3, 4]);
-        let dest_slots: Vec<u32> = topo.route.iter().map(|r| r.dest_slot).collect();
+        let back_ports: Vec<u32> = topo.route.iter().map(|r| r.back_port).collect();
         let dest_nodes: Vec<u32> = topo.route.iter().map(|r| r.dest_node).collect();
         let dest_shards: Vec<u16> = topo.route.iter().map(|r| r.dest_shard).collect();
-        assert_eq!(dest_slots, vec![1, 0, 3, 2]);
+        assert_eq!(back_ports, vec![0, 0, 0, 1]);
         assert_eq!(dest_nodes, vec![1, 0, 2, 1]);
         // chunk = 2: nodes 0..2 in shard 0, node 2 in shard 1.
         assert_eq!(dest_shards, vec![0, 0, 1, 0]);
@@ -921,16 +1217,14 @@ mod tests {
     #[test]
     fn stream_build_matches_graph_build() {
         use graphs::generators::{GnpStream, VecEdgeStream};
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
 
         fn assert_same(a: &Topology, b: &Topology) {
             assert_eq!(a.offsets, b.offsets);
             assert_eq!(a.route.len(), b.route.len());
             for (x, y) in a.route.iter().zip(b.route.iter()) {
                 assert_eq!(
-                    (x.dest_slot, x.dest_node, x.dest_shard),
-                    (y.dest_slot, y.dest_node, y.dest_shard)
+                    (x.back_port, x.dest_node, x.dest_shard),
+                    (y.back_port, y.dest_node, y.dest_shard)
                 );
             }
         }
@@ -995,10 +1289,10 @@ mod tests {
         let out = cell.0.into_inner().unwrap();
         assert_eq!(out.len(), 2);
         assert_eq!(s.queued(), 0);
-        // Both land on dest slot 1 of node 1 (in separate rounds).
-        assert_eq!(out[0].0, 1);
+        // Both land on port 0 of node 1 (in separate rounds).
+        assert_eq!(out[0].0, 0);
         assert_eq!(out[0].1, 1);
-        assert_eq!(out[1].0, 1);
+        assert_eq!(out[1].0, 0);
     }
 
     #[test]
@@ -1010,20 +1304,258 @@ mod tests {
                 8
             }
         }
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(0, 1).add_edge(1, 2);
-        let g = b.build();
-        let topo = Topology::from_graph(&g, 1);
+        // On the path 0 - 1 - 2: deliveries to node 1 (ports 0 and 1) in
+        // sender order, the only order `drain_active` produces: node 0's
+        // message, then node 2's two-message train.
         let mut s: Shard<N> = Shard::new(0, 3, 0, 4);
-        // Deliveries to node 1 (slots 1 and 2) in sender order, the only
-        // order `drain_active` produces: node 0's message, then node 2's
-        // two-message train.
-        let cell = TransferCell(Mutex::new(vec![(1, 1, N(10)), (2, 1, N(30)), (2, 1, N(31))]));
-        s.bucket_incoming(&topo, [&cell]);
+        let cell = TransferCell(Mutex::new(vec![(0, 1, N(10)), (1, 1, N(30)), (1, 1, N(31))]));
+        s.bucket_incoming([&cell]);
         assert_eq!(s.starts[..4], [0, 0, 3, 3]);
-        let got: Vec<(usize, u32)> = s.bucket.iter().map(|(p, m)| (*p, m.0)).collect();
+        let got: Vec<(usize, u32)> = s.bucket.entries().iter().map(|(p, m)| (*p, m.0)).collect();
         assert_eq!(got, vec![(0, 10), (1, 30), (1, 31)]);
         assert!(cell.lock().is_empty(), "incoming buffer drained");
+    }
+
+    /// A message the delivery model can tell apart by its tag. `Ping`
+    /// carries none, so its inboxes are checked by port alone.
+    trait Tagged: Message + PartialEq {
+        fn tagged(tag: u32) -> Self;
+    }
+
+    impl Tagged for Ping {
+        fn tagged(_: u32) -> Self {
+            Ping
+        }
+    }
+
+    /// 16-byte entries, 4 bytes of them padding.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Short(u32);
+
+    /// 24-byte entries, which do not tile a cache line.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Wide([u64; 2]);
+
+    /// 32-byte entries with 7 bytes of padding, the shape of
+    /// `DistNearClique`'s.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Padded {
+        ids: [u64; 2],
+        tag: u8,
+    }
+
+    /// 32-byte entries whose message owns heap memory (drop glue).
+    #[derive(Clone, Debug, PartialEq)]
+    struct Owned(Vec<u32>);
+
+    /// 256-byte entries aligned beyond a cache line.
+    #[derive(Clone, Debug, PartialEq)]
+    #[repr(align(128))]
+    struct Aligned(u32);
+
+    impl Message for Short {
+        fn bit_size(&self) -> usize {
+            32
+        }
+    }
+
+    impl Message for Wide {
+        fn bit_size(&self) -> usize {
+            128
+        }
+    }
+
+    impl Message for Padded {
+        fn bit_size(&self) -> usize {
+            136
+        }
+    }
+
+    impl Message for Owned {
+        fn bit_size(&self) -> usize {
+            32 * self.0.len()
+        }
+    }
+
+    impl Message for Aligned {
+        fn bit_size(&self) -> usize {
+            32
+        }
+    }
+
+    impl Tagged for Short {
+        fn tagged(tag: u32) -> Self {
+            Short(tag)
+        }
+    }
+
+    impl Tagged for Wide {
+        fn tagged(tag: u32) -> Self {
+            Wide([tag.into(), (!tag).into()])
+        }
+    }
+
+    impl Tagged for Padded {
+        fn tagged(tag: u32) -> Self {
+            Padded { ids: [(!tag).into(), tag.into()], tag: tag as u8 }
+        }
+    }
+
+    impl Tagged for Owned {
+        fn tagged(tag: u32) -> Self {
+            Owned(vec![tag; 1 + tag as usize % 3])
+        }
+    }
+
+    impl Tagged for Aligned {
+        fn tagged(tag: u32) -> Self {
+            Aligned(tag)
+        }
+    }
+
+    /// A random one-round delivery from `seed`: G(n, p) with `n < 40` at
+    /// any density, and a train of 1–9 messages queued on each sender
+    /// slot, or none a third of the time. So receivers get no entry, one,
+    /// odd counts and many, and buckets start anywhere within a line.
+    fn delivery_instance(seed: u64) -> (Graph, Vec<usize>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(1..40);
+        let g = graphs::generators::gnp(n, rng.gen::<f64>(), &mut rng);
+        let trains = (0..2 * g.edge_count())
+            .map(|_| if rng.gen_bool(1.0 / 3.0) { 0 } else { rng.gen_range(1..10) })
+            .collect();
+        (g, trains)
+    }
+
+    /// Queues `trains[slot]` tagged messages on every sender slot of `g`,
+    /// delivers one round on `shards` shards — through `deliver_direct`
+    /// on one, `drain_active` and `bucket_incoming` on more — and checks
+    /// every inbox against per-port `VecDeque`s: port order, FIFO within
+    /// a port, one message per port under `congest` and whole trains
+    /// otherwise. Returns each node's bucket as (start in its shard's
+    /// store, length).
+    fn deliver_and_check<M: Tagged>(
+        g: &Graph,
+        trains: &[usize],
+        shards: usize,
+        congest: bool,
+    ) -> Vec<(usize, usize)> {
+        let n = g.node_count();
+        let topo = Topology::from_graph(g, shards);
+        let chunk = n.div_ceil(shards).max(1);
+        let mut plane: Vec<Shard<M>> = (0..shards)
+            .map(|t| {
+                let (lo, hi) = ((t * chunk).min(n), ((t + 1) * chunk).min(n));
+                Shard::new(lo, hi, topo.offsets[lo], topo.offsets[hi])
+            })
+            .collect();
+        let mut fifos: Vec<VecDeque<M>> = trains
+            .iter()
+            .enumerate()
+            .map(|(slot, &len)| (0..len).map(|i| M::tagged((slot * 16 + i) as u32)).collect())
+            .collect();
+        for u in 0..n {
+            let shard = &mut plane[u / chunk];
+            for slot in topo.offsets[u]..topo.offsets[u + 1] {
+                for msg in &fifos[slot as usize] {
+                    shard.push(slot - shard.port_lo, msg.clone());
+                }
+            }
+        }
+
+        if shards == 1 {
+            plane[0].deliver_direct(&topo, congest);
+        } else {
+            let cells: Vec<TransferCell<M>> =
+                (0..shards * shards).map(|_| TransferCell(Mutex::new(Vec::new()))).collect();
+            for (t, shard) in plane.iter_mut().enumerate() {
+                shard.drain_active(&topo, congest, &cells[t * shards..][..shards]);
+            }
+            for (t, shard) in plane.iter_mut().enumerate() {
+                shard.bucket_incoming(cells[t..].iter().step_by(shards));
+            }
+        }
+
+        let mut buckets = Vec::with_capacity(n);
+        for v in 0..n {
+            let mut expected = Vec::new();
+            for (port, &u) in g.neighbors(v).iter().enumerate() {
+                let back = g.neighbors(u).iter().position(|&w| w == v).expect("undirected edge");
+                let fifo = &mut fifos[topo.offsets[u] as usize + back];
+                let take = if congest { fifo.len().min(1) } else { fifo.len() };
+                expected.extend(fifo.drain(..take).map(|msg| (port, msg)));
+            }
+            let shard = &plane[v / chunk];
+            let i = v - shard.node_lo;
+            let (start, end) = (shard.starts[i] as usize, shard.starts[i + 1] as usize);
+            assert_eq!(shard.bucket.entries()[start..end], expected[..], "node {v}'s inbox");
+            buckets.push((start, end - start));
+        }
+        let left: usize = fifos.iter().map(VecDeque::len).sum();
+        assert_eq!(plane.iter().map(Shard::queued).sum::<u64>(), left as u64, "queued after");
+        buckets
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Both deliveries against the per-port FIFO model, on random
+        /// instances, in CONGEST and LOCAL, on one to three shards: for
+        /// entries of 8, 16 and 32 bytes, which stage, and for 24-byte
+        /// entries, a message with drop glue and one aligned beyond a
+        /// line, which take the plain scatter.
+        #[test]
+        fn placement_matches_a_port_fifo_model(
+            seed in any::<u64>(),
+            shards in 1usize..4,
+            congest in any::<bool>(),
+        ) {
+            let (g, trains) = delivery_instance(seed);
+            deliver_and_check::<Ping>(&g, &trains, shards, congest);
+            deliver_and_check::<Short>(&g, &trains, shards, congest);
+            deliver_and_check::<Wide>(&g, &trains, shards, congest);
+            deliver_and_check::<Padded>(&g, &trains, shards, congest);
+            deliver_and_check::<Owned>(&g, &trains, shards, false);
+            deliver_and_check::<Aligned>(&g, &trains, shards, congest);
+        }
+    }
+
+    /// The model's random instances reach every placement geometry:
+    /// buckets that start at each of the eight offsets within a line of
+    /// 8-byte entries, and receivers with no entry, one, an odd count and
+    /// more than three lines' worth.
+    #[test]
+    fn delivery_instances_reach_every_line_offset() {
+        let (mut offsets, mut counts) = ([false; 8], [false; 4]);
+        for seed in 0..8 {
+            let (g, trains) = delivery_instance(seed);
+            for congest in [true, false] {
+                for (start, len) in deliver_and_check::<Ping>(&g, &trains, 1, congest) {
+                    offsets[start % 8] |= len > 0;
+                    counts[0] |= len == 0;
+                    counts[1] |= len == 1;
+                    counts[2] |= len > 1 && len % 2 == 1;
+                    counts[3] |= len > 24;
+                }
+            }
+        }
+        assert_eq!(offsets, [true; 8], "bucket starts within a line");
+        assert_eq!(counts, [true; 4], "receivers with 0, 1, odd and many entries");
+    }
+
+    /// Staging runs where it was measured to pay: a 32-byte entry stages
+    /// at `nc_flat_5k`'s 5,000 nodes on one shard but not at
+    /// `gossip_stream_1m`'s 500,000 per shard, and a 24-byte entry or a
+    /// message with drop glue never stages.
+    #[test]
+    fn staging_is_chosen_by_entry_size_drop_glue_and_node_count() {
+        assert_eq!(size_of::<(Port, Padded)>(), 32);
+        assert_eq!(stages::<Padded>(5_000), cfg!(target_arch = "x86_64"));
+        assert!(!stages::<Padded>(500_000));
+        assert_eq!(size_of::<(Port, Wide)>(), 24);
+        assert!(!stages::<Wide>(5_000));
+        assert_eq!(size_of::<(Port, Owned)>(), 32);
+        assert!(!stages::<Owned>(5_000));
     }
 
     /// Shards and transfer cells are written per message by different
