@@ -80,7 +80,7 @@ use crate::message::Message;
 use crate::metrics::Metrics;
 use crate::network::Nodes;
 use crate::obs::{MetricsMode, RunProfile, TraceConfig, TraceEvent, TraceSink};
-use crate::plane::PortQueues;
+use crate::plane::{NodeOut, PortQueues};
 use crate::protocol::{Context, Endpoint, OutboxHandle, Port, Protocol};
 use crate::sched::sync::{Event, SyncDriver, SyncMsg, Wire, ENVELOPE_BITS};
 use crate::sched::{
@@ -270,7 +270,7 @@ impl<P: Protocol> AsyncNetwork<P> {
         f: impl FnOnce(&mut P, &mut Context<'_, P::Msg>) -> R,
     ) -> R {
         let base = self.wire.topo.offsets[v];
-        let outbox = OutboxHandle::Flat { queues: &mut self.queues, base };
+        let outbox = OutboxHandle::Flat(NodeOut::ports(&mut self.queues, base));
         let mut ctx = Context::new(&self.endpoints[v], round, outbox, &mut self.rngs[v]);
         f(&mut self.protocols[v], &mut ctx)
     }

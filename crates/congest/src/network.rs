@@ -37,6 +37,14 @@
 //!   the headers in port order and almost never visits a chunk.
 //!   Non-empty ports are tracked in a bitset whose scan order is port
 //!   order — no sorted insert on push.
+//! * A broadcast from a node with nothing queued is stored once, in the
+//!   node's preallocated record slot, and counts as `degree` queued
+//!   messages. Delivery walks the senders node by node and expands a
+//!   record over the node's CSR row: one route read and one clone per
+//!   port, no queue header touched. A send or broadcast that follows it
+//!   before delivery writes the record out into the port queues first,
+//!   so per-port FIFO order is what per-port copies give
+//!   (`crate::plane`'s module docs, "Queues").
 //! * Delivery buffers are reused across rounds (a bucket store per
 //!   shard, a transfer buffer per pair of shards); per-round growth only
 //!   happens until the workload's high-water mark is reached.
@@ -44,19 +52,19 @@
 //! # Parallelism and determinism
 //!
 //! `Engine::Flat { shards }` splits nodes into equal shards, one OS
-//! thread each; a single shard delivers straight from its queues. A
-//! sharded round is one thread scope: each thread drains its senders'
-//! queues into its row of transfer buffers, one per receiver shard
-//! (phase A), then — after one barrier — buckets its column, the buffers
-//! addressed to it, into its receivers' inboxes and steps its nodes
-//! (phase B). Shards may outnumber nodes. Both paths visit sender ports
-//! in increasing order and bucket stably, so every inbox comes out in one
-//! canonical order (port-sorted, per-port FIFO) regardless of thread
-//! count, with no sort (`crate::plane`'s module docs give the argument);
-//! metrics are merged with commutative aggregates and each node owns its
-//! RNG stream. Together these make runs **bit-identical** across any
-//! shard count — the contract `crates/core`'s `engine_equivalence` suite
-//! enforces.
+//! thread each; a single shard delivers straight from its queues and
+//! records. A sharded round is one thread scope: each thread drains its
+//! senders' queues and records into its row of transfer buffers, one per
+//! receiver shard (phase A), then — after one barrier — buckets its
+//! column, the buffers addressed to it, into its receivers' inboxes and
+//! steps its nodes (phase B). Shards may outnumber nodes. Both paths
+//! visit sender ports in increasing order and bucket stably, so every
+//! inbox comes out in one canonical order (port-sorted, per-port FIFO)
+//! regardless of thread count, with no sort (`crate::plane`'s module
+//! docs give the argument); metrics are merged with commutative
+//! aggregates and each node owns its RNG stream. Together these make
+//! runs **bit-identical** across any shard count — the contract
+//! `crates/core`'s `engine_equivalence` suite enforces.
 //!
 //! The plane's benchmark is `perfbench/` (workloads in `BENCHMARK.json`):
 //! `nc_flat_5k` runs it on one shard and `gossip_stream_1m` on two.
@@ -148,6 +156,9 @@ pub(crate) struct Network<P: Protocol> {
     metrics: Metrics,
     round: Round,
     initialized: bool,
+    /// Most messages queued or recorded at once, summed over the shards
+    /// at round boundaries ([`Network::note_queue_depth`]).
+    max_queued: u64,
     /// The observability sink (absent unless the session installed
     /// one): one [`TraceEvent::Round`] record per executed round, on
     /// the control thread only. Pure observation — never perturbs the
@@ -246,6 +257,7 @@ impl<P: Protocol> Network<P> {
             metrics: Metrics::default(),
             round: 0,
             initialized: false,
+            max_queued: 0,
             rec: None,
             metrics_mode: MetricsMode::Full,
         }
@@ -269,8 +281,16 @@ impl<P: Protocol> Network<P> {
     /// tracing is off. The synchronous engine has no event wheel, so
     /// its wheel mark is 0.
     fn snapshot_profile(&mut self) -> Option<RunProfile> {
-        let queue_hw = self.shards.iter().map(|s| s.queues.high_water()).max().unwrap_or(0);
+        let queue_hw = self.max_queued;
         self.rec.as_deref_mut().map(|sink| sink.finish(0, queue_hw))
+    }
+
+    /// Raises the queue high-water mark to what the shards hold now.
+    /// Called after the init sweep, each barrier sweep and each round's
+    /// steps: queues grow only there and shrink during delivery, so the
+    /// mark is exact, and the same for any shard count.
+    fn note_queue_depth(&mut self) {
+        self.max_queued = self.max_queued.max(self.queued_messages());
     }
 
     fn shard_of(&self, v: usize) -> usize {
@@ -289,7 +309,7 @@ impl<P: Protocol> Network<P> {
         let t = self.shard_of(v);
         let shard = &mut self.shards[t];
         let base = self.topo.offsets[v] - shard.port_lo;
-        let outbox = OutboxHandle::Flat { queues: &mut shard.queues, base };
+        let outbox = OutboxHandle::Flat(shard.outgoing.node(v - shard.node_lo, base));
         let mut ctx = Context::new(&self.endpoints[v], round, outbox, &mut self.rngs[v]);
         f(&mut self.protocols[v], &mut ctx)
     }
@@ -383,6 +403,7 @@ impl<P: Protocol> Driver for Network<P> {
             for v in 0..self.endpoints.len() {
                 self.with_node_ctx(v, 0, |p, ctx| p.init(ctx));
             }
+            self.note_queue_depth();
         }
 
         let mut executed: u64 = 0;
@@ -394,6 +415,7 @@ impl<P: Protocol> Driver for Network<P> {
                 for v in 0..self.endpoints.len() {
                     resumed |= self.with_node_ctx(v, round, |p, ctx| p.on_quiescent(ctx));
                 }
+                self.note_queue_depth();
                 if !resumed && self.all_outboxes_empty() {
                     break Termination::Quiescent;
                 }
@@ -405,6 +427,7 @@ impl<P: Protocol> Driver for Network<P> {
                 break Termination::RoundLimit;
             }
             let (messages, bits) = self.execute_round();
+            self.note_queue_depth();
             executed += 1;
             emit(
                 &mut self.rec,
@@ -447,9 +470,9 @@ impl<P: Protocol> Driver for Network<P> {
     }
 }
 
-/// Steps every node of `shard` on its bucket slice. The queue set and the
-/// bucket store are disjoint shard fields, so the inbox slices stay
-/// borrowed while each context pushes into the queues.
+/// Steps every node of `shard` on its bucket slice. The outgoing queues
+/// and records and the bucket store are disjoint shard fields, so the
+/// inbox slices stay borrowed while each context sends.
 fn step_shard<P: Protocol>(
     shard: &mut Shard<P::Msg>,
     nodes: NodeSlices<'_, P>,
@@ -458,13 +481,13 @@ fn step_shard<P: Protocol>(
 ) {
     let node_lo = shard.node_lo;
     let port_lo = shard.port_lo;
-    let queues = &mut shard.queues;
+    let outgoing = &mut shard.outgoing;
     let bucket = shard.bucket.entries();
     let starts = &shard.starts;
     for (i, protocol) in nodes.protocols.iter_mut().enumerate() {
         let base = topo.offsets[node_lo + i] - port_lo;
         let inbox = &bucket[starts[i] as usize..starts[i + 1] as usize];
-        let outbox = OutboxHandle::Flat { queues: &mut *queues, base };
+        let outbox = OutboxHandle::Flat(outgoing.node(i, base));
         let mut ctx = Context::new(&nodes.endpoints[i], round, outbox, &mut nodes.rngs[i]);
         protocol.step(&mut ctx, inbox);
     }

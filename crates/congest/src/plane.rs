@@ -25,6 +25,18 @@
 //! on push (the old engine's `Outbox` paid `O(degree)` per first push on
 //! a port).
 //!
+//! On the flat engine a node's whole-row broadcast usually costs one
+//! message, not `degree` of them. Each node of a [`Shard`] has one
+//! *record* slot, preallocated at build ([`Outgoing`]). A broadcast from
+//! a node whose ports are all empty is stored there once, and delivery
+//! expands it over the node's CSR row. A pending record counts as
+//! `degree` queued messages. When the node sends or broadcasts again
+//! before delivery, the record is first written out into its port
+//! queues, so every port's FIFO order is what per-port copies give. On
+//! `nc_flat_5k`, records carry 99.7% of the messages. The α engine keeps
+//! per-port copies ([`NodeOut::ports`]): its ports deliver one by one
+//! under their own delays.
+//!
 //! # Delivery without a sort
 //!
 //! Messages arrive grouped by **sender** and must be consumed grouped by
@@ -38,10 +50,13 @@
 //!
 //! The placement is stable, and its input already arrives in canonical
 //! order, so no bucket is ever sorted. Delivery visits sender slots in
-//! increasing order: a lone shard scans its active-port bitset, and a
-//! receiver shard reads its transfer buffers in sender-shard order, each
-//! filled by one such scan over a contiguous node range. A receiver's
-//! senders therefore arrive in increasing node order, and
+//! increasing order: a shard walks its senders node by node
+//! ([`Outgoing::drain`]), expanding a node's record over its CSR row in
+//! port order or else popping the node's window of the active-port
+//! bitset. A lone shard places straight from that walk, and a receiver
+//! shard reads its transfer buffers in sender-shard order, each filled by
+//! one such walk over a contiguous node range. A receiver's senders
+//! therefore arrive in increasing node order, and
 //! [`Topology::compile`] lists every node's neighbors in increasing order,
 //! so that is the receiver's port order; a LOCAL train leaves its port's
 //! queue in one piece, FIFO. Every bucket is thus sorted by port, FIFO
@@ -398,6 +413,11 @@ impl<M> PortQueues<M> {
         self.ports[p as usize].len
     }
 
+    /// `true` if no local port in `lo..hi` holds a message.
+    fn is_clear(&self, lo: u32, hi: u32) -> bool {
+        (lo / 64..hi.div_ceil(64)).all(|wi| self.active[wi as usize] & window(wi, lo, hi) == 0)
+    }
+
     fn alloc_chunk(&mut self) -> u32 {
         if self.free_head != NIL {
             let c = self.free_head;
@@ -515,6 +535,168 @@ impl<M> PortQueues<M> {
     }
 }
 
+/// The bits of active-port word `wi` that fall in ports `lo..hi`, for a
+/// word that holds at least one port below `hi`.
+#[inline]
+fn window(wi: u32, lo: u32, hi: u32) -> u64 {
+    let first = wi * 64;
+    let from = if lo > first { !0u64 << (lo - first) } else { !0 };
+    let below = if hi - first < 64 { (1u64 << (hi - first)) - 1 } else { !0 };
+    from & below
+}
+
+/// One node's window into a queue set, where its context's sends land:
+/// its ports `base..base + degree`, and on the flat engine its broadcast
+/// record slot (module docs, "Queues").
+#[derive(Debug)]
+pub(crate) struct NodeOut<'a, M> {
+    queues: &'a mut PortQueues<M>,
+    /// Local offset of the node's port 0 within `queues`.
+    base: u32,
+    /// The node's record slot and its shard's count of recorded
+    /// messages, or `None` where every broadcast is queued per port.
+    record: Option<(&'a mut Option<M>, &'a mut u64)>,
+}
+
+impl<'a, M: Clone> NodeOut<'a, M> {
+    /// A window without a record slot: the α engine's, whose ports
+    /// deliver one by one.
+    pub fn ports(queues: &'a mut PortQueues<M>, base: u32) -> Self {
+        Self { queues, base, record: None }
+    }
+
+    /// Enqueues `msg` on `port`, behind the copy a pending record holds
+    /// for it.
+    #[inline]
+    pub fn send(&mut self, degree: usize, port: usize, msg: M) {
+        self.write_out(degree);
+        self.queues.push(self.base + port as u32, msg);
+    }
+
+    /// Enqueues a copy of `msg` on each of the node's `degree` ports: as
+    /// its record, if it has a slot, no pending record and no queued
+    /// message, and otherwise as one copy per port.
+    pub fn broadcast(&mut self, degree: usize, msg: M) {
+        let (base, hi) = (self.base, self.base + degree as u32);
+        if let Some((slot, recorded)) = &mut self.record {
+            if slot.is_none() && degree > 0 && self.queues.is_clear(base, hi) {
+                **slot = Some(msg);
+                **recorded += degree as u64;
+                return;
+            }
+        }
+        self.write_out(degree);
+        self.copies(degree, &msg);
+    }
+
+    /// Turns a pending record into one copy per port, so that what the
+    /// node sends next queues behind it.
+    fn write_out(&mut self, degree: usize) {
+        let Some((slot, recorded)) = &mut self.record else { return };
+        let Some(msg) = slot.take() else { return };
+        **recorded -= degree as u64;
+        self.copies(degree, &msg);
+    }
+
+    /// Enqueues a copy of `msg` on each of the node's `degree` ports.
+    fn copies(&mut self, degree: usize, msg: &M) {
+        for p in self.base..self.base + degree as u32 {
+            self.queues.push(p, msg.clone());
+        }
+    }
+}
+
+/// What a shard's nodes have sent and not yet delivered: a FIFO per port,
+/// and a record slot per node (module docs, "Queues").
+#[derive(Debug)]
+pub(crate) struct Outgoing<M> {
+    /// The range's outgoing per-port FIFOs.
+    pub queues: PortQueues<M>,
+    /// Each local node's pending broadcast, if it has one. A node with a
+    /// record has no message queued on any port.
+    records: Vec<Option<M>>,
+    /// Messages the pending records stand for: each its node's degree.
+    recorded: u64,
+}
+
+impl<M: Message> Outgoing<M> {
+    fn new(node_count: usize, port_count: usize) -> Self {
+        Self {
+            queues: PortQueues::new(port_count),
+            records: std::iter::repeat_with(|| None).take(node_count).collect(),
+            recorded: 0,
+        }
+    }
+
+    /// Messages queued or recorded, a record counting as its node's
+    /// degree.
+    #[inline]
+    pub fn queued(&self) -> u64 {
+        self.queues.queued() + self.recorded
+    }
+
+    /// Local node `local`'s window, its ports starting at local port
+    /// `base`.
+    #[inline]
+    pub fn node(&mut self, local: usize, base: u32) -> NodeOut<'_, M> {
+        NodeOut {
+            queues: &mut self.queues,
+            base,
+            record: Some((&mut self.records[local], &mut self.recorded)),
+        }
+    }
+
+    /// The sender walk both deliveries share. Visits the nodes of the
+    /// range starting at node `node_lo` and port `port_lo` in order, and
+    /// hands `sink` each message that leaves this round with its route,
+    /// metered in `delta`. A pending record expands over its node's CSR
+    /// row, one copy per port; any other node's window of the active-port
+    /// bitset is popped, one message per port when `congest` and whole
+    /// queues otherwise. Either way sender slots come in increasing order
+    /// (module docs, "Delivery without a sort").
+    #[inline(always)]
+    fn drain(
+        &mut self,
+        topo: &Topology,
+        (node_lo, port_lo): (usize, u32),
+        congest: bool,
+        delta: &mut RoundDelta,
+        mut sink: impl FnMut(Route, M),
+    ) {
+        for (i, record) in self.records.iter_mut().enumerate() {
+            let (lo, hi) = (topo.offsets[node_lo + i], topo.offsets[node_lo + i + 1]);
+            let row = &topo.route[lo as usize..hi as usize];
+            if let Some(msg) = record.take() {
+                self.recorded -= row.len() as u64;
+                delta.record_copies(msg.bit_size(), row.len());
+                for &route in row {
+                    sink(route, msg.clone());
+                }
+                continue;
+            }
+            let (lo, hi) = (lo - port_lo, hi - port_lo);
+            for wi in lo / 64..hi.div_ceil(64) {
+                // Pops clear bits of the word being scanned; the snapshot
+                // is taken before any pop of this word, so each active
+                // port is visited exactly once, in port order.
+                let mut word = self.queues.active[wi as usize] & window(wi, lo, hi);
+                while word != 0 {
+                    let p = wi * 64 + word.trailing_zeros();
+                    word &= word - 1;
+                    let route = row[(p - lo) as usize];
+                    while let Some(msg) = self.queues.pop(p) {
+                        delta.record(msg.bit_size());
+                        sink(route, msg);
+                        if congest {
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// One round's payload-delivery counters: a shard meters its deliveries
 /// here, and the network folds each shard's into [`crate::Metrics`]
 /// after the parallel phases join.
@@ -532,8 +714,14 @@ impl RoundDelta {
     /// Folds one delivered payload of `bits` width in.
     #[inline]
     fn record(&mut self, bits: usize) {
-        self.messages += 1;
-        self.bits += bits as u64;
+        self.record_copies(bits, 1);
+    }
+
+    /// Folds `copies ≥ 1` delivered payloads of `bits` width each in.
+    #[inline]
+    fn record_copies(&mut self, bits: usize, copies: usize) {
+        self.messages += copies as u64;
+        self.bits += (bits * copies) as u64;
         self.max_bits = self.max_bits.max(bits);
     }
 }
@@ -553,10 +741,10 @@ impl<M> TransferCell<M> {
     }
 }
 
-/// The message-plane state owned by one worker: the outgoing queues of a
-/// contiguous node range and the receiver-side bucket store. A sharded
-/// round hands messages between shards through the network's transfer
-/// cells, one per (sender shard, receiver shard) pair:
+/// The message-plane state owned by one worker: the outgoing queues and
+/// records of a contiguous node range and the receiver-side bucket store.
+/// A sharded round hands messages between shards through the network's
+/// transfer cells, one per (sender shard, receiver shard) pair:
 /// [`Shard::drain_active`] fills its row of them, and
 /// [`Shard::bucket_incoming`] empties its column. Each shard's thread
 /// writes its own shard's counters and queue headers per message, so a
@@ -570,8 +758,8 @@ pub(crate) struct Shard<M> {
     pub node_hi: usize,
     /// Global id of the first port in the range.
     pub port_lo: u32,
-    /// The range's outgoing per-port FIFOs.
-    pub queues: PortQueues<M>,
+    /// The range's sent, undelivered messages.
+    pub outgoing: Outgoing<M>,
     /// Per-local-node message counts for the counting pass, then prefix-
     /// summed into bucket cursors.
     cursor: Vec<u32>,
@@ -605,7 +793,7 @@ impl<M: Message> Shard<M> {
             node_lo,
             node_hi,
             port_lo,
-            queues: PortQueues::new(port_count),
+            outgoing: Outgoing::new(node_count, port_count),
             cursor: vec![0u32; node_count],
             starts: vec![0u32; node_count + 1],
             bucket: Buckets::new(),
@@ -614,28 +802,30 @@ impl<M: Message> Shard<M> {
         }
     }
 
-    /// Messages queued across all ports of this shard.
+    /// Messages queued or recorded across this shard, a record counting
+    /// as its node's degree.
     #[inline]
     pub fn queued(&self) -> u64 {
-        self.queues.queued()
+        self.outgoing.queued()
     }
 
     /// Enqueues `msg` on local port `p`.
     #[cfg(test)]
     pub fn push(&mut self, p: u32, msg: M) {
-        self.queues.push(p, msg);
+        self.outgoing.queues.push(p, msg);
     }
 
     /// Dequeues from local port `p`.
     #[cfg(test)]
     pub fn pop(&mut self, p: u32) -> Option<M> {
-        self.queues.pop(p)
+        self.outgoing.queues.pop(p)
     }
 
-    /// Delivery phase A: drains this shard's active ports — one message
-    /// per port when `congest`, whole queues otherwise — routing each
-    /// message into its destination shard's cell of `row` and metering
-    /// it in [`Self::delta`]. The row stays locked for the call only.
+    /// Delivery phase A: drains this shard's senders — a record whole,
+    /// and one message per active port when `congest` or whole queues
+    /// otherwise — routing each message into its destination shard's
+    /// cell of `row` and metering it in [`Self::delta`]. The row stays
+    /// locked for the call only.
     pub fn drain_active<'a>(
         &mut self,
         topo: &Topology,
@@ -645,51 +835,48 @@ impl<M: Message> Shard<M> {
         M: 'a,
     {
         let mut out: Vec<_> = row.into_iter().map(TransferCell::lock).collect();
-        for wi in 0..self.queues.active.len() {
-            // Pops may clear bits of the word being scanned; the snapshot
-            // is taken before any pop of this word, so each active port is
-            // visited exactly once, in port order.
-            let mut word = self.queues.active[wi];
-            while word != 0 {
-                let p = (wi * 64) as u32 + word.trailing_zeros();
-                word &= word - 1;
-                let route = topo.route[(self.port_lo + p) as usize];
-                while let Some(msg) = self.queues.pop(p) {
-                    self.delta.record(msg.bit_size());
-                    out[route.dest_shard as usize].push((route.back_port, route.dest_node, msg));
-                    if congest {
-                        break;
-                    }
-                }
-            }
-        }
+        let range = (self.node_lo, self.port_lo);
+        self.outgoing.drain(topo, range, congest, &mut self.delta, |route, msg| {
+            out[route.dest_shard as usize].push((route.back_port, route.dest_node, msg));
+        });
     }
 
-    /// Single-shard delivery: straight from the port queues into the
-    /// bucket store, touching each payload exactly once (no transfer
-    /// buffers).
+    /// Single-shard delivery: straight from the port queues and records
+    /// into the bucket store, touching each payload exactly once (no
+    /// transfer buffers).
     ///
     /// Pass 1 counts deliverable messages per receiving node without
-    /// reading any payload (one per active port under `congest`, the
-    /// whole queue length otherwise); after [`Self::layout_buckets`],
-    /// pass 2 pops each message and places it at its bucket cursor.
-    /// Sender slots are visited in increasing order, so each bucket comes
-    /// out in canonical order (see the module docs). The result is
-    /// identical to `drain_active` + `bucket_incoming` — same buckets,
-    /// same metering — just with half the memory traffic.
+    /// reading any payload (one per port of a record's row, one per
+    /// active port under `congest`, the whole queue length otherwise);
+    /// after [`Self::layout_buckets`], pass 2 walks the senders
+    /// ([`Outgoing::drain`]) and places each message at its bucket
+    /// cursor. Sender slots are visited in increasing order, so each
+    /// bucket comes out in canonical order (see the module docs). The
+    /// result is identical to `drain_active` + `bucket_incoming` — same
+    /// buckets, same metering — just with half the memory traffic.
     pub fn deliver_direct(&mut self, topo: &Topology, congest: bool) {
         debug_assert_eq!(self.node_lo, 0, "direct delivery requires the single-shard layout");
 
         let node_count = self.node_hi - self.node_lo;
         self.cursor[..node_count].fill(0);
         let mut total = 0usize;
-        for wi in 0..self.queues.active.len() {
-            let mut word = self.queues.active[wi];
+        for (u, record) in self.outgoing.records.iter().enumerate() {
+            if record.is_some() {
+                let row = &topo.route[topo.offsets[u] as usize..topo.offsets[u + 1] as usize];
+                for route in row {
+                    self.cursor[route.dest_node as usize] += 1;
+                }
+                total += row.len();
+            }
+        }
+        let queues = &self.outgoing.queues;
+        for wi in 0..queues.active.len() {
+            let mut word = queues.active[wi];
             while word != 0 {
                 let p = (wi * 64) as u32 + word.trailing_zeros();
                 word &= word - 1;
                 let route = topo.route[(self.port_lo + p) as usize];
-                let deliverable = if congest { 1 } else { self.queues.len(p) };
+                let deliverable = if congest { 1 } else { queues.len(p) };
                 self.cursor[route.dest_node as usize] += deliverable;
                 total += deliverable as usize;
             }
@@ -698,21 +885,10 @@ impl<M: Message> Shard<M> {
         self.layout_buckets(total);
         let mut place =
             Placer::new(&mut self.bucket, &mut self.stage, &mut self.cursor, &self.starts);
-        for wi in 0..self.queues.active.len() {
-            let mut word = self.queues.active[wi];
-            while word != 0 {
-                let p = (wi * 64) as u32 + word.trailing_zeros();
-                word &= word - 1;
-                let route = topo.route[(self.port_lo + p) as usize];
-                while let Some(msg) = self.queues.pop(p) {
-                    self.delta.record(msg.bit_size());
-                    place.put(route.dest_node as usize, (route.back_port as Port, msg));
-                    if congest {
-                        break;
-                    }
-                }
-            }
-        }
+        let range = (self.node_lo, self.port_lo);
+        self.outgoing.drain(topo, range, congest, &mut self.delta, |route, msg| {
+            place.put(route.dest_node as usize, (route.back_port as Port, msg));
+        });
         place.finish();
         debug_assert!(self.buckets_in_port_order());
     }
@@ -1097,7 +1273,11 @@ mod tests {
             while s.pop(0).is_some() {}
         }
         // Steady state: the pool high-water mark is one burst's worth.
-        assert!(s.queues.chunks.len() <= 3, "pool grew to {} chunks", s.queues.chunks.len());
+        assert!(
+            s.outgoing.queues.chunks.len() <= 3,
+            "pool grew to {} chunks",
+            s.outgoing.queues.chunks.len()
+        );
     }
 
     #[test]
@@ -1187,12 +1367,12 @@ mod tests {
         let mut s = shard_for(130);
         s.push(0, Ping);
         s.push(129, Ping);
-        assert_eq!(s.queues.active[0], 1);
-        assert_eq!(s.queues.active[2], 0b10);
+        assert_eq!(s.outgoing.queues.active[0], 1);
+        assert_eq!(s.outgoing.queues.active[2], 0b10);
         s.pop(0);
-        assert_eq!(s.queues.active[0], 0);
+        assert_eq!(s.outgoing.queues.active[0], 0);
         s.pop(129);
-        assert_eq!(s.queues.active[2], 0);
+        assert_eq!(s.outgoing.queues.active[2], 0);
     }
 
     #[test]
@@ -1427,16 +1607,53 @@ mod tests {
         (g, trains)
     }
 
+    /// What a node sends after its trains are queued (see
+    /// [`record_instance`]).
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Cast {
+        Nothing,
+        /// A broadcast: a record if the node's ports are empty.
+        Broadcast,
+        /// A broadcast, then a send on port 0, which writes a record out.
+        BroadcastThenSend,
+    }
+
+    /// [`delivery_instance`] where a third of the nodes queue no train and
+    /// broadcast, and another sixth broadcast behind their trains; half of
+    /// the broadcasters then send on port 0 too.
+    fn record_instance(seed: u64) -> (Graph, Vec<usize>, Vec<Cast>) {
+        let (g, mut trains) = delivery_instance(seed);
+        let offsets = Topology::from_graph(&g, 1).offsets;
+        let mut rng = StdRng::seed_from_u64(!seed);
+        let casts = (0..g.node_count())
+            .map(|u| {
+                let pick = rng.gen_range(0..6);
+                if pick < 2 {
+                    trains[offsets[u] as usize..offsets[u + 1] as usize].fill(0);
+                }
+                match pick {
+                    0 | 2 => Cast::Broadcast,
+                    1 | 3 => Cast::BroadcastThenSend,
+                    _ => Cast::Nothing,
+                }
+            })
+            .collect();
+        (g, trains, casts)
+    }
+
     /// Queues `trains[slot]` tagged messages on every sender slot of `g`,
-    /// delivers one round on `shards` shards — through `deliver_direct`
-    /// on one, `drain_active` and `bucket_incoming` on more — and checks
-    /// every inbox against per-port `VecDeque`s: port order, FIFO within
-    /// a port, one message per port under `congest` and whole trains
-    /// otherwise. Returns each node's bucket as (start in its shard's
-    /// store, length).
+    /// then has each node `u` send `casts[u]` (nothing past the end of
+    /// `casts`), delivers one round on `shards` shards — through
+    /// `deliver_direct` on one, `drain_active` and `bucket_incoming` on
+    /// more — and checks every inbox against per-port `VecDeque`s: port
+    /// order, FIFO within a port, one message per port under `congest`
+    /// and whole trains otherwise. A broadcast from a node with nothing
+    /// queued must be a record. Returns each node's bucket as (start in
+    /// its shard's store, length).
     fn deliver_and_check<M: Tagged>(
         g: &Graph,
         trains: &[usize],
+        casts: &[Cast],
         shards: usize,
         congest: bool,
     ) -> Vec<(usize, usize)> {
@@ -1456,12 +1673,31 @@ mod tests {
             .collect();
         for u in 0..n {
             let shard = &mut plane[u / chunk];
-            for slot in topo.offsets[u]..topo.offsets[u + 1] {
+            let (lo, hi) = (topo.offsets[u], topo.offsets[u + 1]);
+            for slot in lo..hi {
                 for msg in &fifos[slot as usize] {
                     shard.push(slot - shard.port_lo, msg.clone());
                 }
             }
+            let cast = casts.get(u).copied().unwrap_or(Cast::Nothing);
+            if cast == Cast::Nothing {
+                continue;
+            }
+            let (degree, local) = ((hi - lo) as usize, u - shard.node_lo);
+            let quiet = fifos[lo as usize..hi as usize].iter().all(VecDeque::is_empty);
+            let all = M::tagged(u32::MAX - 2 * u as u32);
+            let mut out = shard.outgoing.node(local, lo - shard.port_lo);
+            out.broadcast(degree, all.clone());
+            fifos[lo as usize..hi as usize].iter_mut().for_each(|f| f.push_back(all.clone()));
+            assert_eq!(shard.outgoing.records[local].is_some(), quiet && degree > 0, "node {u}");
+            if cast == Cast::BroadcastThenSend && degree > 0 {
+                let one = M::tagged(u32::MAX - 2 * u as u32 - 1);
+                shard.outgoing.node(local, lo - shard.port_lo).send(degree, 0, one.clone());
+                fifos[lo as usize].push_back(one);
+            }
         }
+        let queued: usize = fifos.iter().map(VecDeque::len).sum();
+        assert_eq!(plane.iter().map(Shard::queued).sum::<u64>(), queued as u64, "queued before");
 
         if shards == 1 {
             plane[0].deliver_direct(&topo, congest);
@@ -1503,20 +1739,21 @@ mod tests {
         /// instances, in CONGEST and LOCAL, on one to three shards: for
         /// entries of 8, 16 and 32 bytes, which stage, and for 24-byte
         /// entries, a message with drop glue and one aligned beyond a
-        /// line, which take the plain scatter.
+        /// line, which take the plain scatter. Broadcast records, their
+        /// write-outs and per-port broadcasts mix with the trains.
         #[test]
         fn placement_matches_a_port_fifo_model(
             seed in any::<u64>(),
             shards in 1usize..4,
             congest in any::<bool>(),
         ) {
-            let (g, trains) = delivery_instance(seed);
-            deliver_and_check::<Ping>(&g, &trains, shards, congest);
-            deliver_and_check::<Short>(&g, &trains, shards, congest);
-            deliver_and_check::<Wide>(&g, &trains, shards, congest);
-            deliver_and_check::<Padded>(&g, &trains, shards, congest);
-            deliver_and_check::<Owned>(&g, &trains, shards, false);
-            deliver_and_check::<Aligned>(&g, &trains, shards, congest);
+            let (g, trains, casts) = record_instance(seed);
+            deliver_and_check::<Ping>(&g, &trains, &casts, shards, congest);
+            deliver_and_check::<Short>(&g, &trains, &casts, shards, congest);
+            deliver_and_check::<Wide>(&g, &trains, &casts, shards, congest);
+            deliver_and_check::<Padded>(&g, &trains, &casts, shards, congest);
+            deliver_and_check::<Owned>(&g, &trains, &casts, shards, false);
+            deliver_and_check::<Aligned>(&g, &trains, &casts, shards, congest);
         }
     }
 
@@ -1530,7 +1767,7 @@ mod tests {
         for seed in 0..8 {
             let (g, trains) = delivery_instance(seed);
             for congest in [true, false] {
-                for (start, len) in deliver_and_check::<Ping>(&g, &trains, 1, congest) {
+                for (start, len) in deliver_and_check::<Ping>(&g, &trains, &[], 1, congest) {
                     offsets[start % 8] |= len > 0;
                     counts[0] |= len == 0;
                     counts[1] |= len == 1;

@@ -29,6 +29,7 @@ use std::collections::VecDeque;
 use rand::rngs::StdRng;
 
 use crate::message::Message;
+use crate::plane::NodeOut;
 
 /// A port: the local index of one incident edge (`0..degree`).
 pub type Port = usize;
@@ -174,30 +175,38 @@ impl<M> Outbox<M> {
 }
 
 /// Where a [`Context`] routes outgoing messages: a node-owned [`Outbox`]
-/// (the legacy reference engine, tests) or a port range inside a set of
-/// flat slab-backed queues (the zero-allocation plane shared by the
-/// synchronous and asynchronous engines).
+/// (the legacy reference engine, tests) or a node's window into the flat
+/// plane (the zero-allocation plane shared by the synchronous and
+/// asynchronous engines).
 #[derive(Debug)]
 pub(crate) enum OutboxHandle<'a, M> {
     /// A node-owned queue set (the legacy fixture and tests).
     #[cfg_attr(not(feature = "legacy-engine"), allow(dead_code))]
     Owned(&'a mut Outbox<M>),
-    /// A window into the flat plane: the node's ports live at
-    /// `base..base + degree` within `queues`.
-    Flat {
-        /// The flat queue set owning this node's ports.
-        queues: &'a mut crate::plane::PortQueues<M>,
-        /// Local offset of the node's port 0 within the queue set.
-        base: u32,
-    },
+    /// The node's ports within a flat queue set, and on the flat engine
+    /// its broadcast record slot.
+    Flat(NodeOut<'a, M>),
 }
 
 impl<M: Message> OutboxHandle<'_, M> {
+    /// Enqueues `msg` on `port` of a node with `degree` ports.
     #[inline]
-    fn push(&mut self, port: Port, msg: M) {
+    fn push(&mut self, degree: usize, port: Port, msg: M) {
         match self {
             OutboxHandle::Owned(outbox) => outbox.push(port, msg),
-            OutboxHandle::Flat { queues, base } => queues.push(*base + port as u32, msg),
+            OutboxHandle::Flat(out) => out.send(degree, port, msg),
+        }
+    }
+
+    /// Enqueues a copy of `msg` on each of a node's `degree` ports.
+    fn broadcast(&mut self, degree: usize, msg: M) {
+        match self {
+            OutboxHandle::Owned(outbox) => {
+                for port in 0..degree {
+                    outbox.push(port, msg.clone());
+                }
+            }
+            OutboxHandle::Flat(out) => out.broadcast(degree, msg),
         }
     }
 }
@@ -277,15 +286,27 @@ impl<M: Message> Context<'_, M> {
     ///
     /// Panics if `port >= degree`.
     pub fn send(&mut self, port: Port, msg: M) {
-        assert!(port < self.degree(), "send to port {port} but degree is {}", self.degree());
-        self.outbox.push(port, msg);
+        let degree = self.degree();
+        assert!(port < degree, "send to port {port} but degree is {degree}");
+        self.outbox.push(degree, port, msg);
     }
 
-    /// Enqueues a copy of `msg` for every neighbor.
+    /// Enqueues a copy of `msg` for every neighbor: the same as
+    /// [`Context::send`] on each port in turn, in what it delivers and
+    /// meters.
+    ///
+    /// On [`Engine::Flat`](crate::Engine::Flat) it usually costs one
+    /// message: when none of this node's ports holds a message, `msg` is
+    /// stored once, as the node's broadcast record, and delivery expands
+    /// it over the node's ports. It falls back to one copy per port when
+    /// a port still holds a message (a CONGEST train) or a record is
+    /// already pending. A `send` or `broadcast` after a record, before
+    /// the next delivery, first writes the record out as copies, so every
+    /// port's FIFO order is unchanged. The other engines queue one copy
+    /// per port.
     pub fn broadcast(&mut self, msg: M) {
-        for port in 0..self.degree() {
-            self.outbox.push(port, msg.clone());
-        }
+        let degree = self.degree();
+        self.outbox.broadcast(degree, msg);
     }
 
     /// This node's private RNG stream (deterministic per master seed and

@@ -193,6 +193,96 @@ fn local_rounds_do_not_allocate() {
     probe(Mode::Local);
 }
 
+/// Broadcast records and their write-outs are allocation-free too: every
+/// round each node broadcasts, which the flat engine stores as one
+/// record, and then sends on port 0, which writes the record out into
+/// per-port copies and queues a second message behind one of them. In
+/// LOCAL every port is empty again by the next step, so this happens
+/// every round; a CONGEST port holds its second message a round longer,
+/// so there the node casts every other round.
+///
+/// On one shard, 512 steady-state rounds allocate nothing. A sharded
+/// round spawns its worker threads and collects its locked transfer
+/// cells afresh, a fixed number of allocations per round whatever the
+/// traffic, so on two shards the probe holds the run to exactly what the
+/// same traffic sent port by port allocates.
+#[test]
+fn broadcast_write_outs_do_not_allocate() {
+    struct CastThenSend {
+        every: u64,
+        records: bool,
+    }
+    impl Protocol for CastThenSend {
+        type Msg = Tick;
+        type Output = ();
+
+        fn init(&mut self, ctx: &mut Context<'_, Tick>) {
+            self.step(ctx, &[]);
+        }
+
+        fn step(&mut self, ctx: &mut Context<'_, Tick>, _inbox: &[(Port, Tick)]) {
+            if ctx.round() % self.every == 0 {
+                if self.records {
+                    ctx.broadcast(Tick);
+                } else {
+                    for port in 0..ctx.degree() {
+                        ctx.send(port, Tick);
+                    }
+                }
+                ctx.send(0, Tick);
+            }
+        }
+
+        fn is_idle(&self) -> bool {
+            true
+        }
+
+        fn output(&self) {}
+    }
+
+    let _probe = serialized();
+    let g = ring_with_chords(64);
+    // Each cast sends one copy per port and one more per node, and all of
+    // it is delivered within `every` rounds.
+    let per_cast = 2 * g.edge_count() as u64 + g.node_count() as u64;
+    for (mode, every) in [(Mode::Local, 1), (Mode::Congest, 2)] {
+        for shards in [1, 2] {
+            let steady = |records: bool| {
+                let mut net = Session::on(&g)
+                    .mode(mode)
+                    .seed(5)
+                    .engine(Engine::Flat { shards })
+                    .build_with(|_| CastThenSend { every, records });
+                let report = net.drive(RunLimits::rounds(64), &mut ());
+                assert_eq!(report.termination, Termination::RoundLimit, "the casts never stop");
+                net.reserve_rounds(4096);
+
+                let before = allocations();
+                net.drive(RunLimits::rounds(0), &mut ());
+                let wrapper = allocations() - before;
+
+                let before = allocations();
+                let report = net.drive(RunLimits::rounds(512), &mut ());
+                let with_rounds = allocations() - before;
+                assert_eq!(report.metrics.messages, 576 / every * per_cast, "{mode:?}");
+                with_rounds.saturating_sub(wrapper)
+            };
+            let (records, per_port) = (steady(true), steady(false));
+            assert_eq!(
+                records, per_port,
+                "512 steady-state {mode:?} rounds on {shards} shards performed {records} heap \
+                 allocations with records and {per_port} with per-port sends"
+            );
+            if shards == 1 {
+                assert_eq!(
+                    records, 0,
+                    "512 steady-state {mode:?} rounds allocated {records} times"
+                );
+            }
+        }
+    }
+}
+
 /// Pipelined trains (multi-chunk queues) also reach an allocation-free
 /// steady state: chunk recycling must cover queue depths > one chunk.
 #[test]
@@ -606,15 +696,22 @@ fn staging_per_port(nodes: usize, ports: usize) -> f64 {
     (nodes * line) as f64 / ports as f64
 }
 
+/// The broadcast record slot each node gets on the flat engine, one
+/// `Option<Word>`, spread over the run's `ports` directed ports.
+fn record_per_port(nodes: usize, ports: usize) -> f64 {
+    (nodes * std::mem::size_of::<Option<Word>>()) as f64 / ports as f64
+}
+
 /// The run-time memory contract, byte-accounted: a CONGEST echo on a
 /// G(n, p) instance of expected degree 16 keeps one 24-byte message
 /// queued on every directed port between rounds, and the run's peak
 /// live bytes — build included — come to what each port needs and no
 /// more: its 12-byte route, its 8-byte neighbor ID in the endpoint
 /// arena, its queue header with the message inline, and its entry in
-/// the delivery bucket, plus each node's staging line. Other per-node
-/// state must fit in 10% on top. A chunk per busy port (200 bytes for
-/// this message) would more than double the figure.
+/// the delivery bucket, plus each node's staging line and broadcast
+/// record slot. Other per-node state must fit in 10% on top. A chunk per
+/// busy port (200 bytes for this message) would more than double the
+/// figure.
 #[test]
 fn congest_run_holds_one_message_per_port() {
     let _probe = serialized();
@@ -638,12 +735,14 @@ fn congest_run_holds_one_message_per_port() {
     let header = 16 + std::mem::size_of::<Option<Word>>();
     let bucket_entry = std::mem::size_of::<(Port, Word)>();
     let staging = staging_per_port(n, ports);
-    let model = (route + arena + header + bucket_entry) as f64 + staging;
+    let record = record_per_port(n, ports);
+    let model = (route + arena + header + bucket_entry) as f64 + staging + record;
     assert!(
         (model..=model * 1.1).contains(&per_port),
         "a CONGEST run peaked at {per_port:.1} B per directed port; the per-port model is \
          {model:.1} B (route {route} + arena {arena} + header {header} + bucket entry \
-         {bucket_entry} + staging {staging:.1}), plus at most 10% for per-node state"
+         {bucket_entry} + staging {staging:.1} + record slot {record:.1}), plus at most 10% \
+         for per-node state"
     );
 }
 
@@ -652,7 +751,7 @@ fn congest_run_holds_one_message_per_port() {
 /// transfer buffer entry, so the per-port model is the one-shard model's
 /// plus one `(receiver's port, destination node, message)` entry, 32
 /// bytes for this message (each shard's nodes still get one staging line
-/// each). Holding each round's messages in a buffer of their own on
+/// and one record slot each). Holding each round's messages in a buffer of their own on
 /// either side of the transfer buffer would add two more entries per
 /// port.
 #[test]
@@ -680,12 +779,14 @@ fn sharded_run_holds_one_transfer_entry_per_port() {
         + std::mem::size_of::<(Port, Word)>();
     let transfer_entry = std::mem::size_of::<(u32, u32, Word)>();
     let staging = staging_per_port(n, ports);
-    let model = (one_shard + transfer_entry) as f64 + staging;
+    let record = record_per_port(n, ports);
+    let model = (one_shard + transfer_entry) as f64 + staging + record;
     assert!(
         (model..=model * 1.1).contains(&per_port),
         "a two-shard CONGEST run peaked at {per_port:.1} B per directed port; the per-port \
          model is {model:.1} B (the one-shard {one_shard} B + transfer entry \
-         {transfer_entry} + staging {staging:.1}), plus at most 10% for per-node state"
+         {transfer_entry} + staging {staging:.1} + record slot {record:.1}), plus at most 10% \
+         for per-node state"
     );
 }
 

@@ -298,6 +298,31 @@ fn zero_budget_drive_leaves_the_per_pulse_histograms_alone() {
     assert_eq!(split.ctrl_bits_per_pulse, whole.ctrl_bits_per_pulse);
 }
 
+/// The flat engine's profile describes the run, not how it was sharded:
+/// a traced run's whole `RunProfile`, its queue high-water mark
+/// included, is the same on one to four shards. Every node broadcasts
+/// every round, so each directed port holds one message between rounds.
+#[test]
+fn flat_profiles_do_not_depend_on_the_shard_count() {
+    let g = ring_with_chords(40);
+    let profile = |shards| {
+        Session::on(&g)
+            .seed(3)
+            .engine(Engine::Flat { shards })
+            .limits(RunLimits::rounds(12))
+            .trace(TraceConfig::default())
+            .build_with(|_| Beacon)
+            .run()
+            .profile
+            .expect("traced")
+    };
+    let one = profile(1);
+    assert_eq!(one.max_queue_depth, 2 * g.edge_count() as u64, "one message per port");
+    for shards in 2..=4 {
+        assert_eq!(profile(shards), one, "{shards} shards");
+    }
+}
+
 /// `TraceConfig::profile_only()` keeps the streaming aggregates with no
 /// timeline ring at all.
 #[test]

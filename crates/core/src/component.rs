@@ -14,7 +14,8 @@
 //!   round per edge, emitted in increasing subset order (step 4c).
 //! * [`FanoutStream`] — an ordered stream of `(subset, value)` pairs
 //!   flowing *down* or *out*, advanced one message per destination per
-//!   round (steps 4d–4e).
+//!   round (steps 4d–4e); a stream to every port hands each item over
+//!   once, as one broadcast.
 
 use std::collections::BTreeSet;
 
@@ -149,6 +150,15 @@ pub struct FanoutStream {
     next: usize,
 }
 
+/// Where [`FanoutStream::pump`] sends one item.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Fanout {
+    /// One listed port.
+    Port(Port),
+    /// Every port at once: send it with `Context::broadcast`.
+    All,
+}
+
 /// Where a [`FanoutStream`] sends.
 #[derive(Clone, Debug)]
 enum Dests {
@@ -188,17 +198,19 @@ impl FanoutStream {
         self.items.is_empty()
     }
 
-    /// Sends the next unsent item to every destination, in destination
-    /// order, as `send(port, x, value)` — this round's sends.
-    pub fn pump(&mut self, mut send: impl FnMut(Port, u32, u32)) {
+    /// Sends the next unsent item to every destination as
+    /// `send(to, x, value)` — this round's sends: once per listed port,
+    /// in list order, or once with [`Fanout::All`] for a stream to every
+    /// port.
+    pub fn pump(&mut self, mut send: impl FnMut(Fanout, u32, u32)) {
         if self.drained() {
             return;
         }
         let (x, v) = self.items[self.next];
         self.next += 1;
         match &self.dests {
-            Dests::Ports(ports) => ports.iter().for_each(|&port| send(port, x, v)),
-            Dests::All(degree) => (0..*degree).for_each(|port| send(port, x, v)),
+            Dests::Ports(ports) => ports.iter().for_each(|&port| send(Fanout::Port(port), x, v)),
+            Dests::All(_) => send(Fanout::All, x, v),
         }
     }
 
@@ -449,7 +461,7 @@ mod tests {
         c.receive(3, 1, 0);
     }
 
-    fn pumped(f: &mut FanoutStream) -> Vec<(Port, u32, u32)> {
+    fn pumped(f: &mut FanoutStream) -> Vec<(Fanout, u32, u32)> {
         let mut sent = Vec::new();
         f.pump(|port, x, value| sent.push((port, x, value)));
         sent
@@ -462,20 +474,21 @@ mod tests {
         f.push(1, 10);
         f.push(2, 20);
         assert_eq!(f.len(), 2);
-        assert_eq!(pumped(&mut f), vec![(0, 1, 10), (3, 1, 10)]);
-        assert_eq!(pumped(&mut f), vec![(0, 2, 20), (3, 2, 20)]);
+        let to = Fanout::Port;
+        assert_eq!(pumped(&mut f), vec![(to(0), 1, 10), (to(3), 1, 10)]);
+        assert_eq!(pumped(&mut f), vec![(to(0), 2, 20), (to(3), 2, 20)]);
         assert!(f.drained());
         assert!(pumped(&mut f).is_empty());
         // Late append restarts pumping.
         f.push(3, 30);
         assert!(!f.drained());
-        assert_eq!(pumped(&mut f), vec![(0, 3, 30), (3, 3, 30)]);
+        assert_eq!(pumped(&mut f), vec![(to(0), 3, 30), (to(3), 3, 30)]);
 
-        // Every port of a degree-3 node, in port order.
+        // Every port of a degree-3 node: one broadcast per item.
         let mut all = FanoutStream::every_port(3);
         all.push(5, 50);
         assert!(!all.drained());
-        assert_eq!(pumped(&mut all), vec![(0, 5, 50), (1, 5, 50), (2, 5, 50)]);
+        assert_eq!(pumped(&mut all), vec![(Fanout::All, 5, 50)]);
         assert!(all.drained() && pumped(&mut all).is_empty());
 
         // No destinations: nothing to send, so never behind.

@@ -36,7 +36,7 @@ use std::collections::BTreeSet;
 
 use congest::{Context, Port, Protocol, Round};
 
-use crate::component::{CandidateInfo, CompView, FanoutStream, VectorConverge};
+use crate::component::{CandidateInfo, CompView, Fanout, FanoutStream, VectorConverge};
 use crate::msg::Msg;
 use crate::params::NearCliqueParams;
 
@@ -108,18 +108,20 @@ pub struct DistNearClique {
     /// Component member IDs in learn order (gossip payload queue).
     roster_ids: Vec<u64>,
     roster_set: BTreeSet<u64>,
-    /// Per-`s_ports` gossip cursors.
-    roster_cursors: Vec<usize>,
+    /// Next `roster_ids` entry to gossip, shared by every `s_ports`
+    /// entry: all start together and advance together.
+    roster_next: usize,
     /// Current minimum known ID (the root when gossip converges).
     current_min: u64,
     /// Port that first delivered the current minimum (tree parent).
     parent_port: Option<Port>,
     /// Tree children (senders of `Adopt`).
     adopt_children: Vec<Port>,
-    /// `CompShare` roster being streamed to all neighbors.
+    /// `CompShare` roster being streamed to all neighbors (empty for a
+    /// node without any).
     comp_share_list: Vec<u64>,
-    /// Per-port `CompShare` cursors.
-    comp_share_cursors: Vec<usize>,
+    /// Next `comp_share_list` entry to broadcast.
+    comp_share_next: usize,
 
     // --- cross-version state ---
     /// Views of every component this node participates in, sorted by
@@ -160,12 +162,12 @@ impl DistNearClique {
             s_ports: Vec::new(),
             roster_ids: Vec::new(),
             roster_set: BTreeSet::new(),
-            roster_cursors: Vec::new(),
+            roster_next: 0,
             current_min: u64::MAX,
             parent_port: None,
             adopt_children: Vec::new(),
             comp_share_list: Vec::new(),
-            comp_share_cursors: Vec::new(),
+            comp_share_next: 0,
             views: Vec::new(),
             label: None,
             oversized_seen: false,
@@ -229,6 +231,13 @@ impl DistNearClique {
         self.params.max_component_size
     }
 
+    /// `true` once roster gossip has nothing left to send: for a node
+    /// outside `S`, a member with no neighbor in `S` (it adds no
+    /// rounds), or a member that sent every ID it learned.
+    fn roster_idle(&self) -> bool {
+        !self.in_s() || self.s_ports.is_empty() || self.roster_next >= self.roster_ids.len()
+    }
+
     // ---------------- phase entries ----------------
 
     fn enter_announce(&mut self, ctx: &mut Context<'_, Msg>) {
@@ -238,12 +247,12 @@ impl DistNearClique {
         self.s_ports.clear();
         self.roster_ids.clear();
         self.roster_set.clear();
-        self.roster_cursors.clear();
+        self.roster_next = 0;
         self.current_min = u64::MAX;
         self.parent_port = None;
         self.adopt_children.clear();
         self.comp_share_list.clear();
-        self.comp_share_cursors.clear();
+        self.comp_share_next = 0;
         if self.in_s() {
             ctx.broadcast(Msg::InS { version: self.version });
         }
@@ -258,7 +267,6 @@ impl DistNearClique {
             self.roster_set.insert(ctx.id());
             self.current_min = ctx.id();
             self.parent_port = None;
-            self.roster_cursors = vec![0; self.s_ports.len()];
         }
     }
 
@@ -286,8 +294,11 @@ impl DistNearClique {
             Err(i) => self.views.insert(i, view),
         }
 
-        self.comp_share_list = self.roster_set.iter().copied().collect();
-        self.comp_share_cursors = vec![0; ctx.degree()];
+        // A node without neighbors shares with no one: its empty list
+        // keeps it idle, so it adds no rounds.
+        if ctx.degree() > 0 {
+            self.comp_share_list = self.roster_set.iter().copied().collect();
+        }
     }
 
     fn enter_k_converge(&mut self, ctx: &mut Context<'_, Msg>) {
@@ -515,13 +526,11 @@ impl DistNearClique {
                 other => panic!("unexpected message in Roster: {other:?}"),
             }
         }
-        if self.in_s() {
-            for i in 0..self.s_ports.len() {
-                if self.roster_cursors[i] < self.roster_ids.len() {
-                    let id = self.roster_ids[self.roster_cursors[i]];
-                    self.roster_cursors[i] += 1;
-                    ctx.send(self.s_ports[i], Msg::Roster { version: self.version, id });
-                }
+        if !self.roster_idle() {
+            let id = self.roster_ids[self.roster_next];
+            self.roster_next += 1;
+            for &port in &self.s_ports {
+                ctx.send(port, Msg::Roster { version: self.version, id });
             }
         }
     }
@@ -559,16 +568,10 @@ impl DistNearClique {
                 other => panic!("unexpected message in CompShare: {other:?}"),
             }
         }
-        if self.in_s() {
-            let root = self.current_min;
-            let total = self.comp_share_list.len() as u32;
-            for port in 0..self.comp_share_cursors.len() {
-                if self.comp_share_cursors[port] < self.comp_share_list.len() {
-                    let id = self.comp_share_list[self.comp_share_cursors[port]];
-                    self.comp_share_cursors[port] += 1;
-                    ctx.send(port, Msg::CompShare { version: self.version, root, id, total });
-                }
-            }
+        if let Some(&id) = self.comp_share_list.get(self.comp_share_next) {
+            self.comp_share_next += 1;
+            let (root, total) = (self.current_min, self.comp_share_list.len() as u32);
+            ctx.broadcast(Msg::CompShare { version: self.version, root, id, total });
         }
     }
 
@@ -670,10 +673,10 @@ impl DistNearClique {
             }
             let root = view.root;
             if let Some(down) = view.down.as_mut() {
-                down.pump(|port, x, size| ctx.send(port, Msg::KSize { version, root, x, size }));
+                down.pump(|to, x, size| fan_out(ctx, to, Msg::KSize { version, root, x, size }));
             }
             if let Some(ms) = view.member_stream.as_mut() {
-                ms.pump(|port, x, size| ctx.send(port, Msg::KMember { version, root, x, size }));
+                ms.pump(|to, x, size| fan_out(ctx, to, Msg::KMember { version, root, x, size }));
             }
         }
     }
@@ -783,6 +786,14 @@ impl DistNearClique {
     }
 }
 
+/// Sends `msg` where a [`FanoutStream`] pumped it.
+fn fan_out(ctx: &mut Context<'_, Msg>, to: Fanout, msg: Msg) {
+    match to {
+        Fanout::Port(port) => ctx.send(port, msg),
+        Fanout::All => ctx.broadcast(msg),
+    }
+}
+
 /// Where view `(version, root)` sits in `views` (sorted by that key), or
 /// where inserting it keeps them sorted.
 fn view_index(views: &[CompView], version: u8, root: u64) -> Result<usize, usize> {
@@ -823,13 +834,8 @@ impl Protocol for DistNearClique {
         let version = self.version;
         match self.phase {
             Phase::Announce | Phase::CandidateDown | Phase::Winner | Phase::Done => true,
-            Phase::Roster => {
-                !self.in_s() || self.roster_cursors.iter().all(|&c| c >= self.roster_ids.len())
-            }
-            Phase::CompShare => {
-                !self.in_s()
-                    || self.comp_share_cursors.iter().all(|&c| c >= self.comp_share_list.len())
-            }
+            Phase::Roster => self.roster_idle(),
+            Phase::CompShare => self.comp_share_next >= self.comp_share_list.len(),
             Phase::KConverge => self.views.iter().all(|view| {
                 view.version != version || view.oversized || {
                     if view.is_member {
@@ -901,7 +907,7 @@ impl Protocol for DistNearClique {
 mod tests {
     use super::*;
     use crate::sample::SamplePlan;
-    use congest::{Engine, Session, Termination};
+    use congest::{Driver, Engine, Session, Termination};
     use graphs::{Graph, GraphBuilder};
 
     fn run(
@@ -1013,6 +1019,29 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(am.rounds, bm.rounds);
         assert_eq!(am.total_bits, bm.total_bits);
+    }
+
+    /// A sampled node with nothing to send to adds no rounds: roster
+    /// gossip ends at once when no two sampled nodes are adjacent, and a
+    /// sampled node without neighbors streams no `CompShare`.
+    #[test]
+    fn members_without_destinations_add_no_rounds() {
+        let mut b = GraphBuilder::new(4);
+        b.add_edge(0, 1).add_edge(1, 2);
+        let g = b.build();
+        let params = NearCliqueParams::new(0.25, 0.2).unwrap();
+        let entries = |sampled: &[usize]| {
+            let mut driver = Session::on(&g).seed(1).build_with(|e| {
+                DistNearClique::new(params.clone(), vec![sampled.contains(&e.index)])
+            });
+            assert_eq!(driver.run().termination, Termination::Quiescent);
+            let trace = driver.protocol(0).phase_trace().to_vec();
+            move |phase: &str| trace.iter().find(|t| t.1 == phase).expect("phase entered").2
+        };
+        let at = entries(&[0, 2]);
+        assert_eq!(at("roster"), at("comp-share"), "no sampled node has a sampled neighbor");
+        let at = entries(&[3]);
+        assert_eq!(at("comp-share"), at("k-converge"), "the one sampled node is isolated");
     }
 
     #[test]
