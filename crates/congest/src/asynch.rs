@@ -12,7 +12,7 @@
 //!   for both production engines, the flat per-port payload queues, the
 //!   rotating parity-indexed pulse inboxes, payload metering, and
 //!   stepping protocols — plus the *wire* (`sched::sync::Wire`): route
-//!   lookups, delay sampling, the fault plane and the slab-backed timing
+//!   lookups, delay sampling, the fault plane and the pooled-block timing
 //!   wheel of in-flight envelopes. It knows nothing about *when* a pulse
 //!   may run.
 //! * The **synchronizer** (`crate::sched::sync`, selected by the public
@@ -38,24 +38,28 @@
 //!
 //! Like the flat synchronous plane, this executor performs **zero heap
 //! allocations in steady state**: after warm-up, driving pulses only
-//! recycles slab chunks. Three structures carry every event:
+//! recycles pooled blocks and slab chunks. Three structures carry every
+//! event:
 //!
 //! * **The timing wheel** ([`EventWheel`]): in-flight messages live in a
-//!   circular array of `bound + 1` chunked-slab FIFO buckets, where
-//!   `bound` is the [`DelayModel`]'s *compiled* per-port delay maximum.
-//!   Delays are bounded and positive, so all pending events fit at
-//!   unique `time % (bound + 1)` slots — push is O(1), drain is in-order
-//!   bucket rotation, and the order is bit-identical to the
+//!   circular array of `bound + 1` FIFO buckets, where `bound` is the
+//!   [`DelayModel`]'s *compiled* per-port delay maximum. Delays are
+//!   bounded and positive, so all pending events fit at unique
+//!   `time % (bound + 1)` slots — push is O(1), drain is in-order bucket
+//!   rotation, and the order is bit-identical to the
 //!   `(arrival time, sequence number)` min-heap this replaced (FIFO
-//!   within a bucket *is* sequence order). The envelope travels inside
-//!   its wheel entry.
+//!   within a bucket *is* sequence order). A bucket is a chain of
+//!   256-event blocks from one pool all buckets share: an event is
+//!   written into the next slot of its bucket's tail block and moved
+//!   out of its head block, and a drained block goes back to the pool.
+//!   The envelope travels inside its event.
 //! * **Rotating inboxes**: every synchronizer here keeps neighboring
 //!   nodes within one pulse of each other, so a payload tagged for
 //!   pulse `r` can only arrive while its receiver waits on pulse `r` or
 //!   `r − 1`. Two pulse-parity-indexed inboxes per node therefore
 //!   suffice, and they live as `2n` FIFOs in one shared chunked slab
-//!   (`plane::PortQueues` again), drained into a reused scratch buffer
-//!   at execution.
+//!   (`plane::PortQueues`, the payload queues' type), drained into a
+//!   reused scratch buffer at execution.
 //! * **The ready worklist**: synchronizer signals resolved eagerly
 //!   (`BatchedAlpha`'s coalesced waves) complete pulse gates outside
 //!   the event loop; affected nodes land on a reused worklist and are
@@ -439,7 +443,9 @@ impl<P: Protocol> AsyncNetwork<P> {
                     self.wire.retire(v, port);
                 }
             }
-            match self.queues.pop(p) {
+            // An idle port costs a bit test, not a queue header read.
+            let msg = if self.queues.is_active(p) { self.queues.pop(p) } else { None };
+            match msg {
                 Some(msg) => {
                     self.wire.transmit(v, port, SyncMsg::Payload { pulse, msg });
                     sent += 1;

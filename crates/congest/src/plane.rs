@@ -111,10 +111,10 @@ use crate::message::Message;
 use crate::protocol::Port;
 
 /// Messages per overflow chunk. Chunks hold only the messages queued
-/// behind a port's inline head, so they serve deep queues: LOCAL trains,
-/// the α wheel's buckets and inboxes. Eight keeps a chunk of small
-/// messages within one or two cache lines while bounding per-queue slack
-/// to seven slots.
+/// behind a port's inline head, so they serve deep queues: LOCAL trains
+/// and the α engine's inboxes. Eight keeps a chunk of small messages
+/// within one or two cache lines while bounding per-queue slack to seven
+/// slots.
 pub(crate) const CHUNK: usize = 8;
 
 /// Null link / "no chunk" marker.
@@ -354,15 +354,15 @@ impl<M> Chunk<M> {
 /// every engine. The synchronous [`Shard`] embeds one per node range; the
 /// asynchronous executor ([`crate::asynch`]) owns a single set covering
 /// the whole port space — one queue implementation, three engines. The
-/// element type is unconstrained: the α engine also reuses this
-/// machinery for structures that queue things other than application
-/// messages (the timing wheel's in-flight envelopes and the rotating
-/// per-pulse inboxes — see [`crate::sched::EventWheel`]).
+/// element type is unconstrained: the α engine also queues its rotating
+/// per-pulse inboxes here. Its timing wheel keeps in-flight envelopes in
+/// pooled blocks of its own ([`crate::sched::EventWheel`]): its buckets
+/// hold ~10⁵ events each, where a port holds one or two.
 ///
 /// A message pushed onto an empty port is stored inline in its
 /// [`PortQ`]; only messages queued behind it go to the chunk slab. A
 /// CONGEST port rarely holds more than one message, so it rarely touches
-/// a chunk, while deep queues (wheel buckets, inboxes) pay one branch per
+/// a chunk, while deep queues (LOCAL trains, inboxes) pay one branch per
 /// operation.
 #[derive(Clone, Debug)]
 pub(crate) struct PortQueues<M> {
@@ -411,6 +411,13 @@ impl<M> PortQueues<M> {
     #[inline]
     pub fn len(&self, p: u32) -> u32 {
         self.ports[p as usize].len
+    }
+
+    /// `true` if local port `p` holds a message: one bit of the active
+    /// set, no queue header read.
+    #[inline]
+    pub fn is_active(&self, p: u32) -> bool {
+        self.active[p as usize / 64] & (1u64 << (p % 64)) != 0
     }
 
     /// `true` if no local port in `lo..hi` holds a message.

@@ -205,7 +205,7 @@ pub(crate) struct Wire<M> {
     /// [`crate::sched::fault`]). Control envelopes ride the same faulty
     /// wire as payloads.
     pub faults: FaultPlane,
-    /// In-flight events: the slab-backed timing wheel, sized to the
+    /// In-flight events: the pooled-block timing wheel, sized to the
     /// delay model's compiled bound. Pops come out in `(arrival time,
     /// send order)` order; its cursor is the engine's virtual clock.
     pub events: EventWheel<Event<M>>,

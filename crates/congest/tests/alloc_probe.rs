@@ -341,9 +341,9 @@ fn deep_queues_do_not_allocate() {
 }
 
 /// The asynchronous engine's steady state is **zero-allocation**, same
-/// as the flat plane's: the event plumbing is the slab-backed timing
-/// wheel (in-flight envelopes ride recycled chunks), payloads stage in
-/// rotating parity-indexed inboxes on the same chunk machinery,
+/// as the flat plane's: the event plumbing is the timing wheel
+/// (in-flight envelopes ride its recycled pooled blocks), payloads stage
+/// in rotating parity-indexed inboxes on the port queues' chunk slab,
 /// `DelayModel` sampling never allocates (per-port tables are built
 /// once), and the synchronizer layer's gating state (α safe counters,
 /// batched token counters, the ready worklist) is fixed-size per node.
@@ -372,8 +372,9 @@ fn async_pulses_do_not_allocate() {
                 .limits(RunLimits::rounds(1024))
                 .build_with(|_| Echo);
 
-            // Warm-up: queue slabs, wheel buckets and inbox chunks reach
-            // their high-water marks; reserve the cumulative histories.
+            // Warm-up: queue slabs, the wheel's block pool and inbox
+            // chunks reach their high-water marks; reserve the cumulative
+            // histories.
             net.reserve_rounds(1024);
             net.drive(RunLimits::rounds(256), &mut ());
 
@@ -401,7 +402,7 @@ fn async_pulses_do_not_allocate() {
 /// per-send drop sampling is one splitmix64 step on a pre-seeded
 /// stream, link-flap schedules are compiled into per-port phase tables
 /// at build time (same pattern as the delay tables), retransmissions
-/// ride the same slab-backed wheel chunks as first sends, and fault
+/// ride the same pooled wheel blocks as first sends, and fault
 /// events go to the trace sink, which is absent here. Once past the
 /// warm-up (which
 /// includes the crash/recover transition for [`FaultModel::Crash`]),
