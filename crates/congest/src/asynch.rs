@@ -9,8 +9,9 @@
 //!
 //! * The **executor core** ([`AsyncNetwork`]) owns the mechanics: the
 //!   node parts and CSR route table [`crate::Session`] compiles once
-//!   for both production engines, the flat per-port payload queues, the
-//!   rotating parity-indexed pulse inboxes, payload metering, and
+//!   for both production engines, the flat plane's payload queues and
+//!   broadcast records, the rotating parity-indexed pulse inboxes,
+//!   payload metering, and
 //!   stepping protocols — plus the *wire* (`sched::sync::Wire`): route
 //!   lookups, delay sampling, the fault plane and the pooled-block timing
 //!   wheel of in-flight envelopes. It knows nothing about *when* a pulse
@@ -38,9 +39,20 @@
 //!
 //! Like the flat synchronous plane, this executor performs **zero heap
 //! allocations in steady state**: after warm-up, driving pulses only
-//! recycles pooled blocks and slab chunks. Three structures carry every
+//! recycles pooled blocks and slab chunks. Four structures carry every
 //! event:
 //!
+//! * **The payload queues** (`plane::Outgoing`, the flat engine's
+//!   type): a FIFO per port and a broadcast record per node. A
+//!   `ctx.broadcast` from a node with nothing queued is one record, as
+//!   on the flat engine; the node's next pulse entry expands it into
+//!   one transmission per port, in port order, through the same
+//!   `Wire::transmit` calls per-port copies take, so delay draws and
+//!   virtual times are unchanged. A crash onset loses a record and a
+//!   leave retires it, once per port, and a retired port retires its
+//!   copy instead of sending it. Any other send queues per port, so a
+//!   run carried by broadcasts leaves most port headers as the zeroed
+//!   allocation made them (`plane`'s module docs, "Queues").
 //! * **The timing wheel** ([`EventWheel`]): in-flight messages live in a
 //!   circular array of `bound + 1` FIFO buckets, where `bound` is the
 //!   [`DelayModel`]'s *compiled* per-port delay maximum. Delays are
@@ -58,7 +70,7 @@
 //!   pulse `r` can only arrive while its receiver waits on pulse `r` or
 //!   `r − 1`. Two pulse-parity-indexed inboxes per node therefore
 //!   suffice, and they live as `2n` FIFOs in one shared chunked slab
-//!   (`plane::PortQueues`, the payload queues' type), drained into a
+//!   (`plane::PortQueues`, the payload queues' FIFOs), drained into a
 //!   reused scratch buffer at execution.
 //! * **The ready worklist**: synchronizer signals resolved eagerly
 //!   (`BatchedAlpha`'s coalesced waves) complete pulse gates outside
@@ -84,7 +96,7 @@ use crate::message::Message;
 use crate::metrics::Metrics;
 use crate::network::Nodes;
 use crate::obs::{MetricsMode, RunProfile, TraceConfig, TraceEvent, TraceSink};
-use crate::plane::{NodeOut, PortQueues};
+use crate::plane::{Outgoing, PortQueues};
 use crate::protocol::{Context, Endpoint, OutboxHandle, Port, Protocol};
 use crate::sched::sync::{Event, SyncDriver, SyncMsg, Wire, ENVELOPE_BITS};
 use crate::sched::{
@@ -112,9 +124,15 @@ pub(crate) struct AsyncNetwork<P: Protocol> {
     pulse: Vec<u64>,
     /// Whether each node finished the current drive's pulse budget.
     done: Vec<bool>,
-    /// The flat plane's per-port FIFOs: application messages queued by
-    /// protocols, drained one per port per pulse (CONGEST pipelining).
-    queues: PortQueues<P::Msg>,
+    /// What protocols sent and this engine has not yet transmitted, in
+    /// the flat plane's form: a FIFO per port, drained one message per
+    /// port per pulse (CONGEST pipelining), and a broadcast record per
+    /// node, expanded over all its ports at its next pulse entry.
+    out: Outgoing<P::Msg>,
+    /// Most payloads queued or recorded at once, a record counting as its
+    /// node's degree. Only protocol callbacks queue, so noting the count
+    /// after each one ([`AsyncNetwork::with_ctx`]) makes the mark exact.
+    max_queued: u64,
     /// Per-pulse payload staging: two rotating inboxes per node (slot
     /// `2·node + pulse-parity`), sharing one chunked slab.
     inboxes: PortQueues<(Port, P::Msg)>,
@@ -205,7 +223,8 @@ impl<P: Protocol> AsyncNetwork<P> {
             rngs,
             pulse: vec![1; n],
             done: vec![false; n],
-            queues: PortQueues::new(port_count),
+            out: Outgoing::new(n, port_count),
+            max_queued: 0,
             inboxes: PortQueues::new(n * 2),
             inbox_buf: Vec::new(),
             sync: SyncDriver::new(sync, n),
@@ -239,7 +258,7 @@ impl<P: Protocol> AsyncNetwork<P> {
     /// `None` when tracing is off.
     fn snapshot_profile(&mut self) -> Option<RunProfile> {
         let wheel_hw = self.wire.events.high_water();
-        let queue_hw = self.inboxes.high_water().max(self.queues.high_water());
+        let queue_hw = self.inboxes.high_water().max(self.max_queued);
         self.wire.rec.as_deref_mut().map(|sink| sink.finish(wheel_hw, queue_hw))
     }
 
@@ -265,8 +284,9 @@ impl<P: Protocol> AsyncNetwork<P> {
     }
 
     /// Runs `f` on node `v`'s protocol with a context at `round`, its
-    /// sends landing in the node's ports of the flat payload queues —
-    /// the one place this engine hands a protocol its [`Context`].
+    /// sends landing in the node's window of the payload queues and
+    /// records — the one place this engine hands a protocol its
+    /// [`Context`].
     fn with_ctx<R>(
         &mut self,
         v: usize,
@@ -274,9 +294,11 @@ impl<P: Protocol> AsyncNetwork<P> {
         f: impl FnOnce(&mut P, &mut Context<'_, P::Msg>) -> R,
     ) -> R {
         let base = self.wire.topo.offsets[v];
-        let outbox = OutboxHandle::Flat(NodeOut::ports(&mut self.queues, base));
+        let outbox = OutboxHandle::Flat(self.out.node(v, base));
         let mut ctx = Context::new(&self.endpoints[v], round, outbox, &mut self.rngs[v]);
-        f(&mut self.protocols[v], &mut ctx)
+        let result = f(&mut self.protocols[v], &mut ctx);
+        self.max_queued = self.max_queued.max(self.out.queued());
+        result
     }
 
     /// Crash bookkeeping at node `v`'s entry into `pulse`: detects the
@@ -295,15 +317,13 @@ impl<P: Protocol> AsyncNetwork<P> {
         if crashed {
             faults.crash_seen = true;
             self.wire.trace(TraceEvent::NodeDown { node: v as u32, pulse });
-            // Fail-silent: whatever the protocol queued but had not yet
-            // transmitted dies with the host — each discard itemized as
-            // lost, so every loss is accounted for.
-            let base = self.wire.topo.offsets[v];
-            for port in 0..self.endpoints[v].degree() {
-                while self.queues.pop(base + port as u32).is_some() {
-                    self.wire.lose(v, port);
-                }
-            }
+            // Fail-silent: whatever the protocol queued or recorded but
+            // had not yet transmitted dies with the host — each discard
+            // itemized as lost, a record once per port, so every loss is
+            // accounted for.
+            let (base, degree) = (self.wire.topo.offsets[v], self.endpoints[v].degree());
+            let wire = &mut self.wire;
+            self.out.discard(v, base, degree, |port| wire.lose(v, port));
         } else {
             self.wire.trace(TraceEvent::NodeUp { node: v as u32, pulse });
         }
@@ -350,15 +370,12 @@ impl<P: Protocol> AsyncNetwork<P> {
         if absent {
             self.wire.overhead.leaves += 1;
             self.wire.trace(TraceEvent::Leave { node: v as u32, pulse, epoch, members });
-            // A graceful leave retires whatever the protocol queued but
-            // had not yet transmitted — each payload itemized, never
-            // silently dropped.
-            let base = self.wire.topo.offsets[v];
-            for port in 0..self.endpoints[v].degree() {
-                while self.queues.pop(base + port as u32).is_some() {
-                    self.wire.retire(v, port);
-                }
-            }
+            // A graceful leave retires whatever the protocol queued or
+            // recorded but had not yet transmitted — each payload
+            // itemized, a record once per port, never silently dropped.
+            let (base, degree) = (self.wire.topo.offsets[v], self.endpoints[v].degree());
+            let wire = &mut self.wire;
+            self.out.discard(v, base, degree, |port| wire.retire(v, port));
         } else {
             debug_assert_eq!(
                 self.churn.sampler.join_pulse(v),
@@ -397,12 +414,15 @@ impl<P: Protocol> AsyncNetwork<P> {
     }
 
     /// Transition `node` into its next pulse: drain one application
-    /// message per port from the flat queues (CONGEST pipelining) and
-    /// send the payloads, reporting each idle port — and then the whole
-    /// send phase — to the synchronizer, which emits whatever control
-    /// traffic its discipline requires. Degree-0 nodes have no
-    /// synchronizer traffic at all and just execute their remaining
-    /// pulses in place.
+    /// message per port from the flat queues (CONGEST pipelining), or
+    /// expand the node's broadcast record, one copy per port in port
+    /// order, and send the payloads, reporting each idle port — and then
+    /// the whole send phase — to the synchronizer, which emits whatever
+    /// control traffic its discipline requires. A record's copies go
+    /// through the same [`Wire::transmit`] calls, in the same order, as
+    /// per-port copies would, so the delay draws and the virtual times
+    /// are theirs. Degree-0 nodes have no synchronizer traffic at all
+    /// and just execute their remaining pulses in place.
     fn begin_pulse(&mut self, v: usize) {
         let degree = self.endpoints[v].degree();
         if degree == 0 {
@@ -431,20 +451,33 @@ impl<P: Protocol> AsyncNetwork<P> {
         let absent = self.churn_pulse_entry(v, pulse);
         let crashed = self.fault_pulse_entry(v, pulse);
         let base = self.wire.topo.offsets[v];
+        // A record stands for one message on each port, and its node has
+        // nothing else queued.
+        let record = self.out.take_record(v, degree);
         let mut sent = 0usize;
         for port in 0..degree {
             let p = base + port as u32;
-            // A retired port carries no payloads: whatever the protocol
-            // queued toward an absent peer is retired itemized, and the
-            // port reads idle to the synchronizer — the control plane
-            // spans the static topology.
-            if !self.churn.overlay.port_live[p as usize] {
-                while self.queues.pop(p).is_some() {
+            let msg = if !self.churn.overlay.port_live[p as usize] {
+                // A retired port carries no payloads: whatever the
+                // protocol queued toward an absent peer, a record's copy
+                // included, is retired itemized, and the port reads idle
+                // to the synchronizer — the control plane spans the
+                // static topology.
+                if record.is_some() {
                     self.wire.retire(v, port);
                 }
-            }
-            // An idle port costs a bit test, not a queue header read.
-            let msg = if self.queues.is_active(p) { self.queues.pop(p) } else { None };
+                while self.out.queues.pop(p).is_some() {
+                    self.wire.retire(v, port);
+                }
+                None
+            } else if let Some(msg) = &record {
+                Some(msg.clone())
+            } else if self.out.queues.is_active(p) {
+                // An idle port costs a bit test, not a queue header read.
+                self.out.queues.pop(p)
+            } else {
+                None
+            };
             match msg {
                 Some(msg) => {
                     self.wire.transmit(v, port, SyncMsg::Payload { pulse, msg });
@@ -645,7 +678,7 @@ impl<P: Protocol> AsyncNetwork<P> {
             }
             resumed |= self.with_ctx(v, round, |p, ctx| p.on_quiescent(ctx));
         }
-        if !resumed && self.queues.queued() == 0 {
+        if !resumed && self.out.queued() == 0 {
             return false;
         }
         self.metrics.barriers += 1;
@@ -759,8 +792,10 @@ impl<P: Protocol> Driver for AsyncNetwork<P> {
         &self.protocols[index]
     }
 
+    /// Payloads queued or recorded, a record counting as its node's
+    /// degree.
     fn queued_messages(&self) -> u64 {
-        self.queues.queued()
+        self.out.queued()
     }
 
     /// Pre-reserves the per-pulse history for a bounded run.
@@ -942,9 +977,20 @@ impl<P: Protocol> AsyncNetwork<P> {
             self.protocols[v].hash(h);
             self.rngs[v].hash(h);
         }
-        for port in 0..self.queues.port_count() as u32 {
-            self.queues.len(port).hash(h);
-            self.queues.for_each(port, |msg| msg.hash(h));
+        // Port by port, a record as the one message it stands for on each
+        // of its node's ports: what per-port copies hash to.
+        for v in 0..self.endpoints.len() {
+            let ports = self.wire.topo.offsets[v]..self.wire.topo.offsets[v + 1];
+            match self.out.record(v) {
+                Some(msg) => ports.for_each(|_| {
+                    1u32.hash(h);
+                    msg.hash(h);
+                }),
+                None => ports.for_each(|p| {
+                    self.out.queues.len(p).hash(h);
+                    self.out.queues.for_each(p, |msg| msg.hash(h));
+                }),
+            }
         }
         self.wire.events.for_each_pending(|rel, event| {
             rel.hash(h);

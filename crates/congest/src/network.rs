@@ -30,20 +30,24 @@
 //!   the receiver node and its shard, so the scatter needs no second
 //!   lookup.
 //! * Each outgoing queue keeps its oldest message inline in a per-port
-//!   header (16 bytes of cursors plus one message); only messages queued
-//!   behind it go to per-shard slabs of fixed-size chunks strung on a
-//!   free list, and pushes/pops recycle chunks instead of allocating.
-//!   Under CONGEST a port rarely holds two messages, so delivery reads
-//!   the headers in port order and almost never visits a chunk.
-//!   Non-empty ports are tracked in a bitset whose scan order is port
-//!   order — no sorted insert on push.
+//!   header (16 bytes of cursors and a flag plus one message); only
+//!   messages queued behind it go to per-shard slabs of fixed-size
+//!   chunks strung on a free list, and pushes/pops recycle chunks
+//!   instead of allocating. Under CONGEST a port rarely holds two
+//!   messages, so delivery reads the headers in port order and almost
+//!   never visits a chunk. Non-empty ports are tracked in a bitset whose
+//!   scan order is port order — no sorted insert on push.
 //! * A broadcast from a node with nothing queued is stored once, in the
 //!   node's preallocated record slot, and counts as `degree` queued
 //!   messages. Delivery walks the senders node by node and expands a
 //!   record over the node's CSR row: one route read and one clone per
 //!   port, no queue header touched. A send or broadcast that follows it
 //!   before delivery writes the record out into the port queues first,
-//!   so per-port FIFO order is what per-port copies give
+//!   so per-port FIFO order is what per-port copies give. The
+//!   asynchronous engine keeps its payloads in the same form, so both
+//!   engines' broadcasts take this one path. An empty header is all
+//!   zero bytes and the headers are allocated zeroed, so a port that
+//!   only ever carries records never has its header written
 //!   (`crate::plane`'s module docs, "Queues").
 //! * Delivery buffers are reused across rounds (a bucket store per
 //!   shard, a transfer buffer per pair of shards); per-round growth only
@@ -211,9 +215,10 @@ impl<P> Nodes<P> {
         let ids = assign_ids(ids, seed, n);
 
         // One allocation holds all 2m neighbor ids; the route table
-        // already lists each slot's destination node in CSR order.
-        let arena: Arc<[u64]> =
-            topo.route.iter().map(|r| ids[r.dest_node as usize]).collect::<Vec<u64>>().into();
+        // already lists each slot's destination node in CSR order. A map
+        // over a slice has an exact length, so the ids are collected
+        // straight into the arena, with no `Vec` to copy them from.
+        let arena: Arc<[u64]> = topo.route.iter().map(|r| ids[r.dest_node as usize]).collect();
 
         let mut endpoints = Vec::with_capacity(n);
         let mut protocols = Vec::with_capacity(n);

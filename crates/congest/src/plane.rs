@@ -15,27 +15,34 @@
 //! # Queues
 //!
 //! Each outgoing per-port FIFO is one [`PortQ`] header: 16 bytes of
-//! cursors plus its oldest message, stored inline. Messages queued behind
-//! that one overflow into a per-shard slab: fixed-size chunks strung on
-//! intrusive `u32` links, recycled through a free list. A CONGEST port
-//! rarely holds more than one message, so the common case never touches
-//! the slab, and pushes and pops never allocate once the chunk pool is
-//! warm. Non-empty ports are tracked in a bitset whose scan order *is*
-//! port order, so delivery costs `O(active ports)` with no sorted-insert
-//! on push (the old engine's `Outbox` paid `O(degree)` per first push on
-//! a port).
+//! cursors and a flag plus its oldest message, stored inline. Messages
+//! queued behind that one overflow into a per-shard slab: fixed-size
+//! chunks strung on intrusive `u32` links, recycled through a free list.
+//! A CONGEST port rarely holds more than one message, so the common case
+//! never touches the slab, and pushes and pops never allocate once the
+//! chunk pool is warm. Non-empty ports are tracked in a bitset whose scan
+//! order *is* port order, so delivery costs `O(active ports)` with no
+//! sorted-insert on push (the old engine's `Outbox` paid `O(degree)` per
+//! first push on a port).
 //!
-//! On the flat engine a node's whole-row broadcast usually costs one
-//! message, not `degree` of them. Each node of a [`Shard`] has one
-//! *record* slot, preallocated at build ([`Outgoing`]). A broadcast from
-//! a node whose ports are all empty is stored there once, and delivery
-//! expands it over the node's CSR row. A pending record counts as
-//! `degree` queued messages. When the node sends or broadcasts again
-//! before delivery, the record is first written out into its port
-//! queues, so every port's FIFO order is what per-port copies give. On
-//! `nc_flat_5k`, records carry 99.7% of the messages. The α engine keeps
-//! per-port copies ([`NodeOut::ports`]): its ports deliver one by one
-//! under their own delays.
+//! An empty header is all zero bytes, and [`PortQueues::new`] allocates
+//! the headers zeroed, so building a queue set writes none of them. The
+//! header of a port that never queues a message is never touched, and
+//! where the allocator took the array from fresh pages the kernel never
+//! faults its page in: on `nc_flat_5k` that is most of the 247 MB of
+//! headers, since records (below) carry the broadcasts.
+//!
+//! A node's whole-row broadcast usually costs one message, not `degree`
+//! of them, on both engines. Each node has one *record* slot,
+//! preallocated at build ([`Outgoing`]). A broadcast from a node whose
+//! ports are all empty is stored there once, and counts as `degree`
+//! queued messages. The flat engine's delivery expands it over the
+//! node's CSR row; the α engine expands it at the node's next pulse
+//! entry, one transmission per port in port order, each under its own
+//! delay. When the node sends or broadcasts again before that, the
+//! record is first written out into its port queues, so every port's
+//! FIFO order is what per-port copies give. On `nc_flat_5k`, records
+//! carry 99.7% of the messages.
 //!
 //! # Delivery without a sort
 //!
@@ -117,8 +124,9 @@ use crate::protocol::Port;
 /// slots.
 pub(crate) const CHUNK: usize = 8;
 
-/// Null link / "no chunk" marker.
-const NIL: u32 = u32::MAX;
+/// Null link / "no chunk" marker. Chunk ids count from 1, so that an
+/// all-zero [`PortQ`] has no chain.
+const NIL: u32 = 0;
 
 /// Bytes per cache line: the unit of write-combined placement.
 const LINE: usize = 64;
@@ -314,12 +322,14 @@ impl Replay for &mut dyn EdgeStream {
 }
 
 /// One outgoing FIFO: the oldest message inline, later ones on a chain of
-/// chunks. 16 bytes of cursors plus one `Option<M>` per port.
-#[derive(Clone, Debug)]
+/// chunks. 16 bytes of cursors and a flag plus one message per port. All
+/// zero bytes are an empty queue.
+#[derive(Debug)]
 struct PortQ<M> {
-    /// The FIFO head, when it arrived at an empty port. `push` fills it
-    /// only while `len == 0`, so a `Some` is always the oldest message.
-    first: Option<M>,
+    /// The FIFO head, when it arrived at an empty port: initialized
+    /// exactly while `has_first` is set. Not an `Option<M>`, whose all-zero
+    /// bytes read as `Some` for a niche-optimized enum message.
+    first: MaybeUninit<M>,
     /// First chunk of the chain (`NIL` when the chain is empty).
     head: u32,
     /// Last chunk of the chain (`NIL` when the chain is empty).
@@ -330,11 +340,34 @@ struct PortQ<M> {
     head_off: u8,
     /// Next slot to fill within `tail`.
     tail_off: u8,
+    /// Whether `first` holds a message. `push` fills it only while
+    /// `len == 0`, so a held head is always the oldest message.
+    has_first: bool,
 }
 
 impl<M> PortQ<M> {
-    const EMPTY: Self =
-        PortQ { first: None, head: NIL, tail: NIL, len: 0, head_off: 0, tail_off: 0 };
+    const EMPTY: Self = PortQ {
+        first: MaybeUninit::uninit(),
+        head: NIL,
+        tail: NIL,
+        len: 0,
+        head_off: 0,
+        tail_off: 0,
+        has_first: false,
+    };
+
+    /// The inline head, if the queue holds one.
+    fn first(&self) -> Option<&M> {
+        // SAFETY: `first` is initialized while `has_first` is set.
+        self.has_first.then(|| unsafe { self.first.assume_init_ref() })
+    }
+}
+
+impl<M: Clone> Clone for PortQ<M> {
+    fn clone(&self) -> Self {
+        let first = self.first().map_or(MaybeUninit::uninit(), |msg| MaybeUninit::new(msg.clone()));
+        Self { first, ..*self }
+    }
 }
 
 /// A pooled block of queue slots.
@@ -351,8 +384,8 @@ impl<M> Chunk<M> {
 }
 
 /// A set of per-port FIFOs: the queue half of the flat plane, shared by
-/// every engine. The synchronous [`Shard`] embeds one per node range; the
-/// asynchronous executor ([`crate::asynch`]) owns a single set covering
+/// every engine. Each [`Outgoing`] embeds one: a synchronous [`Shard`]'s
+/// covers its node range, the asynchronous executor's ([`crate::asynch`])
 /// the whole port space — one queue implementation, three engines. The
 /// element type is unconstrained: the α engine also queues its rotating
 /// per-pulse inboxes here. Its timing wheel keeps in-flight envelopes in
@@ -366,9 +399,11 @@ impl<M> Chunk<M> {
 /// operation.
 #[derive(Clone, Debug)]
 pub(crate) struct PortQueues<M> {
-    /// Queue state per local port.
-    ports: Vec<PortQ<M>>,
-    /// Chunk slab shared by the overflow chains of this set.
+    /// Queue state per local port, allocated zeroed: the header of a port
+    /// that never queues a message is never written.
+    ports: Box<[PortQ<M>]>,
+    /// Chunk slab shared by the overflow chains of this set; chunk id `c`
+    /// is `chunks[c - 1]`.
     chunks: Vec<Chunk<M>>,
     /// Head of the free-chunk list.
     free_head: u32,
@@ -383,10 +418,18 @@ pub(crate) struct PortQueues<M> {
 }
 
 impl<M> PortQueues<M> {
-    /// An empty queue set over `port_count` ports.
+    /// An empty queue set over `port_count` ports. The headers come from
+    /// a zeroed allocation, which the system allocator takes from fresh,
+    /// unwritten pages when it is large and no freed heap memory can hold
+    /// it: a header's page is then faulted in when its port first queues
+    /// a message (module docs, "Queues").
     pub fn new(port_count: usize) -> Self {
+        // SAFETY: all zero bytes are an empty `PortQ`: no inline head
+        // (`has_first` is false, and `first` may hold any bytes), no chain
+        // (`NIL` is 0) and no queued message.
+        let ports = unsafe { Box::<[PortQ<M>]>::new_zeroed_slice(port_count).assume_init() };
         Self {
-            ports: std::iter::repeat_with(|| PortQ::EMPTY).take(port_count).collect(),
+            ports,
             chunks: Vec::new(),
             free_head: NIL,
             active: vec![0u64; port_count.div_ceil(64)],
@@ -428,12 +471,13 @@ impl<M> PortQueues<M> {
     fn alloc_chunk(&mut self) -> u32 {
         if self.free_head != NIL {
             let c = self.free_head;
-            self.free_head = self.chunks[c as usize].next;
-            self.chunks[c as usize].next = NIL;
+            let chunk = &mut self.chunks[slab(c)];
+            self.free_head = chunk.next;
+            chunk.next = NIL;
             c
         } else {
             self.chunks.push(Chunk::new());
-            (self.chunks.len() - 1) as u32
+            self.chunks.len() as u32
         }
     }
 
@@ -444,7 +488,8 @@ impl<M> PortQueues<M> {
         let q = &mut self.ports[p as usize];
         q.len += 1;
         if q.len == 1 {
-            q.first = Some(msg);
+            q.first.write(msg);
+            q.has_first = true;
             self.active[p as usize / 64] |= 1u64 << (p % 64);
         } else {
             self.push_chain(p, msg);
@@ -466,13 +511,13 @@ impl<M> PortQueues<M> {
             (c, 0u8)
         } else if tail_off as usize == CHUNK {
             let c = self.alloc_chunk();
-            self.chunks[tail as usize].next = c;
+            self.chunks[slab(tail)].next = c;
             self.ports[p as usize].tail = c;
             (c, 0u8)
         } else {
             (tail, tail_off)
         };
-        self.chunks[tail as usize].slots[tail_off as usize] = Some(msg);
+        self.chunks[slab(tail)].slots[tail_off as usize] = Some(msg);
         self.ports[p as usize].tail_off = tail_off + 1;
     }
 
@@ -483,14 +528,14 @@ impl<M> PortQueues<M> {
     /// perturb the very state being identified.
     pub fn for_each(&self, p: u32, mut f: impl FnMut(&M)) {
         let q = &self.ports[p as usize];
-        if let Some(msg) = &q.first {
+        if let Some(msg) = q.first() {
             f(msg);
         }
         let mut chunk = q.head;
         let mut off = q.head_off as usize;
-        let mut remaining = q.len - u32::from(q.first.is_some());
+        let mut remaining = q.len - u32::from(q.has_first);
         while remaining > 0 {
-            let c = &self.chunks[chunk as usize];
+            let c = &self.chunks[slab(chunk)];
             let msg = c.slots[off].as_ref().expect("queue cursor spans filled slots");
             f(msg);
             remaining -= 1;
@@ -519,27 +564,60 @@ impl<M> PortQueues<M> {
         if q.len == 0 {
             self.active[p as usize / 64] &= !(1u64 << (p % 64));
         }
-        if let Some(msg) = q.first.take() {
-            return Some(msg);
+        if q.has_first {
+            q.has_first = false;
+            // SAFETY: `has_first` said `first` holds the FIFO head, and
+            // clearing it hands that message to the caller: nothing reads
+            // or drops it again.
+            return Some(unsafe { q.first.assume_init_read() });
         }
         let head = q.head;
-        let msg = self.chunks[head as usize].slots[q.head_off as usize]
+        let msg = self.chunks[slab(head)].slots[q.head_off as usize]
             .take()
             .expect("queue cursor points at a filled slot");
         q.head_off += 1;
         if q.len == 0 {
             // Return the whole (single remaining) chain to the free list.
-            self.chunks[q.tail as usize].next = self.free_head;
+            self.chunks[slab(q.tail)].next = self.free_head;
             self.free_head = head;
             *q = PortQ::EMPTY;
         } else if q.head_off as usize == CHUNK {
-            q.head = self.chunks[head as usize].next;
+            q.head = self.chunks[slab(head)].next;
             q.head_off = 0;
-            self.chunks[head as usize].next = self.free_head;
+            self.chunks[slab(head)].next = self.free_head;
             self.free_head = head;
         }
         Some(msg)
     }
+}
+
+impl<M> Drop for PortQueues<M> {
+    /// Drops the messages held inline, which the headers' `MaybeUninit`
+    /// slots do not; only an active port holds one, so the headers of
+    /// ports that never queued stay untouched here too.
+    fn drop(&mut self) {
+        if !std::mem::needs_drop::<M>() {
+            return;
+        }
+        for (wi, &word) in self.active.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                let q = &mut self.ports[wi * 64 + word.trailing_zeros() as usize];
+                word &= word - 1;
+                if std::mem::take(&mut q.has_first) {
+                    // SAFETY: `has_first` said `first` holds a message,
+                    // and it is cleared before the drop.
+                    unsafe { q.first.assume_init_drop() };
+                }
+            }
+        }
+    }
+}
+
+/// The slab index of chunk id `c` (ids count from 1; `NIL` is 0).
+#[inline]
+fn slab(c: u32) -> usize {
+    c as usize - 1
 }
 
 /// The bits of active-port word `wi` that fall in ports `lo..hi`, for a
@@ -552,26 +630,22 @@ fn window(wi: u32, lo: u32, hi: u32) -> u64 {
     from & below
 }
 
-/// One node's window into a queue set, where its context's sends land:
-/// its ports `base..base + degree`, and on the flat engine its broadcast
-/// record slot (module docs, "Queues").
+/// One node's window into its engine's [`Outgoing`], where its context's
+/// sends land: its ports `base..base + degree` and its broadcast record
+/// slot (module docs, "Queues").
 #[derive(Debug)]
 pub(crate) struct NodeOut<'a, M> {
     queues: &'a mut PortQueues<M>,
     /// Local offset of the node's port 0 within `queues`.
     base: u32,
-    /// The node's record slot and its shard's count of recorded
-    /// messages, or `None` where every broadcast is queued per port.
-    record: Option<(&'a mut Option<M>, &'a mut u64)>,
+    /// The node's record slot.
+    record: &'a mut Option<M>,
+    /// The messages every pending record of the node's [`Outgoing`]
+    /// stands for.
+    recorded: &'a mut u64,
 }
 
-impl<'a, M: Clone> NodeOut<'a, M> {
-    /// A window without a record slot: the α engine's, whose ports
-    /// deliver one by one.
-    pub fn ports(queues: &'a mut PortQueues<M>, base: u32) -> Self {
-        Self { queues, base, record: None }
-    }
-
+impl<M: Clone> NodeOut<'_, M> {
     /// Enqueues `msg` on `port`, behind the copy a pending record holds
     /// for it.
     #[inline]
@@ -581,16 +655,14 @@ impl<'a, M: Clone> NodeOut<'a, M> {
     }
 
     /// Enqueues a copy of `msg` on each of the node's `degree` ports: as
-    /// its record, if it has a slot, no pending record and no queued
-    /// message, and otherwise as one copy per port.
+    /// its record, if it has no pending record and no queued message,
+    /// and otherwise as one copy per port.
     pub fn broadcast(&mut self, degree: usize, msg: M) {
         let (base, hi) = (self.base, self.base + degree as u32);
-        if let Some((slot, recorded)) = &mut self.record {
-            if slot.is_none() && degree > 0 && self.queues.is_clear(base, hi) {
-                **slot = Some(msg);
-                **recorded += degree as u64;
-                return;
-            }
+        if self.record.is_none() && degree > 0 && self.queues.is_clear(base, hi) {
+            *self.record = Some(msg);
+            *self.recorded += degree as u64;
+            return;
         }
         self.write_out(degree);
         self.copies(degree, &msg);
@@ -599,9 +671,8 @@ impl<'a, M: Clone> NodeOut<'a, M> {
     /// Turns a pending record into one copy per port, so that what the
     /// node sends next queues behind it.
     fn write_out(&mut self, degree: usize) {
-        let Some((slot, recorded)) = &mut self.record else { return };
-        let Some(msg) = slot.take() else { return };
-        **recorded -= degree as u64;
+        let Some(msg) = self.record.take() else { return };
+        *self.recorded -= degree as u64;
         self.copies(degree, &msg);
     }
 
@@ -613,9 +684,10 @@ impl<'a, M: Clone> NodeOut<'a, M> {
     }
 }
 
-/// What a shard's nodes have sent and not yet delivered: a FIFO per port,
-/// and a record slot per node (module docs, "Queues").
-#[derive(Debug)]
+/// What a node range has sent and not yet delivered: a FIFO per port, and
+/// a record slot per node (module docs, "Queues"). A flat [`Shard`] holds
+/// one for its range, and the α engine one for the whole network.
+#[derive(Clone, Debug)]
 pub(crate) struct Outgoing<M> {
     /// The range's outgoing per-port FIFOs.
     pub queues: PortQueues<M>,
@@ -627,7 +699,8 @@ pub(crate) struct Outgoing<M> {
 }
 
 impl<M: Message> Outgoing<M> {
-    fn new(node_count: usize, port_count: usize) -> Self {
+    /// Nothing sent yet, from `node_count` nodes with `port_count` ports.
+    pub fn new(node_count: usize, port_count: usize) -> Self {
         Self {
             queues: PortQueues::new(port_count),
             records: std::iter::repeat_with(|| None).take(node_count).collect(),
@@ -649,7 +722,40 @@ impl<M: Message> Outgoing<M> {
         NodeOut {
             queues: &mut self.queues,
             base,
-            record: Some((&mut self.records[local], &mut self.recorded)),
+            record: &mut self.records[local],
+            recorded: &mut self.recorded,
+        }
+    }
+
+    /// Local node `local`'s pending record, if it has one.
+    #[inline]
+    pub fn record(&self, local: usize) -> Option<&M> {
+        self.records[local].as_ref()
+    }
+
+    /// Takes local node `local`'s pending record, which stood for one
+    /// message on each of its `degree` ports.
+    #[inline]
+    pub fn take_record(&mut self, local: usize, degree: usize) -> Option<M> {
+        let msg = self.records[local].take()?;
+        self.recorded -= degree as u64;
+        Some(msg)
+    }
+
+    /// Empties local node `local`'s record and its ports
+    /// `base..base + degree`, handing `f` the port of each message
+    /// discarded: in port order, FIFO within a port, a record as one
+    /// message on each port.
+    pub fn discard(&mut self, local: usize, base: u32, degree: usize, mut f: impl FnMut(Port)) {
+        if self.take_record(local, degree).is_some() {
+            // A node with a record has nothing queued.
+            (0..degree).for_each(f);
+            return;
+        }
+        for port in 0..degree {
+            while self.queues.pop(base + port as u32).is_some() {
+                f(port);
+            }
         }
     }
 
@@ -1316,8 +1422,62 @@ mod tests {
         // on the free list.
         q.push(0, 7);
         assert_eq!(q.chunks.len(), 2);
-        assert!(q.ports[0].first.is_some() && q.ports[0].head == NIL);
+        assert!(q.ports[0].has_first && q.ports[0].head == NIL);
         assert_eq!(q.pop(0), Some(7));
+    }
+
+    /// A message enum whose niche holds `Option`'s `None`, so that an
+    /// all-zero `Option<Tag>` is `Some(Tag::A(0))`, as it would be for
+    /// `DistNearClique`'s `Msg`.
+    #[derive(Clone, Debug, PartialEq)]
+    enum Tag {
+        A(u32),
+        B(u64),
+    }
+
+    /// The invariant [`PortQueues::new`]'s zeroed allocation rests on: a
+    /// fresh set reads empty on every port through every accessor, even
+    /// for a message whose all-zero `Option` is a message, then holds
+    /// what is pushed, and drops cleanly. Messages that own heap memory,
+    /// held inline or chained, drop with their set exactly once
+    /// (AddressSanitizer checks the frees).
+    #[test]
+    fn a_zeroed_queue_set_is_empty_for_a_niche_optimized_message() {
+        assert_eq!(size_of::<Option<Tag>>(), size_of::<Tag>(), "Tag keeps its niche");
+        // SAFETY: `Tag` stores its variant in a tag, so zero bytes are
+        // `Tag::A(0)`, and `Option<Tag>` stores `None` in the tag's
+        // niche. Under any other layout zero bytes are `None`, which
+        // fails the assertion below without undefined behaviour.
+        let zeroed = unsafe { std::mem::zeroed::<Option<Tag>>() };
+        assert_eq!(zeroed, Some(Tag::A(0)), "an all-zero Option<Tag> is a message");
+
+        let ports = 130;
+        let mut q: PortQueues<Tag> = PortQueues::new(ports);
+        for p in 0..ports as u32 {
+            assert_eq!(q.len(p), 0, "port {p}: len");
+            assert!(!q.is_active(p), "port {p}: active bit");
+            q.for_each(p, |m| panic!("port {p} holds {m:?}"));
+            assert_eq!(q.pop(p), None, "port {p}: pop");
+        }
+        assert_eq!((q.queued(), q.high_water()), (0, 0));
+        q.push(70, Tag::B(u64::MAX));
+        q.push(70, Tag::A(0));
+        let mut held = Vec::new();
+        q.for_each(70, |m| held.push(m.clone()));
+        assert_eq!(held, [Tag::B(u64::MAX), Tag::A(0)]);
+        assert_eq!(
+            (q.pop(70), q.pop(70), q.pop(70)),
+            (Some(Tag::B(u64::MAX)), Some(Tag::A(0)), None)
+        );
+        drop(q);
+
+        let mut q: PortQueues<Owned> = PortQueues::new(ports);
+        q.push(1, Owned(vec![1]));
+        q.push(129, Owned(vec![7]));
+        q.push(129, Owned(vec![2, 3]));
+        assert_eq!(q.pop(129), Some(Owned(vec![7])));
+        q.push(64, Owned(vec![4; 3]));
+        assert_eq!(q.queued(), 3);
     }
 
     proptest! {

@@ -183,8 +183,8 @@ pub(crate) enum OutboxHandle<'a, M> {
     /// A node-owned queue set (the legacy fixture and tests).
     #[cfg_attr(not(feature = "legacy-engine"), allow(dead_code))]
     Owned(&'a mut Outbox<M>),
-    /// The node's ports within a flat queue set, and on the flat engine
-    /// its broadcast record slot.
+    /// The node's ports within a flat queue set and its broadcast record
+    /// slot.
     Flat(NodeOut<'a, M>),
 }
 
@@ -295,15 +295,16 @@ impl<M: Message> Context<'_, M> {
     /// [`Context::send`] on each port in turn, in what it delivers and
     /// meters.
     ///
-    /// On [`Engine::Flat`](crate::Engine::Flat) it usually costs one
+    /// On [`Engine::Flat`](crate::Engine::Flat) and
+    /// [`Engine::Async`](crate::Engine::Async) it usually costs one
     /// message: when none of this node's ports holds a message, `msg` is
-    /// stored once, as the node's broadcast record, and delivery expands
-    /// it over the node's ports. It falls back to one copy per port when
-    /// a port still holds a message (a CONGEST train) or a record is
-    /// already pending. A `send` or `broadcast` after a record, before
-    /// the next delivery, first writes the record out as copies, so every
-    /// port's FIFO order is unchanged. The other engines queue one copy
-    /// per port.
+    /// stored once, as the node's broadcast record, and delivery (on the
+    /// asynchronous engine, the node's next pulse) expands it over the
+    /// node's ports. It falls back to one copy per port when a port still
+    /// holds a message (a CONGEST train) or a record is already pending.
+    /// A `send` or `broadcast` after a record, before it is expanded,
+    /// first writes the record out as copies, so every port's FIFO order
+    /// is unchanged. The legacy engine queues one copy per port.
     pub fn broadcast(&mut self, msg: M) {
         let degree = self.degree();
         self.outbox.broadcast(degree, msg);

@@ -1,9 +1,12 @@
-//! Broadcast records are invisible: on `Engine::Flat`, a node whose
-//! ports are all empty stores a `Context::broadcast` once and delivery
-//! expands it over the node's ports, yet a run gives what one `send` per
-//! port gives — outputs, full [`congest::Metrics`], termination and the
-//! traced [`congest::RunProfile`], on one to three shards, in CONGEST and
-//! LOCAL.
+//! Broadcast records are invisible: a node whose ports are all empty
+//! stores a `Context::broadcast` once and the engine expands it over the
+//! node's ports, yet a run gives what one `send` per port gives —
+//! outputs, full [`congest::Metrics`], termination and the traced
+//! [`congest::RunProfile`]. On `Engine::Flat` that holds on one to three
+//! shards, in CONGEST and LOCAL; on `Engine::Async` under both
+//! synchronizers and two delay models, with lost, retransmitted, crashed
+//! and retired payloads, where the full [`congest::SyncOverhead`] must
+//! agree too.
 //!
 //! The protocol mixes broadcasts with everything that must write a
 //! pending record out or keep a broadcast per port: a send after a
@@ -12,8 +15,9 @@
 //! `on_quiescent`.
 
 use congest::{
-    Context, Driver, Engine, Message, Metrics, Mode, Port, Protocol, RunLimits, RunProfile,
-    Session, Termination, TraceConfig,
+    ChurnModel, ChurnPolicy, Context, DelayModel, Driver, Engine, FaultModel, Message, Metrics,
+    Mode, PhasePlan, Port, Protocol, RunLimits, RunProfile, Session, SyncModel, SyncOverhead,
+    Termination, TraceConfig,
 };
 use graphs::generators;
 use proptest::prelude::*;
@@ -177,6 +181,80 @@ proptest! {
                     prop_assert_eq!(&got.3, &reference.3, "{:?}, {} shards, {}: profile", mode, shards, how);
                 }
             }
+        }
+    }
+}
+
+/// One traced phased run on the asynchronous engine: outputs, metrics,
+/// overhead, termination and profile. Three phases of 12 pulses let the
+/// trains drain and take both resuming barriers.
+fn run_async(
+    g: &graphs::Graph,
+    seed: u64,
+    engine: Engine,
+    fan_out: bool,
+) -> (Vec<u64>, Metrics, SyncOverhead, Termination, RunProfile) {
+    let plan = PhasePlan::new().phase("first", 12).phase("second", 12).phase("third", 12);
+    let mut driver = Session::on(g)
+        .seed(seed)
+        .engine(engine)
+        .limits(RunLimits::rounds(plan.total_pulses()))
+        .trace(TraceConfig::default())
+        .build_with(|_| Caster::new(fan_out));
+    let report = driver.run_phased(&plan, &mut ());
+    let profile = report.profile.expect("traced run");
+    (driver.outputs(), report.metrics, report.overhead, report.termination, profile)
+}
+
+/// The asynchronous engines the records must be invisible on: both
+/// synchronizers under two delay models, each on a perfect wire, with
+/// lost and retransmitted sends, with two nodes crashing and recovering
+/// four pulses later, and with two nodes leaving. The first crash and
+/// leave come at pulse 13, the first after the first barrier, whose
+/// `on_quiescent` broadcasts leave most nodes a pending record.
+fn async_engines() -> Vec<Engine> {
+    let faults = [
+        FaultModel::None,
+        FaultModel::Drop { p_millis: 150 },
+        FaultModel::Crash { victims: 2, at_pulse: 13, recover_after: 4 },
+    ];
+    let leave =
+        ChurnModel::Leave { leavers: 2, at_pulse: 13, spacing: 2, policy: ChurnPolicy::Continue };
+    let delays = [DelayModel::Uniform { max_delay: 4 }, DelayModel::HeavyTailed { max_delay: 7 }];
+    let mut engines = Vec::new();
+    for sync in [SyncModel::Alpha, SyncModel::BatchedAlpha] {
+        for delay in delays {
+            for fault in faults {
+                engines.push(Engine::Async { delay, sync, fault, churn: ChurnModel::None });
+            }
+            engines.push(Engine::Async { delay, sync, fault: FaultModel::None, churn: leave });
+        }
+    }
+    engines
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Records against per-port sends on the asynchronous engine, on
+    /// random G(n, p): every configuration of [`async_engines`] gives the
+    /// same run either way, its crash and leave included.
+    #[test]
+    fn async_records_give_the_run_per_port_sends_give(
+        n in 2usize..30,
+        density in 0.05f64..0.5,
+        graph_seed in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        let g = generators::gnp(n, density, &mut StdRng::seed_from_u64(graph_seed));
+        for engine in async_engines() {
+            let per_port = run_async(&g, seed, engine, false);
+            let broadcast = run_async(&g, seed, engine, true);
+            prop_assert_eq!(&broadcast.0, &per_port.0, "{:?}: outputs", engine);
+            prop_assert_eq!(&broadcast.1, &per_port.1, "{:?}: metrics", engine);
+            prop_assert_eq!(&broadcast.2, &per_port.2, "{:?}: overhead", engine);
+            prop_assert_eq!(broadcast.3, per_port.3, "{:?}: termination", engine);
+            prop_assert_eq!(&broadcast.4, &per_port.4, "{:?}: profile", engine);
         }
     }
 }
