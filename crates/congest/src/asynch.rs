@@ -39,23 +39,21 @@
 //!
 //! Like the flat synchronous plane, this executor performs **zero heap
 //! allocations in steady state**: after warm-up, driving pulses only
-//! recycles pooled blocks and slab chunks. Four structures carry every
+//! recycles pooled blocks and slab chunks. Five structures carry every
 //! event:
 //!
 //! * **The payload queues** (`plane::Outgoing`, the flat engine's
 //!   type): a FIFO per port and a broadcast record per node. A
 //!   `ctx.broadcast` from a node with nothing queued is one record, as
-//!   on the flat engine; the node's next pulse entry expands it into
-//!   one transmission per port, in port order, through the same
-//!   `Wire::transmit` calls per-port copies take, so delay draws and
-//!   virtual times are unchanged. A crash onset loses a record and a
-//!   leave retires it, once per port, and a retired port retires its
-//!   copy instead of sending it. Any other send queues per port, so a
-//!   run carried by broadcasts leaves most port headers as the zeroed
-//!   allocation made them (`plane`'s module docs, "Queues").
-//! * **The timing wheel** ([`EventWheel`]): in-flight messages live in a
-//!   circular array of `bound + 1` FIFO buckets, where `bound` is the
-//!   [`DelayModel`]'s *compiled* per-port delay maximum. Delays are
+//!   on the flat engine; the node's next pulse entry sends it as delay
+//!   runs (below). A crash onset loses a record and a leave retires it,
+//!   once per port, and a retired port retires its copy instead of
+//!   sending it. Any other send queues per port, so a run carried by
+//!   broadcasts leaves most port headers as the zeroed allocation made
+//!   them (`plane`'s module docs, "Queues").
+//! * **The timing wheel** (`sched::EventWheel`): in-flight messages live
+//!   in a circular array of `bound + 1` FIFO buckets, where `bound` is
+//!   the [`DelayModel`]'s *compiled* per-port delay maximum. Delays are
 //!   bounded and positive, so all pending events fit at unique
 //!   `time % (bound + 1)` slots — push is O(1), drain is in-order bucket
 //!   rotation, and the order is bit-identical to the
@@ -64,7 +62,26 @@
 //!   256-event blocks from one pool all buckets share: an event is
 //!   written into the next slot of its bucket's tail block and moved
 //!   out of its head block, and a drained block goes back to the pool.
-//!   The envelope travels inside its event.
+//!   A single envelope (an `Ack`, a payload from a port queue, a
+//!   retransmission) travels inside its event.
+//! * **Delay runs**: a broadcast — a node's record, or α's per-pulse
+//!   `Safe` flood — is one wheel event per distinct delay its copies
+//!   drew, not one per port (`sched::sync::Wire::begin_broadcast`).
+//!   Every copy takes the fault check and the delay draw a per-port
+//!   send would, in port order, so both random streams advance as
+//!   before; the copies are grouped stably by delay into the sender's
+//!   CSR row of a per-pulse-parity array of `(receiver, receiving
+//!   port)` pairs, and a record is kept once per node and parity. A
+//!   lost copy puts the runs gathered before it on the wheel ahead of
+//!   its retransmission timer, so every bucket holds what it held with
+//!   one event per copy, in the same order. Popping a run hands each
+//!   copy, in port order, to the code a single delivered envelope
+//!   reaches, and after each copy does what follows any event: the
+//!   profile samples the envelopes in flight (a run counts its
+//!   undelivered copies) and the ready worklist drains. Control
+//!   traffic is still metered per envelope, on receipt. The ±1 pulse
+//!   skew frees a node's parity-`r` row and record slot before it
+//!   broadcasts for pulse `r + 2`.
 //! * **Rotating inboxes**: every synchronizer here keeps neighboring
 //!   nodes within one pulse of each other, so a payload tagged for
 //!   pulse `r` can only arrive while its receiver waits on pulse `r` or
@@ -100,8 +117,8 @@ use crate::plane::{Outgoing, PortQueues};
 use crate::protocol::{Context, Endpoint, OutboxHandle, Port, Protocol};
 use crate::sched::sync::{Event, SyncDriver, SyncMsg, Wire, ENVELOPE_BITS};
 use crate::sched::{
-    ChurnModel, ChurnPlane, ChurnPolicy, DelayModel, DelaySource, EventWheel, FaultModel,
-    FaultPlane, PhasePlan, SyncModel,
+    ChurnModel, ChurnPlane, ChurnPolicy, DelayModel, DelaySource, FaultModel, FaultPlane,
+    PhasePlan, SyncModel,
 };
 use crate::session::{Driver, Engine, Observer, RunLimits, RunReport, SyncOverhead, Termination};
 
@@ -198,25 +215,7 @@ impl<P: Protocol> AsyncNetwork<P> {
         let delays = DelaySource::model(delay, seed, port_count);
         let faults = FaultPlane::new(fault, seed, port_count, n, delays.compiled_bound());
         let churn = ChurnPlane::new(churn, seed, &topo, n);
-        // The wheel spans the *compiled* bound: what the sampler can
-        // actually draw for this plane, never more than the model's
-        // declared `max_delay` and tighter for the per-port models —
-        // widened to the fault model's retransmission bound so parked
-        // resend timers always fit the horizon.
-        let events = EventWheel::new(delays.compiled_bound().max(faults.sampler.retry_bound()));
-        let wire = Wire {
-            topo,
-            delays,
-            faults,
-            events,
-            overhead: SyncOverhead::default(),
-            // Gate completions happen once per (node, pulse) and at most
-            // two pulses are live per node (the ±1 skew bound), so a
-            // node has at most two outstanding wakes; `2n` capacity
-            // keeps the worklist allocation-free forever.
-            ready: Vec::with_capacity(2 * n),
-            rec: None,
-        };
+        let wire = Wire::new(topo, delays, faults);
         Self {
             endpoints,
             protocols,
@@ -254,10 +253,10 @@ impl<P: Protocol> AsyncNetwork<P> {
     }
 
     /// Flushes the sink's trailing aggregation window, folds in the
-    /// wheel / queue high-water marks, and returns the run's profile —
-    /// `None` when tracing is off.
+    /// in-flight envelope / queue high-water marks, and returns the run's
+    /// profile — `None` when tracing is off.
     fn snapshot_profile(&mut self) -> Option<RunProfile> {
-        let wheel_hw = self.wire.events.high_water();
+        let wheel_hw = self.wire.max_in_flight;
         let queue_hw = self.inboxes.high_water().max(self.max_queued);
         self.wire.rec.as_deref_mut().map(|sink| sink.finish(wheel_hw, queue_hw))
     }
@@ -415,14 +414,15 @@ impl<P: Protocol> AsyncNetwork<P> {
 
     /// Transition `node` into its next pulse: drain one application
     /// message per port from the flat queues (CONGEST pipelining), or
-    /// expand the node's broadcast record, one copy per port in port
-    /// order, and send the payloads, reporting each idle port — and then
-    /// the whole send phase — to the synchronizer, which emits whatever
-    /// control traffic its discipline requires. A record's copies go
-    /// through the same [`Wire::transmit`] calls, in the same order, as
-    /// per-port copies would, so the delay draws and the virtual times
-    /// are theirs. Degree-0 nodes have no synchronizer traffic at all
-    /// and just execute their remaining pulses in place.
+    /// send the node's broadcast record, one copy per port in port
+    /// order, reporting each idle port — and then the whole send phase —
+    /// to the synchronizer, which emits whatever control traffic its
+    /// discipline requires. A record's copies take the fault check and
+    /// the delay draw per-port copies would, in the same order, so the
+    /// delay draws and the virtual times are theirs; they ride the wheel
+    /// as one delay run per distinct delay ([`Wire::begin_broadcast`]).
+    /// Degree-0 nodes have no synchronizer traffic at all and just
+    /// execute their remaining pulses in place.
     fn begin_pulse(&mut self, v: usize) {
         let degree = self.endpoints[v].degree();
         if degree == 0 {
@@ -451,39 +451,50 @@ impl<P: Protocol> AsyncNetwork<P> {
         let absent = self.churn_pulse_entry(v, pulse);
         let crashed = self.fault_pulse_entry(v, pulse);
         let base = self.wire.topo.offsets[v];
-        // A record stands for one message on each port, and its node has
-        // nothing else queued.
-        let record = self.out.take_record(v, degree);
         let mut sent = 0usize;
-        for port in 0..degree {
-            let p = base + port as u32;
-            let msg = if !self.churn.overlay.port_live[p as usize] {
-                // A retired port carries no payloads: whatever the
-                // protocol queued toward an absent peer, a record's copy
-                // included, is retired itemized, and the port reads idle
-                // to the synchronizer — the control plane spans the
-                // static topology.
-                if record.is_some() {
-                    self.wire.retire(v, port);
-                }
-                while self.out.queues.pop(p).is_some() {
-                    self.wire.retire(v, port);
-                }
-                None
-            } else if let Some(msg) = &record {
-                Some(msg.clone())
-            } else if self.out.queues.is_active(p) {
-                // An idle port costs a bit test, not a queue header read.
-                self.out.queues.pop(p)
-            } else {
-                None
-            };
-            match msg {
-                Some(msg) => {
-                    self.wire.transmit(v, port, SyncMsg::Payload { pulse, msg });
+        if let Some(msg) = self.out.take_record(v, degree) {
+            // A record stands for one message on each port, and its node
+            // has nothing else queued: its copies go out as delay runs.
+            let mut copies = self.wire.begin_broadcast(v, SyncMsg::Payload { pulse, msg });
+            for port in 0..degree {
+                if self.churn.overlay.port_live[(base + port as u32) as usize] {
+                    self.wire.send_copy(&mut copies, port);
                     sent += 1;
+                } else {
+                    // A retired port's copy is retired itemized, and
+                    // the port reads idle, as in the per-port loop.
+                    self.wire.retire(v, port);
+                    self.sync.on_idle_port(&mut self.wire, v, port, pulse);
                 }
-                None => self.sync.on_idle_port(&mut self.wire, v, port, pulse),
+            }
+            self.wire.end_broadcast(copies);
+        } else {
+            for port in 0..degree {
+                let p = base + port as u32;
+                let msg = if !self.churn.overlay.port_live[p as usize] {
+                    // A retired port carries no payloads: whatever the
+                    // protocol queued toward an absent peer is retired
+                    // itemized, and the port reads idle to the
+                    // synchronizer — the control plane spans the static
+                    // topology.
+                    while self.out.queues.pop(p).is_some() {
+                        self.wire.retire(v, port);
+                    }
+                    None
+                } else if self.out.queues.is_active(p) {
+                    // An idle port costs a bit test, not a queue header
+                    // read.
+                    self.out.queues.pop(p)
+                } else {
+                    None
+                };
+                match msg {
+                    Some(msg) => {
+                        self.wire.transmit(v, port, SyncMsg::Payload { pulse, msg });
+                        sent += 1;
+                    }
+                    None => self.sync.on_idle_port(&mut self.wire, v, port, pulse),
+                }
             }
         }
         debug_assert!(!crashed || sent == 0, "a crashed node sends nothing");
@@ -573,76 +584,100 @@ impl<P: Protocol> AsyncNetwork<P> {
         }
     }
 
-    /// Handles one popped wheel event at the current virtual time.
+    /// Handles one popped wheel event at the current virtual time: one
+    /// envelope, or each copy of a delay run in port order, each followed
+    /// by what follows any event ([`AsyncNetwork::after_envelope`]).
     fn handle(&mut self, event: Event<P::Msg>) {
-        let (to, port, msg) = match event {
-            Event::Deliver { to, port, msg } => (to as usize, port as usize, msg),
+        match event {
+            Event::Deliver { to, port, msg } => self.deliver(to as usize, port as usize, msg),
             Event::Resend { from, port, msg } => {
                 // A retransmission timer fired: the envelope re-enters
                 // the wire with fresh delay and fault draws.
+                self.wire.in_flight -= 1;
                 self.wire.trace(TraceEvent::Retransmit { node: from, port });
                 self.wire.transmit(from as usize, port as usize, msg);
-                return;
+                self.after_envelope();
             }
-        };
-        match msg {
-            SyncMsg::Payload { pulse, msg: _ } if self.churn.sampler.absent_at(to, pulse) => {
-                // The receiver is outside the member set for this pulse:
-                // the payload is retired at delivery — itemized, not
-                // metered, not staged. The synchronizer
-                // still observes the arrival: the control plane spans
-                // the static topology, which is what keeps neighbors'
-                // gates filling across the epoch boundary.
-                self.wire.retire(to, port);
-                self.sync.on_payload(&mut self.wire, to, port, pulse);
-            }
-            SyncMsg::Payload { pulse, msg: _ }
-                if self.wire.faults.sampler.crashed_at(to, pulse) =>
-            {
-                // The receiver is down for this pulse: the payload
-                // vanishes at the host — not metered, not staged; the
-                // loss is application-visible (degradation, not
-                // masking). The synchronizer still observes the arrival:
-                // the control plane survives the crash, which is what
-                // keeps the neighbors' gates filling and the waves
-                // self-healing.
-                self.wire.lose(to, port);
-                self.sync.on_payload(&mut self.wire, to, port, pulse);
-            }
-            SyncMsg::Payload { pulse, msg } => {
-                // A payload tagged r was drained by the sender on entering
-                // pulse r — exactly what the synchronous simulator
-                // delivers in round r — so it is consumed at pulse r and
-                // metered there: scalars into `metrics`, the count into
-                // `metrics.messages_per_round[r − 1]` (grown on demand:
-                // pulses complete out of order), and the pulse-tag
-                // envelope into the synchronizer's overhead.
-                let bits = msg.bit_size();
-                self.metrics.record_payload(bits);
-                self.wire.overhead.control_bits += ENVELOPE_BITS as u64;
-                if self.metrics_mode == MetricsMode::Full {
-                    let idx = (pulse - 1) as usize;
-                    let history = &mut self.metrics.messages_per_round;
-                    if history.len() <= idx {
-                        history.resize(idx + 1, 0);
-                    }
-                    history[idx] += 1;
+            Event::Run { from, start, end, pulse, kind } => {
+                for index in start..end {
+                    let (to, port) = self.wire.run_receiver(pulse, index);
+                    let msg = self.wire.run_msg(from, pulse, kind).cloned();
+                    self.deliver(to as usize, port as usize, msg);
                 }
-                self.wire.trace(TraceEvent::Payload { node: to as u32, pulse, bits: bits as u32 });
-                // Pulse skew is at most one under every synchronizer
-                // here: a payload can only arrive while its receiver
-                // waits on `pulse` or `pulse - 1`, so the parity-indexed
-                // inbox slot is free.
-                debug_assert!(
-                    pulse == self.pulse[to] || pulse == self.pulse[to] + 1,
-                    "payload outside the two-pulse horizon"
-                );
-                self.inboxes.push((to * 2 + (pulse & 1) as usize) as u32, (port, msg));
-                self.sync.on_payload(&mut self.wire, to, port, pulse);
             }
+        }
+    }
+
+    /// Envelope `msg` arrives at node `to` on its local `port`: a payload
+    /// through [`AsyncNetwork::arrive`], a control envelope through the
+    /// synchronizer; then the receiver executes whatever its gate grants.
+    fn deliver(&mut self, to: usize, port: Port, msg: SyncMsg<P::Msg>) {
+        self.wire.in_flight -= 1;
+        match msg {
+            SyncMsg::Payload { pulse, msg } => self.arrive(to, port, pulse, msg),
             SyncMsg::Ctrl(ctrl) => self.sync.on_ctrl(&mut self.wire, to, self.pulse[to], ctrl),
         }
         self.try_execute(to);
+        self.after_envelope();
+    }
+
+    /// A pulse-`pulse` payload arrives at node `to` on its local `port`.
+    fn arrive(&mut self, to: usize, port: Port, pulse: u64, msg: P::Msg) {
+        if self.churn.sampler.absent_at(to, pulse) {
+            // The receiver is outside the member set for this pulse: the
+            // payload is retired at delivery — itemized, not metered, not
+            // staged. The synchronizer still observes the arrival: the
+            // control plane spans the static topology, which is what
+            // keeps neighbors' gates filling across the epoch boundary.
+            self.wire.retire(to, port);
+        } else if self.wire.faults.sampler.crashed_at(to, pulse) {
+            // The receiver is down for this pulse: the payload vanishes
+            // at the host — not metered, not staged; the loss is
+            // application-visible (degradation, not masking). The
+            // synchronizer still observes the arrival: the control plane
+            // survives the crash, which is what keeps the neighbors'
+            // gates filling and the waves self-healing.
+            self.wire.lose(to, port);
+        } else {
+            // A payload tagged r was drained by the sender on entering
+            // pulse r — exactly what the synchronous simulator delivers
+            // in round r — so it is consumed at pulse r and metered
+            // there: scalars into `metrics`, the count into
+            // `metrics.messages_per_round[r − 1]` (grown on demand:
+            // pulses complete out of order), and the pulse-tag envelope
+            // into the synchronizer's overhead.
+            let bits = msg.bit_size();
+            self.metrics.record_payload(bits);
+            self.wire.overhead.control_bits += ENVELOPE_BITS as u64;
+            if self.metrics_mode == MetricsMode::Full {
+                let idx = (pulse - 1) as usize;
+                let history = &mut self.metrics.messages_per_round;
+                if history.len() <= idx {
+                    history.resize(idx + 1, 0);
+                }
+                history[idx] += 1;
+            }
+            self.wire.trace(TraceEvent::Payload { node: to as u32, pulse, bits: bits as u32 });
+            // Pulse skew is at most one under every synchronizer here: a
+            // payload can only arrive while its receiver waits on `pulse`
+            // or `pulse - 1`, so the parity-indexed inbox slot is free.
+            debug_assert!(
+                pulse == self.pulse[to] || pulse == self.pulse[to] + 1,
+                "payload outside the two-pulse horizon"
+            );
+            self.inboxes.push((to * 2 + (pulse & 1) as usize) as u32, (port, msg));
+        }
+        self.sync.on_payload(&mut self.wire, to, port, pulse);
+    }
+
+    /// What follows every delivered envelope, a run's copies included:
+    /// the profile samples the envelopes in flight, and the ready
+    /// cascade drains.
+    fn after_envelope(&mut self) {
+        if let Some(sink) = self.wire.rec.as_deref_mut() {
+            sink.sample_wheel(self.wire.in_flight);
+        }
+        self.drain_ready();
     }
 
     /// Offers every node its [`Protocol::on_quiescent`] transition — the
@@ -882,10 +917,6 @@ impl<P: Protocol> AsyncNetwork<P> {
         };
         self.wire.overhead.virtual_time = self.wire.overhead.virtual_time.max(now);
         self.handle(event);
-        if let Some(sink) = self.wire.rec.as_deref_mut() {
-            sink.sample_wheel(self.wire.events.pending());
-        }
-        self.drain_ready();
         true
     }
 
@@ -922,9 +953,10 @@ impl<P: Protocol> AsyncNetwork<P> {
         self.done.iter().all(|&d| d)
     }
 
-    /// Events scheduled on the wheel and not yet delivered.
+    /// Envelopes scheduled on the wheel and not yet delivered, a delay
+    /// run counting its copies.
     pub(crate) fn pending_events(&self) -> u64 {
-        self.wire.events.pending()
+        self.wire.in_flight
     }
 
     /// Application payloads lost to faults so far.
@@ -992,9 +1024,20 @@ impl<P: Protocol> AsyncNetwork<P> {
                 }),
             }
         }
-        self.wire.events.for_each_pending(|rel, event| {
-            rel.hash(h);
-            event.hash(h);
+        // A delay run as the per-port deliveries it stands for.
+        self.wire.events.for_each_pending(|rel, event| match *event {
+            Event::Run { from, start, end, pulse, kind } => {
+                for index in start..end {
+                    let (to, port) = self.wire.run_receiver(pulse, index);
+                    let msg = self.wire.run_msg(from, pulse, kind);
+                    rel.hash(h);
+                    Event::Deliver { to, port, msg }.hash(h);
+                }
+            }
+            _ => {
+                rel.hash(h);
+                event.hash(h);
+            }
         });
         for slot in 0..self.inboxes.port_count() as u32 {
             self.inboxes.len(slot).hash(h);

@@ -18,7 +18,9 @@
 //!   the pulse-entry sweep, its sends' delay draws;
 //! * an *event step* — `AsyncNetwork::step_event`: pop the next wheel
 //!   event, handle it (which may send more messages and draw more
-//!   delays), drain the ready cascade.
+//!   delays), drain the ready cascade. A delay run — the copies of one
+//!   broadcast that drew the same delay — is one event, so its copies
+//!   are all handled in one step.
 //!
 //! These are the same steps a sampled drive runs back to back.
 //!

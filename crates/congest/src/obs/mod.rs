@@ -379,7 +379,8 @@ pub struct RunProfile {
     pub pulse_occupancy: Hist,
     /// Delivery batch sizes per pulse execution.
     pub queue_depth: Hist,
-    /// Event-wheel occupancy sampled after each drain step.
+    /// Envelopes in flight on the event wheel, sampled after each
+    /// delivered envelope (a delay run's copies one by one).
     pub wheel_occupancy: Hist,
     /// Control bits per pulse-frontier advance (see the module docs on
     /// per-pulse bit attribution).
@@ -401,7 +402,8 @@ pub struct RunProfile {
     pub faults: u64,
     /// Membership churn records: joins, leaves and retired payloads.
     pub churn: u64,
-    /// High-water mark of the event wheel (scheduled, not yet popped).
+    /// High-water mark of the envelopes in flight on the event wheel
+    /// (scheduled, not yet delivered; a delay run counts its copies).
     pub max_wheel_occupancy: u64,
     /// High-water mark of the inbox/port queues.
     pub max_queue_depth: u64,
@@ -600,7 +602,7 @@ impl TraceSink {
         self.push(TraceRecord { at, ev });
     }
 
-    /// Sample the event-wheel occupancy after a drain step.
+    /// Sample the envelopes in flight after a delivered envelope.
     #[inline]
     pub fn sample_wheel(&mut self, depth: u64) {
         self.profile.wheel_occupancy.record(depth);

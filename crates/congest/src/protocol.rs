@@ -298,10 +298,14 @@ impl<M: Message> Context<'_, M> {
     /// On [`Engine::Flat`](crate::Engine::Flat) and
     /// [`Engine::Async`](crate::Engine::Async) it usually costs one
     /// message: when none of this node's ports holds a message, `msg` is
-    /// stored once, as the node's broadcast record, and delivery (on the
-    /// asynchronous engine, the node's next pulse) expands it over the
-    /// node's ports. It falls back to one copy per port when a port still
-    /// holds a message (a CONGEST train) or a record is already pending.
+    /// stored once, as the node's broadcast record. The flat engine's
+    /// delivery expands it over the node's ports. The asynchronous
+    /// engine sends it at the node's next pulse as delay runs, one wheel
+    /// event per distinct link delay its copies drew, each run handing
+    /// its receivers a copy in port order; the delays, arrival times and
+    /// metering are those of per-port sends. It falls back to one copy
+    /// per port when a port still holds a message (a CONGEST train) or a
+    /// record is already pending.
     /// A `send` or `broadcast` after a record, before it is expanded,
     /// first writes the record out as copies, so every port's FIFO order
     /// is unchanged. The legacy engine queues one copy per port.

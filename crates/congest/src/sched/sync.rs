@@ -7,7 +7,8 @@
 //!   queues, the rotating per-pulse inboxes, and the act of stepping
 //!   protocols — plus the `Wire`: the CSR route table, the (faulty)
 //!   link every envelope leaves through, and the timing wheel of
-//!   in-flight envelopes; and
+//!   in-flight envelopes, where a broadcast travels as delay runs (see
+//!   below); and
 //! * the **synchronizer** (`SyncDriver`) owns the *control plane*: it
 //!   observes every payload sent and received, emits whatever control
 //!   traffic its discipline requires through the wire, accounts that
@@ -45,6 +46,27 @@
 //! synchronous engines for the same seed and budget, under every
 //! [`DelayModel`](crate::sched::DelayModel). Only [`SyncOverhead`] — the
 //! control plane's own cost — differs between them, which is the point.
+//!
+//! # Delay runs
+//!
+//! A broadcast — a node's payload record, or α's `Safe` flood — is one
+//! `Event::Run` per distinct delay its copies drew, not one event per
+//! port. `Wire::begin_broadcast` opens it; `Wire::send_copy` gives each
+//! port, in port order, the fault check and delay draw `Wire::transmit`
+//! gives a single envelope, so the fault and delay streams advance
+//! exactly as for per-port sends; `Wire::end_broadcast` lays the copies
+//! out in the sender's CSR row of the pulse parity's run rows, grouped
+//! stably by delay, and schedules one run per group. A lost copy
+//! schedules the groups gathered before it first, then its
+//! `Event::Resend`, so every bucket holds the same envelopes in the same
+//! order as with one event per copy — a `LinkFlap` retry can land inside
+//! the delay horizon, in a bucket a run also occupies. The executor
+//! delivers a run's copies one by one, each as a single envelope would
+//! be delivered. The wire counts envelopes in flight (`Wire::in_flight`,
+//! a run counting its undelivered copies), which is what the run
+//! profile's wheel occupancy reads. The ±1 skew argument below frees a
+//! node's parity-`r` row and record slot before the node broadcasts for
+//! pulse `r + 2`: its pulse-`r` copies have all arrived by then.
 //!
 //! # Safety argument (why `BatchedAlpha` is still a synchronizer)
 //!
@@ -159,7 +181,19 @@ pub(crate) enum SyncMsg<M> {
     Ctrl(Ctrl),
 }
 
-/// One in-flight event on the timing wheel.
+impl<M: Clone> SyncMsg<&M> {
+    /// The envelope with its payload cloned.
+    pub fn cloned(self) -> SyncMsg<M> {
+        match self {
+            SyncMsg::Payload { pulse, msg } => SyncMsg::Payload { pulse, msg: msg.clone() },
+            SyncMsg::Ctrl(ctrl) => SyncMsg::Ctrl(ctrl),
+        }
+    }
+}
+
+/// One in-flight event on the timing wheel: a single envelope, a
+/// retransmission timer, or a delay run standing for several envelopes
+/// of one broadcast.
 #[derive(Clone, Debug, Hash)]
 pub(crate) enum Event<M> {
     /// An envelope in transit: destination resolved at send time by the
@@ -185,6 +219,44 @@ pub(crate) enum Event<M> {
         /// The envelope to retransmit.
         msg: SyncMsg<M>,
     },
+    /// A delay run: the copies of one broadcast that drew the same delay
+    /// and were sent between the same two losses, delivered together in
+    /// port order. It stands for one [`Event::Deliver`] per copy, in the
+    /// same place in its bucket. The copies' receivers are
+    /// `start..end` of the pulse parity's run rows
+    /// ([`Wire::run_receiver`]); a payload copy is a clone of the
+    /// sender's recorded message ([`Wire::run_msg`]).
+    Run {
+        /// The broadcasting node.
+        from: u32,
+        /// First copy's position in the run rows.
+        start: u32,
+        /// One past the last copy's position.
+        end: u32,
+        /// The pulse the envelope is tagged with.
+        pulse: u64,
+        /// Which envelope each copy is.
+        kind: RunKind,
+    },
+}
+
+/// What a delay run's copies carry.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) enum RunKind {
+    /// The sender's broadcast record, as `SyncMsg::Payload`.
+    Payload,
+    /// α's per-pulse `Safe` flood.
+    Safe,
+}
+
+/// A broadcast being sent ([`Wire::begin_broadcast`]): its sender and
+/// envelope, and where its next delay runs start in the sender's row.
+pub(crate) struct Broadcast {
+    from: u32,
+    pulse: u64,
+    kind: RunKind,
+    /// Row position of the first copy not yet in a run.
+    next: u32,
 }
 
 /// The wire of the asynchronous engine: the executor state synchronizer
@@ -209,6 +281,32 @@ pub(crate) struct Wire<M> {
     /// delay model's compiled bound. Pops come out in `(arrival time,
     /// send order)` order; its cursor is the engine's virtual clock.
     pub events: EventWheel<Event<M>>,
+    /// Envelopes in flight: one per wheel event, a delay run counting
+    /// its undelivered copies. The profile's wheel occupancy reads this.
+    pub in_flight: u64,
+    /// Most envelopes ever in flight at once.
+    pub max_in_flight: u64,
+    /// The delay runs' copies, one array per pulse parity indexed like
+    /// the CSR route table: a broadcast for pulse `r` lays its copies
+    /// out as `(receiver node, receiver port)` pairs in the sender's row
+    /// of array `r % 2`, grouped by delay and in port order within a
+    /// group. Neighbors stay within one pulse of each other, so every
+    /// copy of a node's pulse-`r` broadcasts has arrived before the node
+    /// broadcasts for pulse `r + 2`, and two parities suffice.
+    runs: [Box<[(u32, u32)]>; 2],
+    /// Each node's latest broadcast record per pulse parity: the one
+    /// message its payload runs copy (freed like `runs`).
+    records: [Box<[Option<M>]>; 2],
+    /// The open broadcast's copies not yet in a run: receiver, receiver
+    /// port and drawn delay, in port order (capacity: the largest
+    /// degree).
+    copies: Vec<(u32, u32, u32)>,
+    /// Per delay: how many of `copies` drew it, then the group's write
+    /// position (length: the wheel's bound + 1; zero between
+    /// broadcasts).
+    counts: Box<[u32]>,
+    /// The distinct delays among `copies`, in first-drawn order.
+    seen: Vec<u32>,
     /// The synchronizer's accumulated overhead.
     pub overhead: SyncOverhead,
     /// Nodes whose pulse gate may have just completed; the executor
@@ -226,11 +324,55 @@ pub(crate) struct Wire<M> {
 }
 
 impl<M> Wire<M> {
+    /// The wire over `topo`: its delays, its faults, and a timing wheel
+    /// spanning the *compiled* delay bound — what the sampler can
+    /// actually draw for this plane, never more than the model's declared
+    /// `max_delay` and tighter for the per-port models — widened to the
+    /// fault model's retransmission bound so parked resend timers always
+    /// fit the horizon. The run rows, the record slots and the broadcast
+    /// scratch are sized here, once.
+    pub fn new(topo: Topology, delays: DelaySource, faults: FaultPlane) -> Self {
+        let n = topo.node_count();
+        let bound = delays.compiled_bound().max(faults.sampler.retry_bound());
+        let max_degree = topo.offsets.windows(2).map(|w| (w[1] - w[0]) as usize).max();
+        let rows = || vec![(0, 0); topo.port_count()].into_boxed_slice();
+        let records = || std::iter::repeat_with(|| None).take(n).collect();
+        Self {
+            events: EventWheel::new(bound),
+            in_flight: 0,
+            max_in_flight: 0,
+            runs: [rows(), rows()],
+            records: [records(), records()],
+            copies: Vec::with_capacity(max_degree.unwrap_or(0)),
+            counts: vec![0; bound as usize + 1].into_boxed_slice(),
+            seen: Vec::with_capacity(max_degree.unwrap_or(0).min(bound as usize)),
+            topo,
+            delays,
+            faults,
+            overhead: SyncOverhead::default(),
+            // Gate completions happen once per (node, pulse) and at most
+            // two pulses are live per node (the ±1 skew bound), so a
+            // node has at most two outstanding wakes; `2n` capacity
+            // keeps the worklist allocation-free forever.
+            ready: Vec::with_capacity(2 * n),
+            rec: None,
+        }
+    }
+
     /// The current virtual time: the arrival time of the event being
     /// handled. Envelopes sent now depart at this time.
     #[inline]
     pub fn now(&self) -> u64 {
         self.events.cursor()
+    }
+
+    /// Puts `event`, which carries `envelopes` envelopes, on the wheel at
+    /// time `at`.
+    #[inline]
+    fn schedule(&mut self, at: u64, event: Event<M>, envelopes: u64) {
+        self.events.schedule(at, event);
+        self.in_flight += envelopes;
+        self.max_in_flight = self.max_in_flight.max(self.in_flight);
     }
 
     /// Records `ev` at the current virtual time, if tracing is on.
@@ -275,15 +417,23 @@ impl<M> Wire<M> {
         let now = self.now();
         let (slot, to, back) = self.topo.resolve(from, port);
         if self.faults.sampler.drops(slot, now) {
-            self.overhead.retransmissions += 1;
-            self.overhead.dropped_messages += 1;
-            self.trace(TraceEvent::Dropped { node: from as u32, port: port as u32 });
-            let at = now + self.faults.sampler.retry_wait(slot, now);
-            self.events.schedule(at, Event::Resend { from: from as u32, port: port as u32, msg });
+            self.lose_attempt(from, port, slot, msg);
             return;
         }
         let at = now + self.delays.draw(slot);
-        self.events.schedule(at, Event::Deliver { to, port: back, msg });
+        self.schedule(at, Event::Deliver { to, port: back, msg }, 1);
+    }
+
+    /// The attempt to send `msg` out of node `from`'s local `port` (CSR
+    /// `slot`) was lost on the wire: meter it, record it, and park its
+    /// retransmission timer.
+    fn lose_attempt(&mut self, from: usize, port: Port, slot: usize, msg: SyncMsg<M>) {
+        let now = self.now();
+        self.overhead.retransmissions += 1;
+        self.overhead.dropped_messages += 1;
+        self.trace(TraceEvent::Dropped { node: from as u32, port: port as u32 });
+        let at = now + self.faults.sampler.retry_wait(slot, now);
+        self.schedule(at, Event::Resend { from: from as u32, port: port as u32, msg }, 1);
     }
 
     /// Sends `ctrl` out of node `from`'s local `port` over the same
@@ -294,12 +444,39 @@ impl<M> Wire<M> {
     #[inline]
     pub fn send_ctrl(&mut self, from: usize, port: Port, ctrl: Ctrl) {
         self.transmit(from, port, SyncMsg::Ctrl(ctrl));
+        self.trace_ctrl(from, ctrl);
+    }
+
+    /// Records node `from`'s sending of `ctrl`.
+    #[inline]
+    fn trace_ctrl(&mut self, from: usize, ctrl: Ctrl) {
         self.trace(TraceEvent::Ctrl {
             node: from as u32,
             kind: ctrl.kind.tag(),
             pulse: ctrl.pulse,
             bits: ENVELOPE_BITS as u32,
         });
+    }
+
+    /// The receiver and receiving port of the delay-run copy at `index`
+    /// of pulse `pulse`'s run rows.
+    #[inline]
+    pub fn run_receiver(&self, pulse: u64, index: u32) -> (u32, u32) {
+        self.runs[(pulse & 1) as usize][index as usize]
+    }
+
+    /// The message a copy of `from`'s pulse-`pulse` delay run of `kind`
+    /// carries: its recorded payload, or its `Safe`.
+    pub fn run_msg(&self, from: u32, pulse: u64, kind: RunKind) -> SyncMsg<&M> {
+        match kind {
+            RunKind::Payload => SyncMsg::Payload {
+                pulse,
+                msg: self.records[(pulse & 1) as usize][from as usize]
+                    .as_ref()
+                    .expect("a payload run's sender holds its record"),
+            },
+            RunKind::Safe => SyncMsg::Ctrl(Ctrl { kind: CtrlKind::Safe, pulse }),
+        }
     }
 
     /// Accounts `messages` control messages (and their envelopes) in
@@ -311,16 +488,118 @@ impl<M> Wire<M> {
     }
 }
 
+impl<M: Clone> Wire<M> {
+    /// Opens a broadcast of `msg` — a payload record or α's `Safe` —
+    /// from node `from`. Each [`Wire::send_copy`] then sends one copy
+    /// through the checks [`Wire::transmit`] makes, and
+    /// [`Wire::end_broadcast`] puts what is left on the wheel: one
+    /// [`Event::Run`] per distinct delay drawn, not one event per port.
+    pub fn begin_broadcast(&mut self, from: usize, msg: SyncMsg<M>) -> Broadcast {
+        debug_assert!(self.copies.is_empty(), "broadcasts do not nest");
+        let (pulse, kind) = match msg {
+            SyncMsg::Payload { pulse, msg } => {
+                self.records[(pulse & 1) as usize][from] = Some(msg);
+                (pulse, RunKind::Payload)
+            }
+            SyncMsg::Ctrl(Ctrl { kind: CtrlKind::Safe, pulse }) => (pulse, RunKind::Safe),
+            SyncMsg::Ctrl(Ctrl { kind: CtrlKind::Ack, .. }) => {
+                unreachable!("Acks are not broadcast")
+            }
+        };
+        Broadcast { from: from as u32, pulse, kind, next: self.topo.offsets[from] }
+    }
+
+    /// Sends the open broadcast's copy out of its sender's local `port`:
+    /// the fault check and the delay draw of [`Wire::transmit`], in the
+    /// same order, so both random streams advance as for a per-port
+    /// send. A delivered copy joins its delay's group. A lost one puts
+    /// the groups gathered so far on the wheel before its retransmission
+    /// timer, which therefore keeps its place in its bucket — a
+    /// `LinkFlap` retry can share a bucket with the runs around it.
+    #[inline]
+    pub fn send_copy(&mut self, b: &mut Broadcast, port: Port) {
+        let now = self.now();
+        let (slot, to, back) = self.topo.resolve(b.from as usize, port);
+        if self.faults.sampler.drops(slot, now) {
+            self.flush(b);
+            let msg = self.run_msg(b.from, b.pulse, b.kind).cloned();
+            self.lose_attempt(b.from as usize, port, slot, msg);
+            return;
+        }
+        let delay = self.delays.draw(slot) as u32;
+        let count = &mut self.counts[delay as usize];
+        if *count == 0 {
+            self.seen.push(delay);
+        }
+        *count += 1;
+        self.copies.push((to, back, delay));
+    }
+
+    /// Sends node `from`'s `Safe { pulse }` on every incident edge, as
+    /// delay runs.
+    pub fn flood_safe(&mut self, from: usize, pulse: u64) {
+        let ctrl = Ctrl { kind: CtrlKind::Safe, pulse };
+        let mut b = self.begin_broadcast(from, SyncMsg::Ctrl(ctrl));
+        for port in 0..self.degree(from) {
+            self.send_copy(&mut b, port);
+            self.trace_ctrl(from, ctrl);
+        }
+        self.end_broadcast(b);
+    }
+
+    /// Closes the broadcast: its remaining groups go on the wheel.
+    pub fn end_broadcast(&mut self, mut b: Broadcast) {
+        self.flush(&mut b);
+        debug_assert!(b.next <= self.topo.offsets[b.from as usize + 1], "runs overran the row");
+    }
+
+    /// Lays the gathered copies out in the sender's row, grouped stably
+    /// by delay, and schedules one [`Event::Run`] per group.
+    fn flush(&mut self, b: &mut Broadcast) {
+        if self.copies.is_empty() {
+            return;
+        }
+        // Each group takes the next stretch of the row, in the order its
+        // delay was first drawn; its count becomes its write position.
+        let mut at = b.next;
+        for &delay in &self.seen {
+            let count = std::mem::replace(&mut self.counts[delay as usize], at);
+            at += count;
+        }
+        let row = &mut self.runs[(b.pulse & 1) as usize];
+        for &(to, back, delay) in &self.copies {
+            let pos = &mut self.counts[delay as usize];
+            row[*pos as usize] = (to, back);
+            *pos += 1;
+        }
+        // A group ends at its write position and starts where the one
+        // before it ended.
+        let now = self.now();
+        for i in 0..self.seen.len() {
+            let delay = self.seen[i];
+            let end = std::mem::take(&mut self.counts[delay as usize]);
+            let run = Event::Run { from: b.from, start: b.next, end, pulse: b.pulse, kind: b.kind };
+            self.schedule(now + u64::from(delay), run, u64::from(end - b.next));
+            b.next = end;
+        }
+        self.seen.clear();
+        self.copies.clear();
+    }
+}
+
 /// Synchronizer α, extracted verbatim from the pre-split engine.
 ///
 /// Per pulse and node: payloads are sent, each is `Ack`ed by its
 /// receiver; once all of the node's payloads are acknowledged it floods
 /// `Safe { pulse }` on every incident edge; a node executes `pulse` when
 /// it has announced its own safety and every neighbor's `Safe` arrived.
-/// Control metering happens on receipt, exactly as before the split —
-/// the golden-ledger test in `tests/asynchrony.rs` pins the whole
-/// observable surface (outputs, payload ledger, `SyncOverhead` including
-/// `virtual_time`) bit for bit.
+/// The flood goes out as delay runs ([`Wire::flood_safe`]): one wheel
+/// event per distinct delay its copies drew, each copy still a `Safe`
+/// of its own to the receiver. Control metering happens per envelope on
+/// receipt, exactly as before the split — the golden-ledger tests in
+/// `tests/asynchrony.rs` pin the whole observable surface (outputs,
+/// payload ledger, `SyncOverhead` including `virtual_time`) bit for bit,
+/// under faults and churn too.
 #[derive(Clone, Debug, Hash)]
 pub(crate) struct Alpha {
     /// Unacknowledged payloads of the current pulse's send phase.
@@ -341,19 +620,17 @@ impl Alpha {
 
     /// Floods `Safe { pulse }` on every incident edge once the node has
     /// no unacknowledged payloads left (and has not announced yet).
-    fn try_announce_safe<M>(&mut self, wire: &mut Wire<M>, v: usize, pulse: u64) {
+    fn try_announce_safe<M: Clone>(&mut self, wire: &mut Wire<M>, v: usize, pulse: u64) {
         if self.safe_sent[v] || self.pending_acks[v] > 0 {
             return;
         }
         self.safe_sent[v] = true;
-        for port in 0..wire.degree(v) {
-            wire.send_ctrl(v, port, Ctrl { kind: CtrlKind::Safe, pulse });
-        }
+        wire.flood_safe(v, pulse);
     }
 
     /// Node `v` entered `pulse` and sent `sent` payloads: it announces
     /// safety once all of them are acknowledged (at once, if none).
-    fn on_pulse_begun<M>(&mut self, wire: &mut Wire<M>, v: usize, pulse: u64, sent: usize) {
+    fn on_pulse_begun<M: Clone>(&mut self, wire: &mut Wire<M>, v: usize, pulse: u64, sent: usize) {
         self.pending_acks[v] = sent;
         self.safe_sent[v] = false;
         self.try_announce_safe(wire, v, pulse);
@@ -367,7 +644,7 @@ impl Alpha {
 
     /// A control envelope arrived at node `v`, currently waiting on
     /// `node_pulse`; α meters control traffic on receipt.
-    fn on_ctrl<M>(&mut self, wire: &mut Wire<M>, v: usize, node_pulse: u64, ctrl: Ctrl) {
+    fn on_ctrl<M: Clone>(&mut self, wire: &mut Wire<M>, v: usize, node_pulse: u64, ctrl: Ctrl) {
         wire.meter_ctrl(1);
         match ctrl.kind {
             CtrlKind::Ack => {
@@ -530,7 +807,13 @@ impl SyncDriver {
     /// Node `v` entered `pulse` and sent `sent` payloads (one per
     /// non-empty port).
     #[inline]
-    pub fn on_pulse_begun<M>(&mut self, wire: &mut Wire<M>, v: usize, pulse: u64, sent: usize) {
+    pub fn on_pulse_begun<M: Clone>(
+        &mut self,
+        wire: &mut Wire<M>,
+        v: usize,
+        pulse: u64,
+        sent: usize,
+    ) {
         match self {
             SyncDriver::Alpha(s) => s.on_pulse_begun(wire, v, pulse, sent),
             SyncDriver::Batched(s) => s.on_pulse_begun(wire, v, pulse, sent),
@@ -549,7 +832,7 @@ impl SyncDriver {
     /// A control envelope arrived at node `v` (currently waiting on
     /// `node_pulse`). Only α puts control envelopes on the wheel.
     #[inline]
-    pub fn on_ctrl<M>(&mut self, wire: &mut Wire<M>, v: usize, node_pulse: u64, ctrl: Ctrl) {
+    pub fn on_ctrl<M: Clone>(&mut self, wire: &mut Wire<M>, v: usize, node_pulse: u64, ctrl: Ctrl) {
         if let SyncDriver::Alpha(s) = self {
             s.on_ctrl(wire, v, node_pulse, ctrl);
         }
@@ -579,6 +862,95 @@ impl SyncDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::FaultModel;
+
+    /// A wire over a star whose hub, node 0, reaches leaf `i + 1` on its
+    /// port `i`, with delays scripted within a bound of 4.
+    fn star_wire(leaves: usize, fault: FaultModel, seed: u64) -> Wire<u8> {
+        let mut b = graphs::GraphBuilder::new(leaves + 1);
+        for leaf in 1..=leaves {
+            b.add_edge(0, leaf);
+        }
+        let topo = Topology::from_graph(&b.build(), 1);
+        let faults = FaultPlane::new(fault, seed, topo.port_count(), leaves + 1, 4);
+        Wire::new(topo, DelaySource::script(4), faults)
+    }
+
+    /// What a popped wheel event holds: a run's receivers in delivery
+    /// order, or a retransmission timer's port as `None`.
+    fn pop_all(wire: &mut Wire<u8>) -> Vec<(u64, Result<Vec<u32>, u32>)> {
+        std::iter::from_fn(|| {
+            let (at, event) = wire.events.pop_next()?;
+            Some((
+                at,
+                match event {
+                    Event::Run { start, end, pulse, .. } => {
+                        Ok((start..end).map(|i| wire.run_receiver(pulse, i).0).collect())
+                    }
+                    Event::Resend { port, .. } => Err(port),
+                    Event::Deliver { .. } => unreachable!("a broadcast sends no single envelope"),
+                },
+            ))
+        })
+        .collect()
+    }
+
+    #[test]
+    fn a_broadcast_makes_one_wheel_entry_per_distinct_delay() {
+        let mut wire = star_wire(8, FaultModel::None, 0);
+        wire.delays.begin_step(&[2, 1, 2, 3, 1, 2, 4, 1]);
+        let mut b = wire.begin_broadcast(0, SyncMsg::Payload { pulse: 1, msg: 7 });
+        for port in 0..8 {
+            wire.send_copy(&mut b, port);
+        }
+        wire.end_broadcast(b);
+        assert_eq!(wire.delays.step_draws(), 8, "one delay draw per copy");
+        assert_eq!(wire.events.pending(), 4, "four distinct delays");
+        assert_eq!(wire.in_flight, 8, "a run counts its copies");
+        assert!(matches!(
+            wire.run_msg(0, 1, RunKind::Payload),
+            SyncMsg::Payload { pulse: 1, msg: 7 }
+        ));
+        // Each run holds its delay's ports in port order: leaf `i + 1`
+        // sits behind port `i`.
+        assert_eq!(
+            pop_all(&mut wire),
+            vec![
+                (1, Ok(vec![2, 5, 8])),
+                (2, Ok(vec![1, 3, 6])),
+                (3, Ok(vec![4])),
+                (4, Ok(vec![7])),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_lost_copy_splits_the_runs_around_its_retransmission_timer() {
+        // A seed whose flap phases take exactly one inner hub port down
+        // at time 0.
+        let flap = FaultModel::LinkFlap { down_len: 3, up_len: 9 };
+        let (mut wire, lost) = (0..1000)
+            .find_map(|seed| {
+                let mut wire = star_wire(8, flap, seed);
+                let down: Vec<usize> =
+                    (0..8).filter(|&slot| wire.faults.sampler.drops(slot, 0)).collect();
+                matches!(down[..], [port] if port > 0 && port < 7).then(|| (wire, down[0]))
+            })
+            .expect("some seed takes one inner port down");
+        // Every delivered copy draws the lost copy's retransmission wait,
+        // so the runs before and after it share the timer's bucket.
+        let wait = wire.faults.sampler.retry_wait(lost, 0);
+        wire.delays.begin_step(&[wait; 7]);
+        wire.flood_safe(0, 3);
+        assert_eq!(wire.overhead.retransmissions, 1);
+        assert_eq!(wire.in_flight, 8, "seven copies in two runs, and the timer");
+        let before: Vec<u32> = (1..=lost as u32).collect();
+        let after: Vec<u32> = (lost as u32 + 2..=8).collect();
+        assert_eq!(
+            pop_all(&mut wire),
+            vec![(wait, Ok(before)), (wait, Err(lost as u32)), (wait, Ok(after)),]
+        );
+    }
 
     #[test]
     fn default_model_is_alpha() {

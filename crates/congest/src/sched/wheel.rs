@@ -30,13 +30,20 @@
 //! when the tail is full; a pop moves the event out of the head block's
 //! next slot and leaves the slot uninitialized (nothing is written
 //! back), and a block whose last event leaves goes back to the pool.
-//! Deep buckets (the α engine's hold ~10⁵ events each) thus read and
-//! write their events sequentially and touch the pool once per
-//! [`BLOCK`] events. The pool only grows, one block at a time, so its
-//! size follows the most events ever pending at once, and once it is
-//! warm the wheel performs **zero heap allocations**. The envelope
-//! travels *inside* its event — the old side-table of parked envelopes
-//! (and its per-insert tree-node allocation) is gone entirely.
+//! Deep buckets thus read and write their events sequentially and touch
+//! the pool once per [`BLOCK`] events. The pool only grows, one block at
+//! a time, so its size follows the most events ever pending at once,
+//! and once it is warm the wheel performs **zero heap allocations**. The
+//! envelope travels *inside* its event — the old side-table of parked
+//! envelopes (and its per-insert tree-node allocation) is gone entirely.
+//!
+//! The engine fills the wheel with fewer events than it has envelopes in
+//! flight: a broadcast is one event per distinct delay its copies drew
+//! (a *delay run*, `sched::sync`), delivered copy by copy when popped. A
+//! run takes one slot where its copies took one each, in the bucket and
+//! at the place they would have taken, so pop order is unchanged. The
+//! wheel counts events, not envelopes: the run profile's occupancy comes
+//! from the wire's envelope count.
 //!
 //! [`EventWheel::new`] allocates no block, and a clone copies the
 //! pending events only, each bucket's into one block cut to fit them:
@@ -62,9 +69,9 @@ use std::mem::MaybeUninit;
 /// pathological `max_delay`.
 const MAX_HORIZON: u64 = 1 << 24;
 
-/// Event slots per pooled block: 10 KiB for the α engine's 40-byte
-/// events, so a hop to the next block or back to the pool comes once
-/// per 256 events.
+/// Event slots per pooled block: 12 KiB for the α engine's 48-byte
+/// events (`DistNearClique`'s), so a hop to the next block or back to
+/// the pool comes once per 256 events.
 const BLOCK: usize = 256;
 
 /// Null block link: an empty bucket's head and tail, the free list's
@@ -122,9 +129,6 @@ pub(crate) struct EventWheel<T> {
     slot: usize,
     /// Events scheduled and not yet popped.
     pending: u64,
-    /// Most events ever pending at once — the run's occupancy
-    /// high-water mark, surfaced to the observability plane.
-    high_water: u64,
 }
 
 impl<T> EventWheel<T> {
@@ -154,7 +158,6 @@ impl<T> EventWheel<T> {
             cursor: 0,
             slot: 0,
             pending: 0,
-            high_water: 0,
         }
     }
 
@@ -165,15 +168,9 @@ impl<T> EventWheel<T> {
     }
 
     /// Events scheduled and not yet popped.
-    #[must_use]
+    #[cfg(test)]
     pub fn pending(&self) -> u64 {
         self.pending
-    }
-
-    /// Most events ever pending at once over the wheel's lifetime.
-    #[must_use]
-    pub fn high_water(&self) -> u64 {
-        self.high_water
     }
 
     /// Schedules `item` to arrive at absolute time `at`.
@@ -206,7 +203,6 @@ impl<T> EventWheel<T> {
         self.blocks[tail as usize][off as usize].write(item);
         self.buckets[b].tail_off = off + 1;
         self.pending += 1;
-        self.high_water = self.high_water.max(self.pending);
     }
 
     /// Hangs a block from the pool (a new one if the pool has none free)
@@ -334,7 +330,6 @@ impl<T: Clone> Clone for EventWheel<T> {
             cursor: self.cursor,
             slot: self.slot,
             pending: 0,
-            high_water: self.high_water,
         };
         for b in 0..self.buckets.len() {
             let len = self.events(b).count();
@@ -389,7 +384,6 @@ mod tests {
         assert_eq!(got, vec![(1, 10), (2, 20), (3, 30), (3, 31)]);
         assert_eq!(w.cursor(), 3);
         assert!(w.pop_next().is_none());
-        assert_eq!(w.high_water(), 4, "all four events were pending at once");
     }
 
     #[test]
@@ -521,8 +515,6 @@ mod tests {
         assert_eq!(m.wheel.pending(), 0);
         assert_eq!(m.wheel.pop_next(), None);
         assert_eq!(blocks_in_use(&m.wheel), 0);
-        // Three events of the first fill were left when the refill came.
-        assert_eq!(m.wheel.high_water(), 3 + (3 * BLOCK as u64 + 7) + 9);
     }
 
     #[test]
@@ -535,7 +527,6 @@ mod tests {
         m.drain(BLOCK + 40);
         let mut copy = m.wheel.clone();
         assert_eq!((copy.cursor(), copy.pending()), (m.wheel.cursor(), m.wheel.pending()));
-        assert_eq!(copy.high_water(), m.wheel.high_water());
         // The copy holds the pending events, one block per bucket cut to
         // fit; no free block.
         assert_eq!(copy.free, NIL);

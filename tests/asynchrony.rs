@@ -13,12 +13,12 @@
 use baselines::shingles::{Shingles, ShinglesConfig};
 use congest::{
     ChurnModel, Context, DelayModel, Engine, FaultModel, Message, Port, Protocol, RunLimits,
-    Session, SyncModel,
+    Session, SyncModel, SyncOverhead,
 };
 use graphs::{generators, Graph, GraphBuilder};
 use near_clique_suite::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn uniform(max_delay: u64) -> Engine {
     // The back-compat contracts below (golden ledger included) pin the
@@ -238,6 +238,160 @@ fn uniform_model_reproduces_the_pre_subsystem_ledger() {
         // plane drops nothing, retransmits nothing, loses nothing.
         assert_eq!(report.overhead.retransmissions, 0, "{name}, {max_delay}");
         assert_eq!(report.overhead.dropped_messages, 0, "{name}, {max_delay}");
+    }
+}
+
+/// Chatter: every node broadcasts at init and then, on each pulse its
+/// own coin comes up heads, broadcasts how many words it has heard — so
+/// every pulse mixes broadcast records with idle ports.
+struct Chatter {
+    heard: u64,
+}
+impl Protocol for Chatter {
+    type Msg = Word;
+    type Output = Option<u64>;
+    fn init(&mut self, ctx: &mut Context<'_, Word>) {
+        ctx.broadcast(Word(ctx.id()));
+    }
+    fn step(&mut self, ctx: &mut Context<'_, Word>, inbox: &[(Port, Word)]) {
+        self.heard += inbox.len() as u64;
+        if ctx.rng().gen_bool(0.5) {
+            ctx.broadcast(Word(self.heard));
+        }
+    }
+    fn is_idle(&self) -> bool {
+        true
+    }
+    fn output(&self) -> Option<u64> {
+        Some(self.heard)
+    }
+}
+
+/// One frozen ledger entry of a faulty or churned run: the output
+/// hash, the payload ledger, the whole `SyncOverhead` and the
+/// termination.
+struct FaultyGolden {
+    output_hash: u64,
+    messages: u64,
+    total_bits: u64,
+    overhead: SyncOverhead,
+    termination: Termination,
+}
+
+/// A golden row's fault and churn models.
+type Faults = (FaultModel, ChurnModel);
+
+/// Shorthand for a golden `SyncOverhead`, fields in declaration order.
+#[allow(clippy::too_many_arguments)]
+fn overhead(
+    control_messages: u64,
+    control_bits: u64,
+    virtual_time: u64,
+    retransmissions: u64,
+    dropped_messages: u64,
+    epochs: u64,
+    joins: u64,
+    leaves: u64,
+    retired_messages: u64,
+) -> SyncOverhead {
+    SyncOverhead {
+        control_messages,
+        control_bits,
+        virtual_time,
+        retransmissions,
+        dropped_messages,
+        epochs,
+        joins,
+        leaves,
+        retired_messages,
+    }
+}
+
+/// The ledger beyond the perfect wire: both synchronizers under message
+/// loss, link flaps whose retransmissions land inside the delay horizon,
+/// crashes with recovery, and mixed churn, on two workload families
+/// under two protocols: a one-shot flood, and chatter that keeps payload
+/// broadcasts and idle ports side by side on every pulse (seed 17,
+/// `Uniform { max_delay: 7 }`, 24-pulse budget). The expected
+/// values were captured from the engine that sent every broadcast copy
+/// as its own wheel event; a broadcast sent as delay runs must reproduce
+/// them bit for bit — the order of a lost copy's retransmission timer
+/// within its bucket and the ready cascade between a run's copies both
+/// show in `virtual_time`.
+#[test]
+fn faulty_and_churned_runs_reproduce_the_per_event_ledger() {
+    let drop = (FaultModel::Drop { p_millis: 100 }, ChurnModel::None);
+    let flap = (FaultModel::LinkFlap { down_len: 3, up_len: 9 }, ChurnModel::None);
+    let crash = (FaultModel::Crash { victims: 3, at_pulse: 4, recover_after: 5 }, ChurnModel::None);
+    let mixed = (
+        FaultModel::None,
+        ChurnModel::Mixed {
+            joiners: 3,
+            leavers: 3,
+            at_pulse: 2,
+            spacing: 2,
+            policy: congest::ChurnPolicy::Continue,
+        },
+    );
+    let (alpha, batched) = (SyncModel::Alpha, SyncModel::BatchedAlpha);
+    #[rustfmt::skip]
+    let golden: Vec<(&str, &str, SyncModel, Faults, FaultyGolden)> = vec![
+        ("planted", "flood", alpha, drop, FaultyGolden { output_hash: 0xb9bb94244a2cbd75, messages: 4150, total_bits: 265600, overhead: overhead(103750, 4316000, 979, 12064, 12064, 0, 0, 0, 0), termination: Termination::RoundLimit }),
+        ("planted", "flood", alpha, flap, FaultyGolden { output_hash: 0xb9bb94244a2cbd75, messages: 4150, total_bits: 265600, overhead: overhead(103750, 4316000, 279, 27014, 27014, 0, 0, 0, 0), termination: Termination::RoundLimit }),
+        ("planted", "flood", alpha, crash, FaultyGolden { output_hash: 0xb9bb94244a2cbd75, messages: 4150, total_bits: 265600, overhead: overhead(103750, 4316000, 218, 0, 0, 0, 0, 0, 0), termination: Termination::Degraded { lost: 0 } }),
+        ("planted", "flood", alpha, mixed, FaultyGolden { output_hash: 0xd248ccadb250d28a, messages: 3912, total_bits: 250368, overhead: overhead(103512, 4296960, 216, 0, 0, 6, 3, 3, 118), termination: Termination::RoundLimit }),
+        ("planted", "flood", batched, drop, FaultyGolden { output_hash: 0xb9bb94244a2cbd75, messages: 4150, total_bits: 265600, overhead: overhead(3197, 293880, 68, 441, 441, 0, 0, 0, 0), termination: Termination::RoundLimit }),
+        ("planted", "flood", batched, flap, FaultyGolden { output_hash: 0xb9bb94244a2cbd75, messages: 4150, total_bits: 265600, overhead: overhead(3197, 293880, 34, 1057, 1057, 0, 0, 0, 0), termination: Termination::RoundLimit }),
+        ("planted", "flood", batched, crash, FaultyGolden { output_hash: 0xb9bb94244a2cbd75, messages: 4150, total_bits: 265600, overhead: overhead(3197, 293880, 26, 0, 0, 0, 0, 0, 0), termination: Termination::Degraded { lost: 0 } }),
+        ("planted", "flood", batched, mixed, FaultyGolden { output_hash: 0xeb892eca6f647aa, messages: 3973, total_bits: 254272, overhead: overhead(3260, 289320, 28, 0, 0, 6, 3, 3, 118), termination: Termination::RoundLimit }),
+        ("gnp", "flood", alpha, drop, FaultyGolden { output_hash: 0x681bdec981992878, messages: 1168, total_bits: 74752, overhead: overhead(29200, 1214720, 741, 3356, 3356, 0, 0, 0, 0), termination: Termination::RoundLimit }),
+        ("gnp", "flood", alpha, flap, FaultyGolden { output_hash: 0x681bdec981992878, messages: 1168, total_bits: 74752, overhead: overhead(29200, 1214720, 268, 7503, 7503, 0, 0, 0, 0), termination: Termination::RoundLimit }),
+        ("gnp", "flood", alpha, crash, FaultyGolden { output_hash: 0x681bdec981992878, messages: 1152, total_bits: 73728, overhead: overhead(29191, 1213720, 229, 0, 16, 0, 0, 0, 0), termination: Termination::Degraded { lost: 16 } }),
+        ("gnp", "flood", alpha, mixed, FaultyGolden { output_hash: 0x69cc0aa8e8be1257, messages: 1141, total_bits: 73024, overhead: overhead(29173, 1212560, 225, 0, 0, 6, 3, 3, 18), termination: Termination::RoundLimit }),
+        ("gnp", "flood", batched, drop, FaultyGolden { output_hash: 0x681bdec981992878, messages: 1168, total_bits: 74752, overhead: overhead(2760, 157120, 98, 138, 138, 0, 0, 0, 0), termination: Termination::RoundLimit }),
+        ("gnp", "flood", batched, flap, FaultyGolden { output_hash: 0x681bdec981992878, messages: 1168, total_bits: 74752, overhead: overhead(2760, 157120, 32, 278, 278, 0, 0, 0, 0), termination: Termination::RoundLimit }),
+        ("gnp", "flood", batched, crash, FaultyGolden { output_hash: 0x681bdec981992878, messages: 1152, total_bits: 73728, overhead: overhead(2761, 156520, 31, 0, 16, 0, 0, 0, 0), termination: Termination::Degraded { lost: 16 } }),
+        ("gnp", "flood", batched, mixed, FaultyGolden { output_hash: 0x69cc0aa8e8be1257, messages: 1144, total_bits: 73216, overhead: overhead(2776, 156800, 31, 0, 0, 6, 3, 3, 15), termination: Termination::RoundLimit }),
+        ("planted", "chatter", alpha, drop, FaultyGolden { output_hash: 0xd7f6a770557c4d82, messages: 50034, total_bits: 3202176, overhead: overhead(149634, 7986720, 1920, 22371, 22371, 0, 0, 0, 0), termination: Termination::RoundLimit }),
+        ("planted", "chatter", alpha, flap, FaultyGolden { output_hash: 0xd7f6a770557c4d82, messages: 50034, total_bits: 3202176, overhead: overhead(149634, 7986720, 643, 49890, 49890, 0, 0, 0, 0), termination: Termination::RoundLimit }),
+        ("planted", "chatter", alpha, crash, FaultyGolden { output_hash: 0x5f07e74dd7b050b5, messages: 49142, total_bits: 3145088, overhead: overhead(149099, 7929640, 504, 0, 415, 0, 0, 0, 0), termination: Termination::Degraded { lost: 415 } }),
+        ("planted", "chatter", alpha, mixed, FaultyGolden { output_hash: 0x40febfebd57d8372, messages: 48282, total_bits: 3090048, overhead: overhead(147900, 7847280, 504, 0, 0, 6, 3, 3, 787), termination: Termination::RoundLimit }),
+        ("planted", "chatter", batched, drop, FaultyGolden { output_hash: 0xd7f6a770557c4d82, messages: 50034, total_bits: 3202176, overhead: overhead(1631, 2066600, 766, 5582, 5582, 0, 0, 0, 0), termination: Termination::RoundLimit }),
+        ("planted", "chatter", batched, flap, FaultyGolden { output_hash: 0xd7f6a770557c4d82, messages: 50034, total_bits: 3202176, overhead: overhead(1631, 2066600, 230, 12451, 12451, 0, 0, 0, 0), termination: Termination::RoundLimit }),
+        ("planted", "chatter", batched, crash, FaultyGolden { output_hash: 0x5f07e74dd7b050b5, messages: 49142, total_bits: 3145088, overhead: overhead(1640, 2031280, 168, 0, 415, 0, 0, 0, 0), termination: Termination::Degraded { lost: 415 } }),
+        ("planted", "chatter", batched, mixed, FaultyGolden { output_hash: 0xb4f9c6a305e64bd4, messages: 48312, total_bits: 3091968, overhead: overhead(2249, 2022440, 168, 0, 0, 6, 3, 3, 757), termination: Termination::RoundLimit }),
+        ("gnp", "chatter", alpha, drop, FaultyGolden { output_hash: 0xc3d24efcd92f0f65, messages: 14240, total_bits: 911360, overhead: overhead(42272, 2260480, 1350, 6255, 6255, 0, 0, 0, 0), termination: Termination::RoundLimit }),
+        ("gnp", "chatter", alpha, flap, FaultyGolden { output_hash: 0xc3d24efcd92f0f65, messages: 14240, total_bits: 911360, overhead: overhead(42272, 2260480, 555, 14017, 14017, 0, 0, 0, 0), termination: Termination::RoundLimit }),
+        ("gnp", "chatter", alpha, crash, FaultyGolden { output_hash: 0x6846729aba1ad4d, messages: 14135, total_bits: 904640, overhead: overhead(42230, 2254600, 479, 0, 74, 0, 0, 0, 0), termination: Termination::Degraded { lost: 74 } }),
+        ("gnp", "chatter", alpha, mixed, FaultyGolden { output_hash: 0x18d64b5546e5c4f2, messages: 13749, total_bits: 879936, overhead: overhead(41792, 2221640, 483, 0, 0, 6, 3, 3, 308), termination: Termination::RoundLimit }),
+        ("gnp", "chatter", batched, drop, FaultyGolden { output_hash: 0xc3d24efcd92f0f65, messages: 14240, total_bits: 911360, overhead: overhead(1415, 626200, 502, 1513, 1513, 0, 0, 0, 0), termination: Termination::RoundLimit }),
+        ("gnp", "chatter", batched, flap, FaultyGolden { output_hash: 0xc3d24efcd92f0f65, messages: 14240, total_bits: 911360, overhead: overhead(1415, 626200, 198, 3532, 3532, 0, 0, 0, 0), termination: Termination::RoundLimit }),
+        ("gnp", "chatter", batched, crash, FaultyGolden { output_hash: 0x6846729aba1ad4d, messages: 14135, total_bits: 904640, overhead: overhead(1419, 622160, 166, 0, 74, 0, 0, 0, 0), termination: Termination::Degraded { lost: 74 } }),
+        ("gnp", "chatter", batched, mixed, FaultyGolden { output_hash: 0xc059acaa0199f463, messages: 13751, total_bits: 880064, overhead: overhead(1712, 618520, 164, 0, 0, 6, 3, 3, 306), termination: Termination::RoundLimit }),
+    ];
+
+    let graphs = workloads();
+    for (name, protocol, sync, (fault, churn), expect) in golden {
+        let (_, g) = graphs.iter().find(|(n, _)| *n == name).expect("workload exists");
+        let session = Session::on(g)
+            .seed(17)
+            .engine(Engine::Async {
+                delay: DelayModel::Uniform { max_delay: 7 },
+                sync,
+                fault,
+                churn,
+            })
+            .limits(RunLimits::rounds(24));
+        let (out, report) = match protocol {
+            "flood" => session.run_with(flood_factory),
+            _ => session.run_with(|_| Chatter { heard: 0 }),
+        };
+        let row = format!("{name}, {protocol}, {sync:?}, {fault:?}, {churn:?}");
+        assert_eq!(output_hash(&out), expect.output_hash, "{row}: outputs changed");
+        assert_eq!(report.metrics.messages, expect.messages, "{row}");
+        assert_eq!(report.metrics.total_bits, expect.total_bits, "{row}");
+        assert_eq!(report.overhead, expect.overhead, "{row}");
+        assert_eq!(report.termination, expect.termination, "{row}");
     }
 }
 
