@@ -47,8 +47,8 @@
 //!   `ctx.broadcast` from a node with nothing queued is one record, as
 //!   on the flat engine; the node's next pulse entry sends it as delay
 //!   runs (below). A crash onset loses a record and a leave retires it,
-//!   once per port, and a retired port retires its copy instead of
-//!   sending it. Any other send queues per port, so a run carried by
+//!   once per port, and a copy toward an absent peer is retired instead
+//!   of sent. Any other send queues per port, so a run carried by
 //!   broadcasts leaves most port headers as the zeroed allocation made
 //!   them (`plane`'s module docs, "Queues").
 //! * **The timing wheel** (`sched::EventWheel`): in-flight messages live
@@ -146,9 +146,12 @@ pub(crate) struct AsyncNetwork<P: Protocol> {
     /// port per pulse (CONGEST pipelining), and a broadcast record per
     /// node, expanded over all its ports at its next pulse entry.
     out: Outgoing<P::Msg>,
-    /// Most payloads queued or recorded at once, a record counting as its
-    /// node's degree. Only protocol callbacks queue, so noting the count
-    /// after each one ([`AsyncNetwork::with_ctx`]) makes the mark exact.
+    /// The queue high-water mark: the larger of the most payloads queued
+    /// or recorded at once, a record counting as its node's degree, and
+    /// the most staged in the inboxes at once. Only protocol callbacks
+    /// queue and only arrivals stage, so noting the counts after each
+    /// callback ([`AsyncNetwork::with_ctx`]) and each arrival
+    /// ([`AsyncNetwork::arrive`]) makes the mark exact.
     max_queued: u64,
     /// Per-pulse payload staging: two rotating inboxes per node (slot
     /// `2·node + pulse-parity`), sharing one chunked slab.
@@ -163,8 +166,8 @@ pub(crate) struct AsyncNetwork<P: Protocol> {
     /// delays, faults, the timing wheel, overhead, the ready worklist
     /// and the trace slot.
     wire: Wire<P::Msg>,
-    /// The compiled churn model plus the epoch-versioned membership
-    /// overlay (see [`crate::sched::churn`]).
+    /// The compiled churn model and the member set (see
+    /// [`crate::sched::churn`]).
     churn: ChurnPlane,
     /// Absolute pulse target of the current drive.
     budget: u64,
@@ -214,7 +217,7 @@ impl<P: Protocol> AsyncNetwork<P> {
         let port_count = topo.port_count();
         let delays = DelaySource::model(delay, seed, port_count);
         let faults = FaultPlane::new(fault, seed, port_count, n, delays.compiled_bound());
-        let churn = ChurnPlane::new(churn, seed, &topo, n);
+        let churn = ChurnPlane::new(churn, seed, n);
         let wire = Wire::new(topo, delays, faults);
         Self {
             endpoints,
@@ -256,8 +259,7 @@ impl<P: Protocol> AsyncNetwork<P> {
     /// in-flight envelope / queue high-water marks, and returns the run's
     /// profile — `None` when tracing is off.
     fn snapshot_profile(&mut self) -> Option<RunProfile> {
-        let wheel_hw = self.wire.max_in_flight;
-        let queue_hw = self.inboxes.high_water().max(self.max_queued);
+        let (wheel_hw, queue_hw) = (self.wire.max_in_flight, self.max_queued);
         self.wire.rec.as_deref_mut().map(|sink| sink.finish(wheel_hw, queue_hw))
     }
 
@@ -339,9 +341,7 @@ impl<P: Protocol> AsyncNetwork<P> {
             let to = to as usize;
             // A node outside the member set (or down) observes nothing:
             // a joiner has not initialized yet, a leaver is gone.
-            if !self.churn.overlay.present[to]
-                || self.wire.faults.sampler.crashed_at(to, self.pulse[to])
-            {
+            if !self.churn.present[to] || self.wire.faults.sampler.crashed_at(to, self.pulse[to]) {
                 continue;
             }
             self.with_ctx(to, self.pulse[to], |p, ctx| hook(p, ctx, back as usize));
@@ -350,21 +350,20 @@ impl<P: Protocol> AsyncNetwork<P> {
 
     /// Membership bookkeeping at node `v`'s entry into `pulse`: detects
     /// the scheduled join/leave transition (each exactly once, opening a
-    /// new epoch, recorded with the new member count), applies the
-    /// [`EpochTopology`](crate::sched::churn) overlay in place, retires
-    /// a leaver's queued payloads itemized,
+    /// new epoch, recorded with the new member count), flips the node's
+    /// presence flag, retires a leaver's queued payloads itemized,
     /// fires [`Protocol::on_join`]/[`Protocol::on_leave`] on present
     /// peers (and the [`ChurnPolicy::Restart`] re-init), and reports
     /// whether the node is outside the member set for this pulse.
     fn churn_pulse_entry(&mut self, v: usize, pulse: u64) -> bool {
         let absent = self.churn.sampler.absent_at(v, pulse);
-        if absent != self.churn.overlay.present[v] {
-            // Steady state: the overlay already agrees with the sampled
-            // membership — no transition at this pulse.
+        if absent != self.churn.present[v] {
+            // Steady state: the presence flag already agrees with the
+            // sampled membership — no transition at this pulse.
             return absent;
         }
-        self.churn.overlay.apply(&self.wire.topo, v, !absent);
-        let (epoch, members) = (self.churn.overlay.epoch, self.churn.overlay.members);
+        self.churn.apply(v, !absent);
+        let (epoch, members) = (self.churn.epoch, self.churn.members);
         self.wire.overhead.epochs += 1;
         if absent {
             self.wire.overhead.leaves += 1;
@@ -403,7 +402,7 @@ impl<P: Protocol> AsyncNetwork<P> {
     fn restart_epoch(&mut self, skip: usize) {
         for w in 0..self.endpoints.len() {
             if w == skip
-                || !self.churn.overlay.present[w]
+                || !self.churn.present[w]
                 || self.wire.faults.sampler.crashed_at(w, self.pulse[w])
             {
                 continue;
@@ -421,6 +420,11 @@ impl<P: Protocol> AsyncNetwork<P> {
     /// the delay draw per-port copies would, in the same order, so the
     /// delay draws and the virtual times are theirs; they ride the wheel
     /// as one delay run per distinct delay ([`Wire::begin_broadcast`]).
+    /// A port toward an absent peer carries no payload: what would go
+    /// out on it is retired, and the port reads idle. The sender itself
+    /// is present whenever it has something to send (absent nodes
+    /// neither step nor queue, and a leave retires the leaver's queues
+    /// first), so the receiver's presence flag is the port's liveness.
     /// Degree-0 nodes have no synchronizer traffic at all and just
     /// execute their remaining pulses in place.
     fn begin_pulse(&mut self, v: usize) {
@@ -457,12 +461,13 @@ impl<P: Protocol> AsyncNetwork<P> {
             // has nothing else queued: its copies go out as delay runs.
             let mut copies = self.wire.begin_broadcast(v, SyncMsg::Payload { pulse, msg });
             for port in 0..degree {
-                if self.churn.overlay.port_live[(base + port as u32) as usize] {
-                    self.wire.send_copy(&mut copies, port);
+                let route = self.wire.topo.resolve(v, port);
+                if self.churn.present[route.1 as usize] {
+                    self.wire.send_copy(&mut copies, port, route);
                     sent += 1;
                 } else {
-                    // A retired port's copy is retired itemized, and
-                    // the port reads idle, as in the per-port loop.
+                    // A copy toward an absent peer is retired itemized,
+                    // and the port reads idle, as in the per-port loop.
                     self.wire.retire(v, port);
                     self.sync.on_idle_port(&mut self.wire, v, port, pulse);
                 }
@@ -471,21 +476,19 @@ impl<P: Protocol> AsyncNetwork<P> {
         } else {
             for port in 0..degree {
                 let p = base + port as u32;
-                let msg = if !self.churn.overlay.port_live[p as usize] {
-                    // A retired port carries no payloads: whatever the
-                    // protocol queued toward an absent peer is retired
-                    // itemized, and the port reads idle to the
+                // An idle port costs a bit test, not a queue header read.
+                let msg = if !self.out.queues.is_active(p) {
+                    None
+                } else if self.churn.present[self.wire.topo.resolve(v, port).1 as usize] {
+                    self.out.queues.pop(p)
+                } else {
+                    // Whatever the protocol queued toward an absent peer
+                    // is retired itemized, and the port reads idle to the
                     // synchronizer — the control plane spans the static
                     // topology.
                     while self.out.queues.pop(p).is_some() {
                         self.wire.retire(v, port);
                     }
-                    None
-                } else if self.out.queues.is_active(p) {
-                    // An idle port costs a bit test, not a queue header
-                    // read.
-                    self.out.queues.pop(p)
-                } else {
                     None
                 };
                 match msg {
@@ -508,27 +511,12 @@ impl<P: Protocol> AsyncNetwork<P> {
     /// size (how many payloads the protocol stepped on).
     fn execute_pulse(&mut self, v: usize) -> u32 {
         let pulse = self.pulse[v];
-        let parity = (pulse & 1) as usize;
-        if self.wire.faults.sampler.crashed_at(v, pulse) {
-            // Fail-silent: payloads addressed to this pulse were already
-            // discarded at delivery, so the inbox is empty and the
-            // protocol does not step.
-            debug_assert_eq!(
-                self.inboxes.len((v * 2 + parity) as u32),
-                0,
-                "payloads for a crashed pulse are swallowed at delivery"
-            );
-            return 0;
-        }
-        if self.churn.sampler.absent_at(v, pulse) {
-            // Outside the member set: payloads addressed to this pulse
-            // were retired at delivery, so the inbox is empty and the
-            // protocol does not step.
-            debug_assert_eq!(
-                self.inboxes.len((v * 2 + parity) as u32),
-                0,
-                "payloads for an absent pulse are retired at delivery"
-            );
+        let slot = (v * 2 + (pulse & 1) as usize) as u32;
+        if self.wire.faults.sampler.crashed_at(v, pulse) || self.churn.sampler.absent_at(v, pulse) {
+            // Crashed (fail-silent) or outside the member set: payloads
+            // addressed to this pulse were lost or retired at delivery,
+            // so the inbox is empty and the protocol does not step.
+            debug_assert_eq!(self.inboxes.len(slot), 0, "a silent pulse stages nothing");
             return 0;
         }
         // Drain the pulse's rotating inbox into the scratch buffer and
@@ -536,7 +524,6 @@ impl<P: Protocol> AsyncNetwork<P> {
         // per pulse, so port keys are unique and the unstable sort is
         // deterministic (and allocation-free, unlike a stable sort).
         self.inbox_buf.clear();
-        let slot = (v * 2 + parity) as u32;
         while let Some(entry) = self.inboxes.pop(slot) {
             self.inbox_buf.push(entry);
         }
@@ -666,6 +653,7 @@ impl<P: Protocol> AsyncNetwork<P> {
                 "payload outside the two-pulse horizon"
             );
             self.inboxes.push((to * 2 + (pulse & 1) as usize) as u32, (port, msg));
+            self.max_queued = self.max_queued.max(self.inboxes.queued());
         }
         self.sync.on_payload(&mut self.wire, to, port, pulse);
     }
@@ -705,7 +693,7 @@ impl<P: Protocol> AsyncNetwork<P> {
                 // answer.
                 continue;
             }
-            if !self.churn.overlay.present[v] {
+            if !self.churn.present[v] {
                 // A node outside the member set takes no phase
                 // transition either — but unlike a crash this is
                 // planned reconfiguration, so the run is not degraded.
@@ -873,7 +861,7 @@ impl<P: Protocol> AsyncNetwork<P> {
         }
         self.initialized = true;
         for v in 0..self.endpoints.len() {
-            if self.churn.overlay.present[v] {
+            if self.churn.present[v] {
                 self.with_ctx(v, 0, |p, ctx| p.init(ctx));
             }
         }
@@ -991,10 +979,10 @@ impl<P: Protocol> AsyncNetwork<P> {
     /// Sound for [`FaultModel::None`] and [`FaultModel::Drop`] only:
     /// their fault streams are position-indexed, while `LinkFlap`'s drop
     /// decisions read absolute time — the explorer rejects the rest.
-    /// Churn state is deliberately not hashed: the explorer rejects
-    /// every model but [`ChurnModel::None`] (membership schedules are
-    /// pulse-indexed, like `Crash`), and under `None` the overlay is
-    /// constant for the whole run.
+    /// Churn state is deliberately not hashed: the explorer runs only
+    /// [`ChurnModel::None`] (membership schedules are pulse-indexed,
+    /// like `Crash`), under which the member set is constant for the
+    /// whole run.
     pub(crate) fn explore_hash<H: std::hash::Hasher>(&self, h: &mut H)
     where
         P: std::hash::Hash,

@@ -87,7 +87,8 @@
 //! exploration that finishes is always exhaustive. Faults are limited
 //! to [`FaultModel::None`] and [`FaultModel::Drop`] (the fingerprint's
 //! time-shift invariance argument breaks for time-indexed fault
-//! streams; see `fingerprint.rs`).
+//! streams; see `fingerprint.rs`), and the member set is fixed
+//! ([`ChurnModel::None`]): membership schedules are pulse-indexed too.
 
 pub mod checker;
 pub(crate) mod fingerprint;
@@ -121,7 +122,6 @@ pub struct Explore<'g> {
     bound: u64,
     sync: SyncModel,
     fault: FaultModel,
-    churn: ChurnModel,
     budget: u64,
     plan: Option<PhasePlan>,
     limit_schedules: u64,
@@ -141,7 +141,6 @@ impl<'g> Explore<'g> {
             bound: 1,
             sync: SyncModel::Alpha,
             fault: FaultModel::None,
-            churn: ChurnModel::None,
             budget: 1,
             plan: None,
             limit_schedules: 1_000_000,
@@ -181,18 +180,6 @@ impl<'g> Explore<'g> {
     #[must_use]
     pub fn fault(mut self, fault: FaultModel) -> Self {
         self.fault = fault;
-        self
-    }
-
-    /// How the member set changes. Only [`ChurnModel::None`] is
-    /// explorable: membership schedules are pulse-indexed (like
-    /// [`FaultModel::Crash`]), which breaks the fingerprint sweep's
-    /// time-shift invariance. The setter exists so a scenario struct can
-    /// be passed through verbatim — [`Explore::run_with`] panics on
-    /// anything but `None`.
-    #[must_use]
-    pub fn churn(mut self, churn: ChurnModel) -> Self {
-        self.churn = churn;
         self
     }
 
@@ -293,11 +280,6 @@ impl<'g> Explore<'g> {
             matches!(self.fault, FaultModel::None | FaultModel::Drop { .. }),
             "explore: only FaultModel::None and FaultModel::Drop are explorable \
              (time-indexed fault streams break fingerprint time-shift invariance)"
-        );
-        assert!(
-            self.churn.is_none(),
-            "explore: only ChurnModel::None is explorable (pulse-indexed membership \
-             schedules break fingerprint time-shift invariance)"
         );
         let segments: Vec<u64> = match &self.plan {
             Some(plan) => plan.phases().iter().map(|p| p.pulses).collect(),
@@ -1010,20 +992,6 @@ mod tests {
     fn time_indexed_fault_models_are_rejected() {
         let _ = Explore::on(&path(3))
             .fault(FaultModel::LinkFlap { down_len: 2, up_len: 6 })
-            .run_with(make_flood);
-    }
-
-    #[test]
-    #[should_panic(expected = "only ChurnModel::None is explorable")]
-    fn churn_models_are_rejected() {
-        use crate::sched::ChurnPolicy;
-        let _ = Explore::on(&path(3))
-            .churn(ChurnModel::Join {
-                joiners: 1,
-                at_pulse: 1,
-                spacing: 0,
-                policy: ChurnPolicy::Continue,
-            })
             .run_with(make_flood);
     }
 }

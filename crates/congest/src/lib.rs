@@ -22,7 +22,7 @@
 //!
 //! | engine | model | backing | built from |
 //! |---|---|---|---|
-//! | [`Engine::Flat`] | synchronous rounds | the zero-allocation flat plane, sharded over threads | graph or edge stream |
+//! | [`Engine::Flat`] | synchronous rounds | the flat plane, sharded over threads (allocation-free rounds on one shard) | graph or edge stream |
 //! | [`Engine::Legacy`] | synchronous rounds | the preserved seed engine (test-only fixture, behind the `legacy-engine` feature) | graph |
 //! | [`Engine::Async`] | event-driven, pluggable synchronizer | flat-plane queues + timing-wheel event plane + [`DelayModel`]s + [`SyncModel`]s | graph or edge stream |
 //!

@@ -1,5 +1,5 @@
 //! The synchronous network: topology, round loop, delivery rules — built
-//! on a flat, zero-allocation message plane.
+//! on a flat message plane.
 //!
 //! [`Network`] — the engine behind [`Engine::Flat`](crate::Engine::Flat),
 //! built only through [`crate::Session`] — instantiates one [`Protocol`]
@@ -22,8 +22,11 @@
 //!
 //! # The flat message plane
 //!
-//! The hot path is engineered so that a steady-state round performs **no
-//! heap allocation** (pinned by `tests/alloc_probe.rs`):
+//! The hot path is engineered so that a steady-state round on one shard
+//! performs **no heap allocation** (pinned by `tests/alloc_probe.rs`).
+//! A round on two or more shards allocates a fixed amount whatever its
+//! traffic: it spawns its shard threads and collects its locked transfer
+//! cells into fresh `Vec`s, 15 allocations a round at two shards.
 //!
 //! * The link table is CSR-flattened (`crate::plane::Topology`): one
 //!   12-byte record per sender port holds the matching receiver port,

@@ -392,6 +392,11 @@ impl<M> Chunk<M> {
 /// pooled blocks of its own ([`crate::sched::EventWheel`]): its buckets
 /// hold ~10⁵ events each, where a port holds one or two.
 ///
+/// The set counts what it holds ([`PortQueues::queued`]) but keeps no
+/// high-water mark: each engine notes its own queue depth where it knows
+/// the count can peak, the flat engine at round boundaries and the α
+/// engine after each protocol callback and each inbox arrival.
+///
 /// A message pushed onto an empty port is stored inline in its
 /// [`PortQ`]; only messages queued behind it go to the chunk slab. A
 /// CONGEST port rarely holds more than one message, so it rarely touches
@@ -412,9 +417,6 @@ pub(crate) struct PortQueues<M> {
     active: Vec<u64>,
     /// Total messages queued across the set (O(1) quiescence checks).
     queued: u64,
-    /// Most messages ever queued at once — the occupancy high-water
-    /// mark, surfaced to the observability plane.
-    high_water: u64,
 }
 
 impl<M> PortQueues<M> {
@@ -434,7 +436,6 @@ impl<M> PortQueues<M> {
             free_head: NIL,
             active: vec![0u64; port_count.div_ceil(64)],
             queued: 0,
-            high_water: 0,
         }
     }
 
@@ -442,12 +443,6 @@ impl<M> PortQueues<M> {
     #[inline]
     pub fn queued(&self) -> u64 {
         self.queued
-    }
-
-    /// Most messages ever queued at once over the set's lifetime.
-    #[inline]
-    pub fn high_water(&self) -> u64 {
-        self.high_water
     }
 
     /// Messages queued on local port `p`.
@@ -495,7 +490,6 @@ impl<M> PortQueues<M> {
             self.push_chain(p, msg);
         }
         self.queued += 1;
-        self.high_water = self.high_water.max(self.queued);
     }
 
     /// Appends `msg` to port `p`'s chunk chain (cursors only; the caller
@@ -1459,7 +1453,7 @@ mod tests {
             q.for_each(p, |m| panic!("port {p} holds {m:?}"));
             assert_eq!(q.pop(p), None, "port {p}: pop");
         }
-        assert_eq!((q.queued(), q.high_water()), (0, 0));
+        assert_eq!(q.queued(), 0);
         q.push(70, Tag::B(u64::MAX));
         q.push(70, Tag::A(0));
         let mut held = Vec::new();
@@ -1485,7 +1479,7 @@ mod tests {
 
         /// `PortQueues` against one `VecDeque` per port, over random push
         /// and pop bursts up to three chunks long: popped values, `len`,
-        /// `queued`, `high_water`, `for_each` order and the active bits
+        /// `queued`, `for_each` order and the active bits
         /// agree after every burst. In a `shallow` case a push only lands
         /// on an empty port (CONGEST traffic), and no chunk may exist
         /// while no port has ever held two messages.
@@ -1497,7 +1491,7 @@ mod tests {
         ) {
             let mut q: PortQueues<u64> = PortQueues::new(port_count);
             let mut model: Vec<VecDeque<u64>> = vec![VecDeque::new(); port_count];
-            let (mut next, mut high_water, mut ever_deep) = (0u64, 0u64, false);
+            let (mut next, mut ever_deep) = (0u64, false);
             for (port, burst, is_push) in bursts {
                 let p = port % port_count;
                 for _ in 0..burst {
@@ -1508,14 +1502,11 @@ mod tests {
                     } else {
                         prop_assert_eq!(q.pop(p as u32), model[p].pop_front());
                     }
-                    let queued: usize = model.iter().map(VecDeque::len).sum();
-                    high_water = high_water.max(queued as u64);
                     ever_deep |= model[p].len() > 1;
                     prop_assert!(ever_deep || q.chunks.is_empty(), "a chunk held a lone message");
                 }
                 let queued: usize = model.iter().map(VecDeque::len).sum();
                 prop_assert_eq!(q.queued(), queued as u64);
-                prop_assert_eq!(q.high_water(), high_water);
                 for (i, fifo) in model.iter().enumerate() {
                     prop_assert_eq!(q.len(i as u32) as usize, fifo.len());
                     let mut seen = Vec::new();

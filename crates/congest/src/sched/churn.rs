@@ -13,14 +13,17 @@
 //! # Epochs and the membership overlay
 //!
 //! Every membership event — one node joining or leaving — opens a new
-//! **epoch**. The engine tracks membership in an `EpochTopology`
-//! overlay over the immutable CSR route table: per-node presence flags,
-//! per-directed-port application liveness, and live degrees, all
-//! pre-reserved at build for the model's compiled maximum membership so
-//! steady-state pulses stay zero-alloc. At each epoch boundary the
-//! overlay materializes or retires the affected ports in place, and the
-//! engine records the event, the epoch index and the resulting member
-//! count as one [`TraceEvent::Join`](crate::TraceEvent::Join) or
+//! **epoch**. The engine tracks membership in an overlay over the
+//! immutable CSR route table: one presence flag per node, allocated at
+//! build, so steady-state pulses stay zero-alloc. Nothing is kept per
+//! port. A port carries payloads exactly while its receiver is present:
+//! its sender is always present when it sends, because an absent node
+//! neither steps nor queues and a leave retires the leaver's queues
+//! before its send loop runs. The engine reads the receiver's flag where
+//! it resolves the route anyway. At each epoch boundary the engine flips
+//! the node's flag and records the event, the epoch index and the
+//! resulting member count as one
+//! [`TraceEvent::Join`](crate::TraceEvent::Join) or
 //! [`TraceEvent::Leave`](crate::TraceEvent::Leave) in the session's
 //! trace sink ([`crate::Session::trace`]), the only itemized record.
 //! The initial member set, epoch 0, is taken before pulse 1, so an
@@ -41,15 +44,17 @@
 //!
 //! What changes at an epoch boundary is the application plane:
 //!
-//! * a **leave** retires the node's ports — its queued outgoing
-//!   payloads are drained and counted, one
+//! * a **leave** retires the node's queued outgoing payloads, one
 //!   [`TraceEvent::Retired`](crate::TraceEvent::Retired) each (never
-//!   silently dropped), in-flight payloads to or from it are retired at
-//!   delivery, live peers observe
+//!   silently dropped), and live peers observe
 //!   [`Protocol::on_leave`](crate::Protocol::on_leave);
-//! * a **join** materializes the node's ports toward present peers —
-//!   the joiner's protocol is initialized at the joining pulse, and
-//!   live peers observe [`Protocol::on_join`](crate::Protocol::on_join).
+//! * a **join** initializes the joiner's protocol at the joining pulse,
+//!   and live peers observe [`Protocol::on_join`](crate::Protocol::on_join).
+//!
+//! Payloads bound for an absent node are retired the same way: one in
+//! flight when it is delivered, one a peer queued when the peer's port
+//! would send it, and a copy of a peer's broadcast record as the record
+//! is sent.
 //!
 //! # Handoff policy
 //!
@@ -60,7 +65,6 @@
 //! [`Protocol::init`](crate::Protocol::init) on every present node so
 //! epoch-restart protocols rebuild from scratch each epoch.
 
-use crate::plane::Topology;
 use crate::rng::splitmix64;
 
 /// Stream salt of the seeded joiner/leaver pick of [`ChurnModel`].
@@ -103,9 +107,9 @@ impl ChurnPolicy {
 /// Events are **pulse-indexed** (like
 /// [`FaultModel::Crash`](crate::FaultModel::Crash)): each scheduled
 /// node joins or leaves on entering the scheduled pulse. The
-/// interleaving explorer rejects every model but [`ChurnModel::None`]
-/// for exactly that reason — a time-indexed schedule breaks the
-/// fingerprint sweep's time-shift invariance.
+/// interleaving explorer runs only [`ChurnModel::None`] for exactly
+/// that reason — a time-indexed schedule breaks the fingerprint sweep's
+/// time-shift invariance.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ChurnModel {
     /// A fixed member set — bit-identical to an engine without the
@@ -290,103 +294,53 @@ impl ChurnSampler {
     }
 }
 
-/// The epoch-versioned membership overlay over the immutable CSR
-/// [`Topology`]: presence flags and per-directed-port application
-/// liveness. Fully pre-reserved at build — epoch transitions mutate in
-/// place, steady-state pulses only read.
+/// The executor-side churn state: the compiled sampler and the member
+/// set, one presence flag per node. Owned by the asynchronous engine;
+/// a membership event flips one flag in place, steady-state pulses only
+/// read. The scalar churn counters live in
+/// [`SyncOverhead`](crate::SyncOverhead); the events themselves are
+/// recorded only as [`TraceEvent`](crate::TraceEvent)s, in the trace
+/// sink.
 #[derive(Clone, Debug)]
-pub(crate) struct EpochTopology {
+pub(crate) struct ChurnPlane {
+    pub sampler: ChurnSampler,
     /// Per-node membership flag (transition detection: flipped exactly
     /// once per scheduled event, at the node's pulse entry).
     pub present: Vec<bool>,
-    /// Per-directed-CSR-slot application liveness: a port is live iff
-    /// both endpoints are present. Retired ports carry no payloads
-    /// (the synchronizer substrate still spans them).
-    pub port_live: Vec<bool>,
     /// The current epoch (0 = the initial member set).
     pub epoch: u64,
     /// Present members.
     pub members: u32,
 }
 
-impl EpochTopology {
-    /// Builds the initial overlay, the member set before pulse 1:
-    /// joiners start absent, everyone else present, port liveness
-    /// derived from the CSR table.
-    fn new(sampler: &ChurnSampler, topo: &Topology, node_count: usize) -> Self {
-        let port_count = topo.offsets[node_count] as usize;
+impl ChurnPlane {
+    /// Compiles `model` for `node_count` nodes and takes the member set
+    /// before pulse 1: joiners start absent, everyone else present.
+    pub fn new(model: ChurnModel, seed: u64, node_count: usize) -> Self {
+        let sampler = ChurnSampler::new(model, seed, node_count);
         let present: Vec<bool> = (0..node_count).map(|v| !sampler.absent_at(v, 0)).collect();
         let members = present.iter().filter(|&&p| p).count() as u32;
-        let mut overlay = Self { present, port_live: vec![false; port_count], epoch: 0, members };
-        for v in 0..node_count {
-            if !overlay.present[v] {
-                continue;
-            }
-            let base = topo.offsets[v];
-            let degree = (topo.offsets[v + 1] - base) as usize;
-            for port in 0..degree {
-                let (_slot, to, _back) = topo.resolve(v, port);
-                if overlay.present[to as usize] {
-                    overlay.port_live[(base + port as u32) as usize] = true;
-                }
-            }
-        }
-        overlay
-    }
-
-    /// Applies one membership event in place: flips `v`'s presence,
-    /// materializes or retires its incident ports (both directions),
-    /// adjusts the member count, and opens the next epoch.
-    /// Allocation-free.
-    pub fn apply(&mut self, topo: &Topology, v: usize, present: bool) {
-        debug_assert_ne!(self.present[v], present, "membership events fire exactly once");
-        self.present[v] = present;
-        self.members = if present { self.members + 1 } else { self.members - 1 };
-        self.epoch += 1;
-        let base = topo.offsets[v];
-        let degree = (topo.offsets[v + 1] - base) as usize;
-        for port in 0..degree {
-            let (slot, to, back) = topo.resolve(v, port);
-            let to = to as usize;
-            if !self.present[to] {
-                continue;
-            }
-            let peer_slot = (topo.offsets[to] + back) as usize;
-            self.port_live[slot] = present;
-            self.port_live[peer_slot] = present;
-        }
-    }
-}
-
-/// The executor-side churn state: the compiled sampler and the
-/// membership overlay. Owned by the asynchronous engine. The scalar
-/// churn counters live in [`SyncOverhead`](crate::SyncOverhead); the
-/// events themselves are recorded only as
-/// [`TraceEvent`](crate::TraceEvent)s, in the trace sink.
-#[derive(Clone, Debug)]
-pub(crate) struct ChurnPlane {
-    pub sampler: ChurnSampler,
-    /// The epoch-versioned membership overlay.
-    pub overlay: EpochTopology,
-}
-
-impl ChurnPlane {
-    pub fn new(model: ChurnModel, seed: u64, topo: &Topology, node_count: usize) -> Self {
-        let sampler = ChurnSampler::new(model, seed, node_count);
-        let overlay = EpochTopology::new(&sampler, topo, node_count);
-        Self { sampler, overlay }
+        Self { sampler, present, epoch: 0, members }
     }
 
     /// The compiled model.
     pub fn model(&self) -> ChurnModel {
         self.sampler.model()
     }
+
+    /// Applies one membership event in place: flips `v`'s presence,
+    /// adjusts the member count, and opens the next epoch.
+    pub fn apply(&mut self, v: usize, present: bool) {
+        debug_assert_ne!(self.present[v], present, "membership events fire exactly once");
+        self.present[v] = present;
+        self.members = if present { self.members + 1 } else { self.members - 1 };
+        self.epoch += 1;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphs::Graph;
 
     fn sampler(model: ChurnModel, seed: u64, n: usize) -> ChurnSampler {
         ChurnSampler::new(model, seed, n)
@@ -482,34 +436,30 @@ mod tests {
 
     #[test]
     fn overlay_applies_joins_and_leaves_in_place() {
-        let g = Graph::complete(4);
-        let topo = Topology::from_graph(&g, 1);
         let model =
             ChurnModel::Join { joiners: 1, at_pulse: 3, spacing: 0, policy: ChurnPolicy::Continue };
-        let mut plane = ChurnPlane::new(model, 13, &topo, 4);
+        let mut plane = ChurnPlane::new(model, 13, 4);
         let joiner = (0..4).find(|&v| plane.sampler.absent_at(v, 1)).unwrap();
-        assert_eq!(plane.overlay.members, 3);
-        assert_eq!(plane.overlay.epoch, 0);
-        plane.overlay.apply(&topo, joiner, true);
-        assert_eq!(plane.overlay.members, 4);
-        assert_eq!(plane.overlay.epoch, 1);
-        assert!(plane.overlay.port_live.iter().all(|&l| l), "a full clique is fully live");
-        plane.overlay.apply(&topo, joiner, false);
-        assert_eq!(plane.overlay.members, 3);
-        assert_eq!(plane.overlay.epoch, 2);
+        assert!(!plane.present[joiner], "a joiner starts absent");
+        assert_eq!(plane.members, 3);
+        assert_eq!(plane.epoch, 0);
+        plane.apply(joiner, true);
+        assert_eq!(plane.members, 4);
+        assert_eq!(plane.epoch, 1);
+        assert!(plane.present.iter().all(|&p| p), "everyone is present after the join");
+        plane.apply(joiner, false);
+        assert_eq!(plane.members, 3);
+        assert_eq!(plane.epoch, 2);
+        assert!(!plane.present[joiner]);
     }
 
     #[test]
     fn none_plane_reserves_no_log() {
-        let g = Graph::complete(3);
-        let topo = Topology::from_graph(&g, 1);
-        let plane = ChurnPlane::new(ChurnModel::None, 1, &topo, 3);
-        // Its only storage is the overlay: a flag per node and per
-        // directed port, nothing per event.
-        assert_eq!(plane.overlay.present.len(), 3);
-        assert_eq!(plane.overlay.port_live.len(), 6);
-        assert_eq!(plane.overlay.members, 3);
-        assert!(plane.overlay.port_live.iter().all(|&l| l));
+        let plane = ChurnPlane::new(ChurnModel::None, 1, 3);
+        // Its only storage is a presence flag per node: nothing per port,
+        // nothing per event.
+        assert_eq!(plane.present, vec![true; 3]);
+        assert_eq!(plane.members, 3);
     }
 
     #[test]

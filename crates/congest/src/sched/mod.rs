@@ -38,9 +38,9 @@
 //! * [`ChurnModel`] — how the *member set* changes ([`churn`]): seeded
 //!   staggered joins ([`ChurnModel::Join`]), graceful leaves
 //!   ([`ChurnModel::Leave`]), or both ([`ChurnModel::Mixed`]). Each
-//!   membership event opens a new **epoch**: the engine's
-//!   epoch-versioned overlay retires or materializes the affected CSR
-//!   ports in place, every retired in-flight payload is itemized
+//!   membership event opens a new **epoch**: the engine flips the
+//!   node's presence flag, a port carries payloads only toward a
+//!   present peer, every payload retired on the way is itemized
 //!   (one [`crate::TraceEvent::Retired`] each), live peers observe
 //!   [`Protocol::on_join`](crate::Protocol::on_join) /
 //!   [`Protocol::on_leave`](crate::Protocol::on_leave), and

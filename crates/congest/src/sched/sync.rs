@@ -143,31 +143,12 @@ impl SyncModel {
     }
 }
 
-/// Control-message kinds a synchronizer may put on the wire. Their
-/// meaning belongs to the synchronizer that sent them; the executor only
-/// routes them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub(crate) enum CtrlKind {
-    /// Receipt acknowledgment for one payload (α).
-    Ack,
-    /// "This edge (or this node) is clear for the tagged pulse."
-    Safe,
-}
-
-impl CtrlKind {
-    /// The public trace tag for this kind.
-    fn tag(self) -> CtrlTag {
-        match self {
-            CtrlKind::Ack => CtrlTag::Ack,
-            CtrlKind::Safe => CtrlTag::Safe,
-        }
-    }
-}
-
-/// One control envelope: kind plus the pulse it talks about.
+/// One control envelope: kind plus the pulse it talks about. The kind's
+/// meaning belongs to the synchronizer that sent it; the executor only
+/// routes it, and a trace records it as is.
 #[derive(Clone, Copy, Debug, Hash)]
 pub(crate) struct Ctrl {
-    pub kind: CtrlKind,
+    pub kind: CtrlTag,
     pub pulse: u64,
 }
 
@@ -452,7 +433,7 @@ impl<M> Wire<M> {
     fn trace_ctrl(&mut self, from: usize, ctrl: Ctrl) {
         self.trace(TraceEvent::Ctrl {
             node: from as u32,
-            kind: ctrl.kind.tag(),
+            kind: ctrl.kind,
             pulse: ctrl.pulse,
             bits: ENVELOPE_BITS as u32,
         });
@@ -475,7 +456,7 @@ impl<M> Wire<M> {
                     .as_ref()
                     .expect("a payload run's sender holds its record"),
             },
-            RunKind::Safe => SyncMsg::Ctrl(Ctrl { kind: CtrlKind::Safe, pulse }),
+            RunKind::Safe => SyncMsg::Ctrl(Ctrl { kind: CtrlTag::Safe, pulse }),
         }
     }
 
@@ -501,25 +482,26 @@ impl<M: Clone> Wire<M> {
                 self.records[(pulse & 1) as usize][from] = Some(msg);
                 (pulse, RunKind::Payload)
             }
-            SyncMsg::Ctrl(Ctrl { kind: CtrlKind::Safe, pulse }) => (pulse, RunKind::Safe),
-            SyncMsg::Ctrl(Ctrl { kind: CtrlKind::Ack, .. }) => {
+            SyncMsg::Ctrl(Ctrl { kind: CtrlTag::Safe, pulse }) => (pulse, RunKind::Safe),
+            SyncMsg::Ctrl(Ctrl { kind: CtrlTag::Ack, .. }) => {
                 unreachable!("Acks are not broadcast")
             }
         };
         Broadcast { from: from as u32, pulse, kind, next: self.topo.offsets[from] }
     }
 
-    /// Sends the open broadcast's copy out of its sender's local `port`:
-    /// the fault check and the delay draw of [`Wire::transmit`], in the
-    /// same order, so both random streams advance as for a per-port
-    /// send. A delivered copy joins its delay's group. A lost one puts
-    /// the groups gathered so far on the wheel before its retransmission
+    /// Sends the open broadcast's copy out of its sender's local `port`,
+    /// whose route ([`Topology::resolve`]) the caller has read: the fault
+    /// check and the delay draw of [`Wire::transmit`], in the same order,
+    /// so both random streams advance as for a per-port send. A
+    /// delivered copy joins its delay's group. A lost one puts the
+    /// groups gathered so far on the wheel before its retransmission
     /// timer, which therefore keeps its place in its bucket — a
     /// `LinkFlap` retry can share a bucket with the runs around it.
     #[inline]
-    pub fn send_copy(&mut self, b: &mut Broadcast, port: Port) {
+    pub fn send_copy(&mut self, b: &mut Broadcast, port: Port, route: (usize, u32, u32)) {
         let now = self.now();
-        let (slot, to, back) = self.topo.resolve(b.from as usize, port);
+        let (slot, to, back) = route;
         if self.faults.sampler.drops(slot, now) {
             self.flush(b);
             let msg = self.run_msg(b.from, b.pulse, b.kind).cloned();
@@ -538,10 +520,11 @@ impl<M: Clone> Wire<M> {
     /// Sends node `from`'s `Safe { pulse }` on every incident edge, as
     /// delay runs.
     pub fn flood_safe(&mut self, from: usize, pulse: u64) {
-        let ctrl = Ctrl { kind: CtrlKind::Safe, pulse };
+        let ctrl = Ctrl { kind: CtrlTag::Safe, pulse };
         let mut b = self.begin_broadcast(from, SyncMsg::Ctrl(ctrl));
         for port in 0..self.degree(from) {
-            self.send_copy(&mut b, port);
+            let route = self.topo.resolve(from, port);
+            self.send_copy(&mut b, port, route);
             self.trace_ctrl(from, ctrl);
         }
         self.end_broadcast(b);
@@ -639,7 +622,7 @@ impl Alpha {
     /// A pulse-`pulse` payload arrived at `v` on `port`: acknowledge it
     /// back over the same edge.
     fn on_payload<M>(&self, wire: &mut Wire<M>, v: usize, port: Port, pulse: u64) {
-        wire.send_ctrl(v, port, Ctrl { kind: CtrlKind::Ack, pulse });
+        wire.send_ctrl(v, port, Ctrl { kind: CtrlTag::Ack, pulse });
     }
 
     /// A control envelope arrived at node `v`, currently waiting on
@@ -647,12 +630,12 @@ impl Alpha {
     fn on_ctrl<M: Clone>(&mut self, wire: &mut Wire<M>, v: usize, node_pulse: u64, ctrl: Ctrl) {
         wire.meter_ctrl(1);
         match ctrl.kind {
-            CtrlKind::Ack => {
+            CtrlTag::Ack => {
                 debug_assert_eq!(ctrl.pulse, node_pulse, "ack for a stale pulse");
                 self.pending_acks[v] -= 1;
                 self.try_announce_safe(wire, v, node_pulse);
             }
-            CtrlKind::Safe => {
+            CtrlTag::Safe => {
                 // Safe{r} from a neighbor certifies all its pulse-r
                 // payloads arrived; it gates the receiver's own pulse r.
                 // The ±1 skew argument bounds the live pulses to two, so
@@ -901,7 +884,8 @@ mod tests {
         wire.delays.begin_step(&[2, 1, 2, 3, 1, 2, 4, 1]);
         let mut b = wire.begin_broadcast(0, SyncMsg::Payload { pulse: 1, msg: 7 });
         for port in 0..8 {
-            wire.send_copy(&mut b, port);
+            let route = wire.topo.resolve(0, port);
+            wire.send_copy(&mut b, port, route);
         }
         wire.end_broadcast(b);
         assert_eq!(wire.delays.step_draws(), 8, "one delay draw per copy");

@@ -8,9 +8,10 @@
 //! module exposes all of them behind a single engine-agnostic API:
 //!
 //! * [`Engine`] selects the execution model: [`Engine::Flat`] (the
-//!   zero-allocation flat message plane, optionally sharded over
-//!   threads), [`Engine::Legacy`] (the preserved seed engine — a frozen
-//!   test-only fixture behind the `legacy-engine` cargo feature), or
+//!   flat message plane, optionally sharded over threads, and
+//!   allocation-free in steady state on one shard), [`Engine::Legacy`]
+//!   (the preserved seed engine — a frozen test-only fixture behind the
+//!   `legacy-engine` cargo feature), or
 //!   [`Engine::Async`] (event-driven delivery with seeded link delays
 //!   under a pluggable synchronizer).
 //! * [`Session`] configures a run — graph or edge stream, seed, mode,
@@ -124,9 +125,11 @@ use crate::sched::{ChurnModel, DelayModel, FaultModel, PhasePlan, SyncModel};
 /// Which execution engine a [`Session`] drives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Engine {
-    /// The flat zero-allocation message plane, sharded over `shards` OS
-    /// threads (1 = sequential). Results are bit-identical at any shard
-    /// count.
+    /// The flat message plane, sharded over `shards` OS threads (1 =
+    /// sequential). Results are bit-identical at any shard count. A
+    /// steady-state round allocates nothing on one shard; on more, each
+    /// round spawns its threads and collects its transfer cells afresh,
+    /// a fixed number of allocations whatever the traffic.
     Flat {
         /// Number of node shards / OS threads.
         shards: usize,
@@ -168,10 +171,10 @@ pub enum Engine {
     ///
     /// The churn plane is the fourth seeded axis: `churn` schedules
     /// membership events (staggered joins, graceful leaves, or both —
-    /// see [`crate::sched::churn`]), each opening a new epoch in which
-    /// the engine's membership overlay retires or materializes the
-    /// affected ports in place, retired in-flight payloads are itemized
-    /// in the trace sink, and protocols take their
+    /// see [`crate::sched::churn`]), each opening a new epoch: the
+    /// engine flips the node's presence flag, payloads bound for an
+    /// absent node are retired and itemized in the trace sink, and
+    /// protocols take their
     /// [`Protocol::on_join`] /
     /// [`Protocol::on_leave`] handoff hooks
     /// (or restart from `init`, under
@@ -382,9 +385,9 @@ pub trait Driver {
     fn queued_messages(&self) -> u64;
 
     /// Pre-reserves per-round bookkeeping for a bounded run, so engines
-    /// with a zero-allocation steady state (the flat plane) stay
-    /// allocation-free over `rounds` rounds. Optional; a no-op where it
-    /// does not apply.
+    /// with a zero-allocation steady state (the flat plane on one shard)
+    /// stay allocation-free over `rounds` rounds. Optional; a no-op
+    /// where it does not apply.
     fn reserve_rounds(&mut self, rounds: usize) {
         let _ = rounds;
     }

@@ -455,9 +455,9 @@ fn faulty_pulses_do_not_allocate() {
 
 /// The churn plane's steady state is equally **zero-allocation**: the
 /// membership schedule is compiled into per-node join/leave pulse
-/// tables at build time, the [`congest::ChurnModel`] overlay
-/// (presence flags, per-port liveness, live degrees) is fully
-/// pre-reserved and epoch transitions mutate it in place, and churn
+/// tables at build time, the member set (one presence flag per node)
+/// is allocated at build and epoch transitions flip a flag in place,
+/// and churn
 /// events go to the trace sink, which is absent here. With **every
 /// membership transition placed inside the warm-up drive**, hundreds of
 /// churned steady-state pulses must allocate

@@ -323,6 +323,56 @@ fn flat_profiles_do_not_depend_on_the_shard_count() {
     }
 }
 
+/// Gather: at pulse 1 every leaf of a star sends its hub one message;
+/// nothing else is ever sent.
+struct Gather;
+
+impl Protocol for Gather {
+    type Msg = Rumor;
+    type Output = ();
+    fn init(&mut self, _ctx: &mut Context<'_, Rumor>) {}
+    fn step(&mut self, ctx: &mut Context<'_, Rumor>, _inbox: &[(Port, Rumor)]) {
+        if ctx.round() == 1 && ctx.degree() == 1 {
+            ctx.send(0, Rumor);
+        }
+    }
+    fn is_idle(&self) -> bool {
+        true
+    }
+    fn output(&self) {}
+}
+
+/// The α engine's queue high-water mark counts the staged inboxes, not
+/// only the outgoing queues. Each leaf's message leaves its queue at the
+/// leaf's next pulse entry, right after the step that queued it, so the
+/// outgoing queues never hold more than one; the hub's pulse-2 inbox
+/// holds all 24 until the hub executes pulse 2.
+#[test]
+fn async_queue_depth_counts_the_staged_inboxes() {
+    let mut b = GraphBuilder::new(25);
+    for leaf in 1..25 {
+        b.add_edge(0, leaf);
+    }
+    let g = b.build();
+    for sync in [SyncModel::Alpha, SyncModel::BatchedAlpha] {
+        let engine = Engine::Async {
+            delay: DelayModel::Uniform { max_delay: 4 },
+            sync,
+            fault: FaultModel::None,
+            churn: ChurnModel::None,
+        };
+        let (_, report) = Session::on(&g)
+            .seed(5)
+            .engine(engine)
+            .limits(RunLimits::rounds(4))
+            .trace(TraceConfig::profile_only())
+            .run_with(|_| Gather);
+        assert_eq!(report.metrics.messages, 24, "{sync:?}");
+        let profile = report.profile.expect("traced");
+        assert_eq!(profile.max_queue_depth, 24, "{sync:?}: the hub's inbox holds every leaf's");
+    }
+}
+
 /// `TraceConfig::profile_only()` keeps the streaming aggregates with no
 /// timeline ring at all.
 #[test]

@@ -211,14 +211,6 @@ impl DistNearClique {
         names
     }
 
-    /// Name of the phase this node currently executes (the §4.1 wrapper
-    /// and the phased async runner use this to diagnose mis-budgeted
-    /// schedules).
-    #[must_use]
-    pub fn current_phase(&self) -> &'static str {
-        self.phase.name()
-    }
-
     fn record_phase(&mut self, round: Round) {
         self.trace.push((self.version, self.phase.name(), round));
     }

@@ -205,7 +205,9 @@ fn execute(
             },
         );
     // Pre-reserve the per-round metrics history (bounded): with it, the
-    // flat engine's steady-state rounds perform zero heap allocations.
+    // flat engine's steady-state rounds perform zero heap allocations on
+    // one shard (a sharded round still spawns its threads and collects
+    // its transfer cells afresh).
     driver.reserve_rounds(max_rounds.min(4096) as usize);
     let mut barriers = BarrierTrace::default();
     let report = match phases {

@@ -307,6 +307,52 @@ fn overhead(
     }
 }
 
+/// Trains: at init and on every pulse, a node's coin picks one of three
+/// things: broadcast what it has heard, queue a train of one to three
+/// words on each of a random third of its ports, or stay quiet. So
+/// per-port queues, some several messages deep, sit beside broadcast
+/// records, and under churn and crashes both kinds of send meet absent
+/// and crashed peers.
+struct Trains {
+    heard: u64,
+}
+impl Trains {
+    fn speak(&self, ctx: &mut Context<'_, Word>) {
+        match ctx.rng().gen_range(0..3) {
+            0 => ctx.broadcast(Word(self.heard)),
+            1 => {
+                for port in 0..ctx.degree() {
+                    if ctx.rng().gen_range(0..3) == 0 {
+                        for car in 0..ctx.rng().gen_range(1..=3) {
+                            ctx.send(port, Word(self.heard + car));
+                        }
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+}
+impl Protocol for Trains {
+    type Msg = Word;
+    type Output = Option<u64>;
+    fn init(&mut self, ctx: &mut Context<'_, Word>) {
+        self.speak(ctx);
+    }
+    fn step(&mut self, ctx: &mut Context<'_, Word>, inbox: &[(Port, Word)]) {
+        for (port, Word(w)) in inbox {
+            self.heard = self.heard.wrapping_mul(31).wrapping_add(w ^ *port as u64);
+        }
+        self.speak(ctx);
+    }
+    fn is_idle(&self) -> bool {
+        true
+    }
+    fn output(&self) -> Option<u64> {
+        Some(self.heard)
+    }
+}
+
 /// The ledger beyond the perfect wire: both synchronizers under message
 /// loss, link flaps whose retransmissions land inside the delay horizon,
 /// crashes with recovery, and mixed churn, on two workload families
@@ -318,6 +364,15 @@ fn overhead(
 /// them bit for bit — the order of a lost copy's retransmission timer
 /// within its bucket and the ready cascade between a run's copies both
 /// show in `virtual_time`.
+///
+/// The trains rows add a third protocol with per-port sends,
+/// [`Trains`], under mixed churn with either handoff policy, a crash
+/// with recovery, and message loss.
+/// A leave retires what the leaver queued; a payload queued toward an
+/// absent peer is retired when its port's turn comes, and a record's
+/// copy toward one as the record is sent. Those values were captured
+/// from the engine that kept a liveness flag per directed port beside
+/// the per-node presence flags.
 #[test]
 fn faulty_and_churned_runs_reproduce_the_per_event_ledger() {
     let drop = (FaultModel::Drop { p_millis: 100 }, ChurnModel::None);
@@ -333,6 +388,10 @@ fn faulty_and_churned_runs_reproduce_the_per_event_ledger() {
             policy: congest::ChurnPolicy::Continue,
         },
     );
+    let mixed4 =
+        |policy| ChurnModel::Mixed { joiners: 4, leavers: 4, at_pulse: 2, spacing: 2, policy };
+    let continue_ = (FaultModel::None, mixed4(congest::ChurnPolicy::Continue));
+    let restart = (FaultModel::None, mixed4(congest::ChurnPolicy::Restart));
     let (alpha, batched) = (SyncModel::Alpha, SyncModel::BatchedAlpha);
     #[rustfmt::skip]
     let golden: Vec<(&str, &str, SyncModel, Faults, FaultyGolden)> = vec![
@@ -368,6 +427,22 @@ fn faulty_and_churned_runs_reproduce_the_per_event_ledger() {
         ("gnp", "chatter", batched, flap, FaultyGolden { output_hash: 0xc3d24efcd92f0f65, messages: 14240, total_bits: 911360, overhead: overhead(1415, 626200, 198, 3532, 3532, 0, 0, 0, 0), termination: Termination::RoundLimit }),
         ("gnp", "chatter", batched, crash, FaultyGolden { output_hash: 0x6846729aba1ad4d, messages: 14135, total_bits: 904640, overhead: overhead(1419, 622160, 166, 0, 74, 0, 0, 0, 0), termination: Termination::Degraded { lost: 74 } }),
         ("gnp", "chatter", batched, mixed, FaultyGolden { output_hash: 0xc059acaa0199f463, messages: 13751, total_bits: 880064, overhead: overhead(1712, 618520, 164, 0, 0, 6, 3, 3, 306), termination: Termination::RoundLimit }),
+        ("planted", "trains", alpha, continue_, FaultyGolden { output_hash: 0xe89e2c9e8a3e3a36, messages: 53040, total_bits: 3394560, overhead: overhead(152652, 8227680, 504, 0, 0, 8, 4, 4, 1299), termination: Termination::RoundLimit }),
+        ("planted", "trains", alpha, restart, FaultyGolden { output_hash: 0x689bd547a9c6defe, messages: 69541, total_bits: 4450624, overhead: overhead(169157, 9547920, 504, 0, 0, 8, 4, 4, 1816), termination: Termination::RoundLimit }),
+        ("planted", "trains", alpha, crash, FaultyGolden { output_hash: 0xbc0cb698bda43080, messages: 54028, total_bits: 3457792, overhead: overhead(154087, 8324600, 504, 0, 666, 0, 0, 0, 0), termination: Termination::Degraded { lost: 666 } }),
+        ("planted", "trains", alpha, drop, FaultyGolden { output_hash: 0xa53a435c9d6479a3, messages: 55252, total_bits: 3536128, overhead: overhead(154852, 8404160, 1893, 23444, 23444, 0, 0, 0, 0), termination: Termination::RoundLimit }),
+        ("planted", "trains", batched, continue_, FaultyGolden { output_hash: 0xf97d49995d076f37, messages: 53058, total_bits: 3395712, overhead: overhead(2596, 2226160, 168, 0, 0, 8, 4, 4, 1281), termination: Termination::RoundLimit }),
+        ("planted", "trains", batched, restart, FaultyGolden { output_hash: 0x955d16dc20f0c61d, messages: 69565, total_bits: 4452160, overhead: overhead(2294, 2874360, 168, 0, 0, 8, 4, 4, 1793), termination: Termination::RoundLimit }),
+        ("planted", "trains", batched, crash, FaultyGolden { output_hash: 0xbc0cb698bda43080, messages: 54028, total_bits: 3457792, overhead: overhead(2194, 2248880, 168, 0, 666, 0, 0, 0, 0), termination: Termination::Degraded { lost: 666 } }),
+        ("planted", "trains", batched, drop, FaultyGolden { output_hash: 0xa53a435c9d6479a3, messages: 55252, total_bits: 3536128, overhead: overhead(2188, 2297600, 823, 6122, 6122, 0, 0, 0, 0), termination: Termination::RoundLimit }),
+        ("gnp", "trains", alpha, continue_, FaultyGolden { output_hash: 0xb20166d0836b06ec, messages: 14581, total_bits: 933184, overhead: overhead(42629, 2288400, 485, 0, 0, 8, 4, 4, 425), termination: Termination::RoundLimit }),
+        ("gnp", "trains", alpha, restart, FaultyGolden { output_hash: 0x5452408715c1a87, messages: 19215, total_bits: 1229760, overhead: overhead(47268, 2659320, 487, 0, 0, 8, 4, 4, 557), termination: Termination::RoundLimit }),
+        ("gnp", "trains", alpha, crash, FaultyGolden { output_hash: 0x30ec9f8a1f19ff38, messages: 15151, total_bits: 969664, overhead: overhead(43238, 2335560, 483, 0, 85, 0, 0, 0, 0), termination: Termination::Degraded { lost: 85 } }),
+        ("gnp", "trains", alpha, drop, FaultyGolden { output_hash: 0x3dfcf00a5460c2ac, messages: 15332, total_bits: 981248, overhead: overhead(43364, 2347840, 1405, 6495, 6495, 0, 0, 0, 0), termination: Termination::RoundLimit }),
+        ("gnp", "trains", batched, continue_, FaultyGolden { output_hash: 0x258e3cca02dc2616, messages: 14603, total_bits: 934592, overhead: overhead(2120, 668920, 166, 0, 0, 8, 4, 4, 403), termination: Termination::RoundLimit }),
+        ("gnp", "trains", batched, restart, FaultyGolden { output_hash: 0x421409b8d3a1613b, messages: 19246, total_bits: 1231744, overhead: overhead(1830, 843040, 168, 0, 0, 8, 4, 4, 542), termination: Termination::RoundLimit }),
+        ("gnp", "trains", batched, crash, FaultyGolden { output_hash: 0x30ec9f8a1f19ff38, messages: 15151, total_bits: 969664, overhead: overhead(1904, 682200, 166, 0, 85, 0, 0, 0, 0), termination: Termination::Degraded { lost: 85 } }),
+        ("gnp", "trains", batched, drop, FaultyGolden { output_hash: 0x3dfcf00a5460c2ac, messages: 15332, total_bits: 981248, overhead: overhead(1895, 689080, 545, 1641, 1641, 0, 0, 0, 0), termination: Termination::RoundLimit }),
     ];
 
     let graphs = workloads();
@@ -384,7 +459,8 @@ fn faulty_and_churned_runs_reproduce_the_per_event_ledger() {
             .limits(RunLimits::rounds(24));
         let (out, report) = match protocol {
             "flood" => session.run_with(flood_factory),
-            _ => session.run_with(|_| Chatter { heard: 0 }),
+            "chatter" => session.run_with(|_| Chatter { heard: 0 }),
+            _ => session.run_with(|_| Trains { heard: 0 }),
         };
         let row = format!("{name}, {protocol}, {sync:?}, {fault:?}, {churn:?}");
         assert_eq!(output_hash(&out), expect.output_hash, "{row}: outputs changed");
